@@ -25,7 +25,6 @@ from .cochain import (
     ScalarCochain,
     closed_reduced_row,
     reduced_differential,
-    reduced_differential_closed,
     reduced_row,
 )
 from .cohom import (
@@ -65,7 +64,6 @@ __all__ = [
     "normal_form",
     "parse_rational",
     "reduced_differential",
-    "reduced_differential_closed",
     "reduced_row",
     "truncated_cohomology",
     "verify_contraction",

@@ -277,23 +277,6 @@ def normal_form(x: AlgElem | Word) -> AlgElem:
     return elem
 
 
-def derive(x: AlgElem | Word) -> AlgElem:
-    """The derivation sending v(n) to -n v(n-1), extended by Leibniz.
-
-    Commutes with normal forms: derive(NF(x)) reduces to NF(derive(x)).
-    """
-    if isinstance(x, tuple):
-        x = AlgElem.word(x)
-    out = AlgElem()
-    for word, coeff in x._terms.items():
-        for k, letter in enumerate(word):
-            if letter == 0:
-                continue
-            child = word[:k] + (letter - 1,) + word[k + 1 :]
-            out = out + AlgElem.word(child, coeff * Fraction(-letter))
-    return out
-
-
 def check_overlap(n: int, m: int, p: int) -> bool:
     """Resolve the critical pair on v(n)v(m)v(p); True when confluent.
 

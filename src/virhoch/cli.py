@@ -104,7 +104,13 @@ def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"virhoch-{__version__}-{config.cache_key()}.json"
     if path.exists():
-        return json.loads(path.read_text())
+        try:
+            doc = json.loads(path.read_text())
+            cohom.DimTable.from_dict(doc)
+            return doc
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            # a torn or foreign entry is a miss: recompute and rewrite it
+            print(f"warning: recomputing unreadable cache entry {path}: {exc}", file=sys.stderr)
     doc = compute_table(config).as_dict()
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -405,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except cohom.InvariantError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         # bad rationals, malformed chain literals and similar input problems
         print(f"usage error: {exc}", file=sys.stderr)

@@ -305,12 +305,3 @@ def closed_reduced_row(c: Chain) -> Row:
             add(body + (0,), sL * (c[t - 1] - 1))
     return row
 
-
-def reduced_differential_closed(phi: ScalarCochain, c: Chain) -> ParamPoly:
-    """Reduced differential through the closed formula (oracle path)."""
-    if len(c) != phi.degree + 1:
-        raise ValueError(f"chain {c} has wrong length for degree {phi.degree}")
-    out = ParamPoly.const(0)
-    for cp, val in closed_reduced_row(c).items():
-        out = out + val * phi(cp)
-    return out

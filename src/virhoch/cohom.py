@@ -7,15 +7,20 @@ With a != 0 the a-part lowers s by one, so the subcomplex of cochains
 supported on grades <= S is finite and closed under d; its cohomology is
 computed at S and S + 1 and compared (stabilization).
 
-Ranks use fraction-free integer elimination; the tests check it against a
-naive rational Gaussian oracle.
+One exact sparse elimination, ``pivot_columns``, does all the linear
+algebra: ranks count its pivots, and ``locate_classes`` reads the pivot
+columns of ker d (the non-pivots of d with its columns mirrored) minus
+those of im d.  Rows are kept primitive over Z, so no Fraction enters the
+inner loop; the tests check the pivots against a naive rational Gaussian
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import Iterable
 
 from .anick import Chain, enumerate_chains, grade, is_chain
 from .cochain import reduced_row
@@ -67,36 +72,49 @@ def matrix_d(
     return DiffMatrix(source=source, target=target, entries=rows)
 
 
-def rank(m: DiffMatrix | list[list[Rational]]) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination."""
-    rows = m.entries if isinstance(m, DiffMatrix) else m
-    if not rows or not rows[0]:
-        return 0
-    # clear denominators rowwise; rank is unchanged
-    mat: list[list[int]] = []
+def pivot_columns(rows: Iterable[dict[int, Rational]]) -> list[int]:
+    """Sorted pivot columns of the row echelon form of sparse rational rows.
+
+    Exact over Z: each row is cleared to integers, eliminated as
+    ``a * row - b * pivot_row`` with ``a, b`` the two leading entries over
+    their gcd, and divided by its content, so rows stay primitive and no
+    Fraction enters the inner loop.  The pivot set depends only on the row
+    space, not on the order of the rows.
+    """
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> primitive row
     for row in rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        mat.append([int(v * mult) for v in row])
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, nrows):
-            if not any(mat[i][col:]):
-                continue
-            head = mat[i][col]
-            lead = mat[r][col]
-            for j in range(col, ncols):
-                mat[i][j] = (lead * mat[i][j] - head * mat[r][j]) // prev
-        prev = mat[r][col]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        mult = lcm(*(v.denominator for v in row.values()))
+        vec = {j: int(v * mult) for j, v in row.items() if v}
+        while vec:
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {j: v // g for j, v in vec.items()}
+            lead = min(vec)
+            piv = echelon.get(lead)
+            if piv is None:
+                echelon[lead] = vec
+                break
+            g = gcd(piv[lead], vec[lead])
+            a, b = piv[lead] // g, vec[lead] // g
+            if a != 1:
+                vec = {j: a * v for j, v in vec.items()}
+            for j, v in piv.items():
+                x = vec.get(j, 0) - b * v
+                if x:
+                    vec[j] = x
+                else:
+                    del vec[j]
+    return sorted(echelon)
+
+
+def _sparse(rows: Iterable[Iterable[Rational]]) -> list[dict[int, Rational]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def rank(m: DiffMatrix | list[list[Rational]]) -> int:
+    """Exact rank: the number of pivot columns."""
+    rows = m.entries if isinstance(m, DiffMatrix) else m
+    return len(pivot_columns(_sparse(rows)))
 
 
 @dataclass
@@ -163,6 +181,10 @@ class DimTable:
         return table
 
 
+class InvariantError(RuntimeError):
+    """An exact count broke an identity that holds for every complex."""
+
+
 def _grade_range(n: int, s_max: int) -> range:
     # minimal grade in degree n: -1 for single letters, n - 3 beyond
     lo = 0 if n == 0 else (-1 if n == 1 else n - 3)
@@ -195,7 +217,11 @@ def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable
                 table.by_grade[(n, s)] = 0
                 continue
             dim = dim_n - rank_d(n, s) - rank_d(n - 1, s)
-            assert dim >= 0, (n, s)
+            if dim < 0:
+                raise InvariantError(
+                    f"negative dimension {dim} in degree {n}, grade {s}, "
+                    f"at delta={format_rational(delta)}, alpha=0"
+                )
             table.by_grade[(n, s)] = dim
             total += dim
         table.totals[n] = total
@@ -214,7 +240,11 @@ def truncated_dims(delta: Rational, alpha: Rational, n_max: int, S: int) -> dict
     out = {}
     for n in range(1, n_max + 1):
         dim = len(bases[n]) - ranks[n] - ranks[n - 1]
-        assert dim >= 0, n
+        if dim < 0:
+            raise InvariantError(
+                f"negative dimension {dim} in degree {n}, cutoff S={S}, "
+                f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
+            )
         out[n] = dim
     return out
 
@@ -222,7 +252,16 @@ def truncated_dims(delta: Rational, alpha: Rational, n_max: int, S: int) -> dict
 def truncated_cohomology(
     delta: Rational, alpha: Rational, n_max: int = 4, S: int = 8
 ) -> DimTable:
-    """Truncated dims at cutoffs S and S + 1 with per-degree stability flags."""
+    """Truncated dims at cutoffs S and S + 1 with per-degree stability flags.
+
+    A cutoff below the minimal grade of degree n_max leaves that degree's
+    window empty, so its "stable" zero would check nothing; it is rejected.
+    """
+    lowest = _grade_range(n_max, S).start
+    if S < lowest:
+        raise ValueError(
+            f"cutoff S={S} is below the minimal grade {lowest} of degree {n_max}"
+        )
     at_S = truncated_dims(delta, alpha, n_max, S)
     at_S1 = truncated_dims(delta, alpha, n_max, S + 1)
     table = DimTable(
@@ -232,92 +271,35 @@ def truncated_cohomology(
     return table
 
 
-def _rref_insert(rows: list[list[Fraction]], vec: list[Fraction]) -> int | None:
-    """Reduce vec against rows (kept fully reduced); insert if independent.
-
-    Every stored row has leading coefficient 1 and zeros at the pivot
-    columns of all other rows, so one reduction pass suffices.  Returns
-    the pivot column of the inserted vector, or None if dependent.
-    """
-    v = list(vec)
-    for row in rows:
-        p = next(j for j, x in enumerate(row) if x)
-        if v[p]:
-            f = v[p]
-            for j in range(p, len(v)):
-                v[j] -= f * row[j]
-    piv = next((j for j, x in enumerate(v) if x), None)
-    if piv is None:
-        return None
-    scale = v[piv]
-    v = [x / scale for x in v]
-    for row in rows:
-        if row[piv]:
-            f = row[piv]
-            for j in range(piv, len(v)):
-                row[j] -= f * v[j]
-    rows.append(v)
-    return piv
-
-
-def _kernel_basis(mat: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the nullspace of mat (acting on column vectors)."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    out = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, c in pivots:
-            vec[c] = -rows[i][free]
-        out.append(vec)
-    return out
-
-
 def locate_classes(delta: Rational, n: int, s_max: int = 8) -> list[Chain]:
     """Chains carrying the surviving classes in degree n (alpha = 0).
 
-    Per grade: a kernel basis of the outgoing differential is reduced
-    against the incoming image; each new echelon pivot marks the chain
-    whose dual coordinate carries one cohomology class.
+    Per grade, the pivot columns (leftmost nonzero coordinates, after full
+    reduction) of ker d_out that are not pivot columns of im d_in; each
+    marks the chain whose dual coordinate carries one cohomology class.
     """
     found: list[Chain] = []
     for s in _grade_range(n, s_max):
         src = graded_basis(n, s)
         if not src:
             continue
-        below = graded_basis(n - 1, s)
-        above = graded_basis(n + 1, s)
-        d_out = matrix_d(n, src, above, delta, Fraction(0)).entries
-        d_in = matrix_d(n - 1, below, src, delta, Fraction(0)).entries
-        # image vectors: columns of d_in, i.e. d(e_b) expanded over src
-        echelon: list[list[Fraction]] = []
-        for j in range(len(below)):
-            _rref_insert(echelon, [d_in[i][j] for i in range(len(src))])
-        for vec in _kernel_basis(d_out, len(src)):
-            piv = _rref_insert(echelon, vec)
-            if piv is not None:
-                found.append(src[piv])
+        m = len(src)
+        d_out = matrix_d(n, src, graded_basis(n + 1, s), delta, Fraction(0)).entries
+        d_in = matrix_d(n - 1, graded_basis(n - 1, s), src, delta, Fraction(0)).entries
+        # The pivot columns (leftmost nonzeros of an echelon basis) of a
+        # subspace depend only on the subspace, and im d_in lies in
+        # ker d_out, so the classes sit at pivots(ker) - pivots(im).
+        # Solving an echelon form of d_out for each free column gives a
+        # kernel basis whose vectors end (rightmost nonzero) exactly at the
+        # free columns.  Eliminating with the columns mirrored
+        # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
+        # columns that are not pivots of the mirrored d_out.
+        reversed_pivots = pivot_columns(
+            {m - 1 - j: v for j, v in row.items()} for row in _sparse(d_out)
+        )
+        kernel = set(range(m)) - {m - 1 - j for j in reversed_pivots}
+        image = pivot_columns(_sparse(zip(*d_in)))
+        found.extend(src[j] for j in kernel.difference(image))
     return sorted(found)
 
 

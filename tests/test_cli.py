@@ -136,6 +136,23 @@ def test_truncated_with_zero_alpha_is_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("cutoff,nmax", [("-5", "3"), ("0", "4")])
+def test_truncated_cutoff_below_top_degree_is_usage_error(capsys, cutoff, nmax):
+    code, out, err = run(capsys, "cohomology", "--delta", "1", "--alpha", "1",
+                         "--truncated", cutoff, "--nmax", nmax)
+    assert code == 64
+    assert "minimal grade" in err
+    assert "stable" not in out
+
+
+def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):
+    real = cli.cohom.rank
+    monkeypatch.setattr(cli.cohom, "rank", lambda m: real(m) + 1)
+    code, _, err = run(capsys, "cohomology", "--delta", "1", "--nmax", "2", "--smax", "2")
+    assert code == 1
+    assert "FAIL: negative dimension" in err and "degree 1, grade -1" in err
+
+
 def test_bad_rational_is_usage_error(capsys):
     code, _, err = run(capsys, "cohomology", "--delta", "1//2")
     assert code == 64
@@ -174,6 +191,23 @@ def test_cache_warm_run_identical(capsys, tmp_path):
     code2, out2, _ = run(capsys, *args)
     assert code2 == 0
     assert out2 == out1
+
+
+@pytest.mark.parametrize("damage", ["truncate", "foreign"])
+def test_cache_corrupt_entry_is_recomputed(capsys, tmp_path, damage):
+    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    _, fresh, _ = run(capsys, *args)
+    (entry,) = tmp_path.glob("virhoch-*.json")
+    good = entry.read_bytes()
+    entry.write_bytes(good[: len(good) // 2] if damage == "truncate" else b"[]\n")
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert out == fresh
+    assert err.count("\n") == 1 and err.startswith("warning: recomputing")
+    assert entry.read_bytes() == good  # rewritten in place
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert run(capsys, *args) == (0, fresh, "")
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):

@@ -1,16 +1,23 @@
 """Rank computation, dimension tables, class location, contraction witness."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from virhoch import cohom
 from virhoch.cohom import (
     DimTable,
+    InvariantError,
     cohomology_dims,
     graded_basis,
     locate_classes,
     matrix_d,
+    pivot_columns,
     rank,
     truncated_cohomology,
     truncated_dims,
@@ -22,15 +29,16 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# rank: fraction-free elimination against a plain Gaussian oracle
+# pivot columns and rank against a plain Gaussian oracle
 
 
-def gauss_rank(rows) -> int:
-    """Reference rank over Q by ordinary row reduction."""
+def gauss_rank(rows) -> tuple[int, list[int]]:
+    """Reference rank over Q by ordinary row reduction, with its pivot columns."""
     rows = [[F(x) for x in r] for r in rows]
     if not rows or not rows[0]:
-        return 0
+        return 0, []
     r = 0
+    pivots = []
     for col in range(len(rows[0])):
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
@@ -41,10 +49,29 @@ def gauss_rank(rows) -> int:
             if i != r and rows[i][col]:
                 f = rows[i][col] / lead
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return r
+    return r, pivots
+
+
+def random_rows(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    if seed % 3:
+        return [
+            [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(m)
+        ]
+    # force rank deficiency through a low-rank factorization
+    k = rng.randint(1, min(m, n))
+    a = [[F(rng.randint(-4, 4)) for _ in range(k)] for _ in range(m)]
+    b = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(k)]
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+        for i in range(m)
+    ]
 
 
 def test_rank_edge_cases():
@@ -57,23 +84,18 @@ def test_rank_edge_cases():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_rank_matches_gaussian_oracle(seed):
-    rng = random.Random(seed)
-    m, n = rng.randint(1, 12), rng.randint(1, 12)
-    if seed % 3:
-        rows = [
-            [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-            for _ in range(m)
-        ]
-    else:
-        # force rank deficiency through a low-rank factorization
-        k = rng.randint(1, min(m, n))
-        a = [[F(rng.randint(-4, 4)) for _ in range(k)] for _ in range(m)]
-        b = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(k)]
-        rows = [
-            [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
-            for i in range(m)
-        ]
-    assert rank(rows) == gauss_rank(rows)
+    rows = random_rows(seed)
+    assert rank(rows) == gauss_rank(rows)[0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pivot_columns_match_gaussian_oracle(seed):
+    rows = random_rows(seed)
+    for dense in (rows, [r[::-1] for r in rows]):  # both column orders
+        sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
+        assert pivot_columns(sparse) == gauss_rank(dense)[1]
+        # the pivot set belongs to the row space, not to the row order
+        assert pivot_columns(sparse[::-1]) == gauss_rank(dense)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +179,55 @@ def test_truncated_point():
     assert table.stable == {1: True, 2: True, 3: True}
 
 
+@pytest.mark.parametrize("n_max,S", [(3, -5), (3, -1), (4, 0), (5, 1)])
+def test_truncated_rejects_empty_top_window(n_max, S):
+    # below the minimal grade max(-1, n_max - 3) the top degree has no chains
+    with pytest.raises(ValueError, match="minimal grade"):
+        truncated_cohomology(F(1), F(1), n_max=n_max, S=S)
+
+
+def test_truncated_accepts_lowest_cutoff():
+    table = truncated_cohomology(F(1), F(1), n_max=4, S=1)
+    assert sorted(table.stable) == [1, 2, 3, 4]
+
+
+def _overcount(monkeypatch):
+    real = cohom.rank
+    monkeypatch.setattr(cohom, "rank", lambda m: real(m) + 1)
+
+
+def test_negative_graded_dimension_is_reported(monkeypatch):
+    _overcount(monkeypatch)
+    with pytest.raises(InvariantError, match=r"degree 1, grade -1, at delta=1, alpha=0"):
+        cohomology_dims(F(1), n_max=2, s_max=2)
+
+
+def test_negative_truncated_dimension_is_reported(monkeypatch):
+    _overcount(monkeypatch)
+    with pytest.raises(InvariantError, match=r"degree 1, cutoff S=2, at delta=1, alpha=1/2"):
+        truncated_dims(F(1), F(1, 2), 2, 2)
+
+
+def test_negative_dimension_check_survives_optimization():
+    script = (
+        "from fractions import Fraction\n"
+        "from virhoch import cohom\n"
+        "real = cohom.rank\n"
+        "cohom.rank = lambda m: real(m) + 1\n"
+        "try:\n"
+        "    cohom.cohomology_dims(Fraction(1), n_max=2, s_max=2)\n"
+        "except cohom.InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "negative dimension" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # locating the class-carrying chains
 
@@ -170,6 +241,13 @@ def test_locate_classes():
     assert locate_classes(F(0), 3) == [(2, 1, 0)]
     assert locate_classes(F(2), 1) == []
     assert locate_classes(F(2), 2) == []
+
+
+@pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
+def test_locate_counts_match_totals(delta):
+    totals = cohomology_dims(delta, s_max=6).totals
+    for n in range(1, 5):
+        assert len(locate_classes(delta, n, s_max=6)) == totals[n]
 
 
 # ---------------------------------------------------------------------------
