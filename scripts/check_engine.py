@@ -23,9 +23,9 @@ STEPS = [
 
 def run() -> int:
     for argv in STEPS:
-        start = time.time()
+        start = time.perf_counter()
         code = main(argv)
-        print(f"-> exit {code} in {time.time() - start:.1f}s : virhoch {' '.join(argv)}")
+        print(f"-> exit {code} in {time.perf_counter() - start:.1f}s : virhoch {' '.join(argv)}")
         print()
         if code:
             return code

@@ -17,7 +17,12 @@ The differential is computed two ways:
   peels the leading letter and merges adjacent slots, ``delta_dprime``
   re-splits the leftmost composite slot while the slot prefix stays a chain.
   Iteration stops when every bracket is a chain of single letters.  This is
-  the authority: it only uses the rewriting system.
+  the authority: it only uses the rewriting system.  The iteration is linear
+  in the bracket, so ``reduce_bracket`` reduces each bracket once, depth
+  first, and memoizes the value of every bracket that needs rewriting for
+  the life of the process; a chain's differential is ``delta_prime`` of its
+  letters with each resulting bracket replaced by that value.  Brackets
+  that are final or vanish after one pass are recomputed, not stored.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
@@ -25,7 +30,9 @@ The differential is computed two ways:
   chain in range.
 
 Output elements are ``ResElem``: maps {(target chain, leading word): coeff}
-with the leading word of length at most one.
+with the leading word of length at most one.  A term that breaks this shape
+raises ``InvariantError`` naming the chain; the check is not an ``assert``,
+so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -110,6 +117,8 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
 BarElem = dict[tuple[Word, Slots], Fraction]
 ResElem = dict[tuple[Chain, Word], Fraction]
 
+_ONE = Fraction(1)
+
 
 def _bar_add(acc: dict, key, val) -> None:
     cur = acc.get(key)
@@ -127,12 +136,11 @@ def delta_prime(slots: Slots) -> BarElem:
     [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly.
     """
     out: BarElem = {}
-    _bar_add(out, (slots[0], slots[1:]), Fraction(1))
+    _bar_add(out, (slots[0], slots[1:]), _ONE)
     for j in range(1, len(slots)):
-        sign = Fraction(-1 if j % 2 else 1)
         for word, q in nf_word(slots[j - 1] + slots[j]).items():
             merged = slots[: j - 1] + (word,) + slots[j + 1 :]
-            _bar_add(out, ((), merged), sign * q)
+            _bar_add(out, ((), merged), -q if j % 2 else q)
     return out
 
 
@@ -161,66 +169,138 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     if not (is_chain(prefix) and is_chain(prefix + (head,))):
         return {}
     split = slots[:p] + ((head,), slots[p][1:]) + slots[p + 1 :]
-    sign = Fraction(-1 if p % 2 else 1)
-    out: BarElem = {}
-    for key, q in delta_prime(split).items():
-        _bar_add(out, key, sign * q)
-    _bar_add(out, ((), slots), Fraction(1))
+    out = delta_prime(split)
+    if p % 2:
+        out = {key: -q for key, q in out.items()}
+    _bar_add(out, ((), slots), _ONE)
     return out
 
 
-class IterationOverflow(RuntimeError):
-    """The bracket rewriting failed to stabilize within the step budget."""
+class InvariantError(RuntimeError):
+    """A computed value broke an identity that holds for every input."""
 
 
-def bar_reduce(elem: BarElem, cap: int) -> ResElem:
-    """Iterate ``delta_dprime`` over every bracket until all are final."""
-    out: ResElem = {}
-    steps = 0
-    while elem:
-        steps += 1
-        if steps > cap:
-            raise IterationOverflow(f"bracket rewriting exceeded {cap} passes")
-        nxt: BarElem = {}
-        for (lam, slots), coeff in elem.items():
-            res = delta_dprime(slots)
-            if res is None:
-                _bar_add(out, (tuple(w[0] for w in slots), lam), coeff)
-                continue
-            for (lam2, slots2), q in res.items():
-                if not lam2:
-                    _bar_add(nxt, (lam, slots2), coeff * q)
-                elif not lam:
-                    _bar_add(nxt, (lam2, slots2), coeff * q)
-                else:
-                    # leading words multiply in the algebra
-                    for word, r in nf_word(lam + lam2).items():
-                        _bar_add(nxt, (word, slots2), coeff * q * r)
-        elem = nxt
-    return out
+class IterationOverflow(InvariantError):
+    """The bracket rewriting failed to stabilize within the pass budget."""
 
 
+Terms = tuple[tuple[tuple[Chain, Word], Fraction], ...]
+
+_ZERO: tuple[Terms, int] = ((), 1)  # value of every bracket that maps to zero at once
+# reduced values of the brackets that need rewriting, and interned targets
+_BRACKETS: dict[Slots, tuple[Terms, int]] = {}
+_CHAINS: dict[Chain, Chain] = {}
 _DELTA_CACHE: dict[Chain, ResElem] = {}
 
 
 def clear_caches() -> None:
+    _BRACKETS.clear()
+    _CHAINS.clear()
     _DELTA_CACHE.clear()
 
 
+def _times(acc: ResElem, lam: Word, q: Fraction, terms: Terms) -> None:
+    """acc += q * lam * terms, leading words multiplied through ``nf_word``."""
+    for (cp, mu), r in terms:
+        if not mu:
+            _bar_add(acc, (cp, lam), q * r)
+        elif not lam:
+            _bar_add(acc, (cp, mu), q * r)
+        else:
+            for word, t in nf_word(lam + mu).items():
+                _bar_add(acc, (cp, word), q * r * t)
+
+
+def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
+    """The known value of a bracket (cached, final or zero), else its rewrite."""
+    known = _BRACKETS.get(slots)
+    if known is not None:
+        return known, None
+    res = delta_dprime(slots)
+    if res is None:
+        cp = tuple(w[0] for w in slots)
+        return ((((_CHAINS.setdefault(cp, cp), ()), _ONE),), 1), None
+    if not res:
+        return _ZERO, None
+    return None, res
+
+
+def _within(passes: int, budget: int) -> None:
+    if passes > budget:
+        raise IterationOverflow(f"bracket rewriting exceeded {budget} passes")
+
+
+def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
+    """Fully reduced value of one bracket and the passes it takes.
+
+    A final bracket is its chain of letters and a bracket that
+    ``delta_dprime`` maps to zero is zero, each after one pass.  Otherwise
+    the value is the sum of q * lam * reduce_bracket(child) over the terms
+    q lam [child] of ``delta_dprime(slots)``, and the passes are one more
+    than the children's deepest.  Only brackets that need rewriting are
+    cached, for the life of the process.  A descent that would take more
+    than ``budget`` passes raises ``IterationOverflow``; it runs on an
+    explicit stack, so a rewrite that never stabilizes reaches the budget
+    and not the interpreter's recursion limit.
+    """
+    known, res = _settle(slots)
+    if known is not None:
+        _within(known[1], budget)
+        return known
+    # frame: bracket, pending rewrite terms, value so far, deepest child, and
+    # the (lam, q) by which the parent takes the value
+    stack = [[slots, iter(res.items()), {}, 0, (), _ONE]]
+    while True:
+        frame = stack[-1]
+        depth = len(stack)
+        for (lam, child), q in frame[1]:
+            known, res = _settle(child)
+            if known is None:
+                _within(depth + 2, budget)  # the child needs at least two passes
+                stack.append([child, iter(res.items()), {}, 0, lam, q])
+                break
+            _within(depth + known[1], budget)
+            frame[3] = max(frame[3], known[1])
+            _times(frame[2], lam, q, known[0])
+        else:
+            stack.pop()
+            known = (tuple(frame[2].items()), frame[3] + 1)
+            _BRACKETS[frame[0]] = known
+            if not stack:
+                return known
+            parent = stack[-1]
+            parent[3] = max(parent[3], known[1])
+            _times(parent[2], frame[4], frame[5], known[0])
+
+
 def delta_generic(c: Chain) -> ResElem:
-    """Differential of the basis element indexed by chain c, by iteration."""
+    """Differential of the basis element indexed by chain c, by iteration.
+
+    ``delta_prime`` of the letter brackets, each resulting bracket reduced
+    by ``reduce_bracket`` and multiplied by its leading word.
+    """
     cached = _DELTA_CACHE.get(c)
     if cached is not None:
         return cached
     if not is_chain(c) or not c:
         raise ValueError(f"{c} is not a nonempty chain")
-    start = delta_prime(tuple((m,) for m in c))
-    out = bar_reduce(start, cap=8 * (len(c) + sum(c)))
+    budget = 8 * (len(c) + sum(c))
+    out: ResElem = {}
+    for (lam, slots), q in delta_prime(tuple((m,) for m in c)).items():
+        _times(out, lam, q, reduce_bracket(slots, budget)[0])
     wt = sum(c)
     for (cp, lam) in out:
         # structural invariants of the computed differential
-        assert len(lam) <= 1 and is_chain(cp) and len(cp) == len(c) - 1
-        assert weight(lam) + sum(cp) in (wt - 1, wt)
+        if not (
+            len(lam) <= 1
+            and is_chain(cp)
+            and len(cp) == len(c) - 1
+            and weight(lam) + sum(cp) in (wt - 1, wt)
+        ):
+            raise InvariantError(
+                f"differential of {chain_to_text(c)} has the malformed term "
+                f"{lam} {chain_to_text(cp)}"
+            )
     _DELTA_CACHE[c] = out
     return out
 

@@ -252,7 +252,7 @@ def cmd_ddzero(args) -> int:
         if args.symbolic:
             return _ddzero_symbolic(args.degrees, args.smax)
         return _ddzero_resolution(args.letters, args.smax)
-    except (AssertionError, anick.IterationOverflow) as exc:
+    except (AssertionError, anick.InvariantError) as exc:
         # a corrupted rule table breaks structural invariants downstream
         print(f"FAIL: internal invariant violated: {exc!r}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -269,6 +269,8 @@ def cmd_cohomology(args) -> int:
         truncated=args.truncated,
     )
     config.validate()
+    if args.locate and config.truncated is not None:
+        raise UsageError("--locate applies to the graded route (alpha = 0)")
     expected = find_expectation(config) if args.expect else None
     doc = table_dict(config, args.cache_dir)
     if args.format == "json":
@@ -278,10 +280,8 @@ def cmd_cohomology(args) -> int:
     else:
         print("\n".join(render_table(doc)))
     if args.locate:
-        if config.truncated is not None:
-            raise UsageError("--locate applies to the graded route (alpha = 0)")
-        for n in range(1, config.n_max + 1):
-            found = cohom.locate_classes(config.delta, n, s_max=config.s_max)
+        located = cohom.locate_classes(config.delta, config.n_max, s_max=config.s_max)
+        for n, found in located.items():
             if found:
                 print(f"classes at n={n}: " + ", ".join(anick.chain_to_text(c) for c in found))
     if expected is not None:
@@ -300,6 +300,8 @@ def _point_filename(delta: Fraction, alpha: Fraction) -> str:
 
 
 def cmd_report(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     cache = str(args.cache_dir) if args.cache_dir else None
     jobs = [
         (format_rational(d), "0", args.nmax, args.smax, cache) for d in GRADED_POINTS

@@ -14,7 +14,10 @@ the derivation-induced subcomplex is represented by the scalar cochain
 
 psi being extended by zero on tuples that are not chains.  ``reduced_row``
 bakes the same map into one row of polynomial coefficients per chain, which
-is what the rank computations consume.
+is what the rank computations consume.  It reads c0 and psi straight off the
+memoized ``delta_generic``, so only the reduced rows are cached, not the raw
+ones.  A row entry that breaks the grade split raises
+``anick.InvariantError`` naming the chain.
 
 ``closed_reduced_row`` evaluates an explicit formula for the reduced
 differential: sums over adjacent index pairs with two merge shapes plus a
@@ -32,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .anick import Chain, delta_generic, grade, is_chain
+from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
 from .scalars import A, D, ParamPoly, Scalar
 
@@ -135,12 +138,10 @@ def reduced_differential(phi: ScalarCochain, c: Chain) -> ParamPoly:
 
 Row = dict[Chain, ParamPoly]
 
-_RAW_ROWS: dict[Chain, tuple[Row, Row]] = {}
 _RED_ROWS: dict[Chain, Row] = {}
 
 
 def clear_caches() -> None:
-    _RAW_ROWS.clear()
     _RED_ROWS.clear()
 
 
@@ -153,28 +154,13 @@ def _row_add(row: Row, c: Chain, val) -> None:
         del row[c]
 
 
-def raw_rows(c: Chain) -> tuple[Row, Row]:
-    """Rows of (c0, c1) over source chains: only v(0) feeds ∂u, v(1) feeds D."""
-    cached = _RAW_ROWS.get(c)
-    if cached is not None:
-        return cached
-    r0: Row = {}
-    r1: Row = {}
-    for (cp, lam), q in delta_generic(c).items():
-        if lam == ():
-            _row_add(r0, cp, ParamPoly.const(q))
-        elif lam == (0,):
-            _row_add(r0, cp, A * q)
-            _row_add(r1, cp, ParamPoly.const(q))
-        elif lam == (1,):
-            _row_add(r0, cp, D * q)
-        # letters >= 2 annihilate the generator
-    _RAW_ROWS[c] = (r0, r1)
-    return r0, r1
-
-
 def reduced_row(c: Chain) -> Row:
     """Row of the reduced differential at chain c over the source basis.
+
+    One pass over ``delta_generic(c)`` gives the raw c0 row (v(1) feeds D,
+    v(0) feeds a and ∂u, letters >= 2 annihilate the generator); each chain
+    ``down`` with one letter decremented adds -letter times its psi row,
+    the v(0) terms of ``delta_generic(down)``.
 
     Every entry splits as P + a·Q with P supported where source and target
     grades agree and Q where the source grade exceeds the target's by one;
@@ -183,19 +169,30 @@ def reduced_row(c: Chain) -> Row:
     cached = _RED_ROWS.get(c)
     if cached is not None:
         return cached
-    r0, r1 = raw_rows(c)
-    row = dict(r0)
+    row: Row = {}
+    for (cp, lam), q in delta_generic(c).items():
+        if lam == ():
+            _row_add(row, cp, ParamPoly.const(q))
+        elif lam == (0,):
+            _row_add(row, cp, A * q)
+        elif lam == (1,):
+            _row_add(row, cp, D * q)
     for mult, down in _decrements(c):
         if is_chain(down):
-            for cp, val in raw_rows(down)[1].items():
-                _row_add(row, cp, val * (-mult))
+            for (cp, lam), q in delta_generic(down).items():
+                if lam == (0,):
+                    _row_add(row, cp, ParamPoly.const(-mult * q))
     s = grade(c)
     for cp, val in row.items():
-        assert val.degree_a() <= 1
-        if val.drop_shift():
-            assert grade(cp) == s, (c, cp)
-        if val.shift_part():
-            assert grade(cp) == s + 1, (c, cp)
+        if (
+            val.degree_a() > 1
+            or (val.drop_shift() and grade(cp) != s)
+            or (val.shift_part() and grade(cp) != s + 1)
+        ):
+            raise InvariantError(
+                f"row of {chain_to_text(c)} breaks the grade split at "
+                f"{chain_to_text(cp)}: {val}"
+            )
     _RED_ROWS[c] = row
     return row
 

@@ -10,9 +10,9 @@ computed at S and S + 1 and compared (stabilization).
 One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra: ranks count its pivots, and ``locate_classes`` reads the pivot
 columns of ker d (the non-pivots of d with its columns mirrored) minus
-those of im d.  Rows are kept primitive over Z, so no Fraction enters the
-inner loop; the tests check the pivots against a naive rational Gaussian
-oracle.
+those of im d, for all degrees of a grade in one pass.  Rows are kept
+primitive over Z, so no Fraction enters the inner loop; the tests check
+the pivots against a naive rational Gaussian oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .anick import Chain, enumerate_chains, grade, is_chain
+from .anick import Chain, InvariantError, enumerate_chains, grade, is_chain
 from .cochain import reduced_row
 from .scalars import format_rational
 
@@ -181,10 +181,6 @@ class DimTable:
         return table
 
 
-class InvariantError(RuntimeError):
-    """An exact count broke an identity that holds for every complex."""
-
-
 def _grade_range(n: int, s_max: int) -> range:
     # minimal grade in degree n: -1 for single letters, n - 3 beyond
     lo = 0 if n == 0 else (-1 if n == 1 else n - 3)
@@ -271,36 +267,50 @@ def truncated_cohomology(
     return table
 
 
-def locate_classes(delta: Rational, n: int, s_max: int = 8) -> list[Chain]:
-    """Chains carrying the surviving classes in degree n (alpha = 0).
+def locate_classes(
+    delta: Rational, n_max: int = 4, s_max: int = 8
+) -> dict[int, list[Chain]]:
+    """Chains carrying the surviving classes in degrees 1..n_max (alpha = 0).
 
-    Per grade, the pivot columns (leftmost nonzero coordinates, after full
-    reduction) of ker d_out that are not pivot columns of im d_in; each
-    marks the chain whose dual coordinate carries one cohomology class.
+    Per degree n and grade, the pivot columns (leftmost nonzero
+    coordinates, after full reduction) of ker d_out that are not pivot
+    columns of im d_in; each marks the chain whose dual coordinate carries
+    one cohomology class.  All degrees of a grade are located in one pass,
+    so each graded matrix is assembled once: d_out of degree n is d_in of
+    degree n + 1.
     """
-    found: list[Chain] = []
-    for s in _grade_range(n, s_max):
-        src = graded_basis(n, s)
-        if not src:
-            continue
-        m = len(src)
-        d_out = matrix_d(n, src, graded_basis(n + 1, s), delta, Fraction(0)).entries
-        d_in = matrix_d(n - 1, graded_basis(n - 1, s), src, delta, Fraction(0)).entries
-        # The pivot columns (leftmost nonzeros of an echelon basis) of a
-        # subspace depend only on the subspace, and im d_in lies in
-        # ker d_out, so the classes sit at pivots(ker) - pivots(im).
-        # Solving an echelon form of d_out for each free column gives a
-        # kernel basis whose vectors end (rightmost nonzero) exactly at the
-        # free columns.  Eliminating with the columns mirrored
-        # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
-        # columns that are not pivots of the mirrored d_out.
-        reversed_pivots = pivot_columns(
-            {m - 1 - j: v for j, v in row.items()} for row in _sparse(d_out)
-        )
-        kernel = set(range(m)) - {m - 1 - j for j in reversed_pivots}
-        image = pivot_columns(_sparse(zip(*d_in)))
-        found.extend(src[j] for j in kernel.difference(image))
-    return sorted(found)
+    found: dict[int, list[Chain]] = {n: [] for n in range(1, n_max + 1)}
+    for s in _grade_range(1, s_max):
+        bases = [graded_basis(n, s) for n in range(n_max + 2)]
+        matrices: dict[int, list[list[Rational]]] = {}
+
+        def d(n: int) -> list[list[Rational]]:
+            # degree n -> n + 1 at grade s; d(n) is d_out of degree n and
+            # d_in of degree n + 1
+            if n not in matrices:
+                matrices[n] = matrix_d(n, bases[n], bases[n + 1], delta, Fraction(0)).entries
+            return matrices[n]
+
+        for n in range(1, n_max + 1):
+            src = bases[n]
+            if not src:
+                continue
+            m = len(src)
+            # The pivot columns (leftmost nonzeros of an echelon basis) of a
+            # subspace depend only on the subspace, and im d_in lies in
+            # ker d_out, so the classes sit at pivots(ker) - pivots(im).
+            # Solving an echelon form of d_out for each free column gives a
+            # kernel basis whose vectors end (rightmost nonzero) exactly at
+            # the free columns.  Eliminating with the columns mirrored
+            # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
+            # columns that are not pivots of the mirrored d_out.
+            reversed_pivots = pivot_columns(
+                {m - 1 - j: v for j, v in row.items()} for row in _sparse(d(n))
+            )
+            kernel = set(range(m)) - {m - 1 - j for j in reversed_pivots}
+            image = pivot_columns(_sparse(zip(*d(n - 1))))
+            found[n].extend(src[j] for j in kernel.difference(image))
+    return {n: sorted(chains) for n, chains in found.items()}
 
 
 @dataclass

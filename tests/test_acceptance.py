@@ -172,8 +172,9 @@ def test_accept_7_class_locations():
             (F(0), 3): [(2, 1, 0)],
             (F(0), 4): [],
         }
+        located = {delta: locate_classes(delta, 4, s_max=S_MAX) for delta in (F(1), F(0))}
         for (delta, n), chains in expected.items():
-            got = locate_classes(delta, n, s_max=S_MAX)
+            got = located[delta][n]
             assert got == chains, f"delta={delta}, n={n}: {got}"
 
 

@@ -6,13 +6,17 @@ agree exactly, and the composite must vanish with coefficient products
 pushed through the rewriting engine.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from virhoch import algebra, anick, cochain
+from virhoch.cli import main
 from virhoch.anick import (
+    IterationOverflow,
     chain_from_text,
     chain_to_text,
     compose_delta,
@@ -203,3 +207,62 @@ def test_term_structure():
             assert is_chain(cp)
             assert len(lam) <= 1
             assert sum(lam) + sum(cp) in (sum(c) - 1, sum(c))
+
+
+# --- the bracket cache ----------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_caches():
+    anick.clear_caches()
+    yield
+    anick.clear_caches()
+
+
+def test_bracket_cache_is_order_independent(fresh_caches):
+    chains = [c for n in range(1, 6) for c in enumerate_chains(n, CHECK_SMAX)]
+    forward = {c: delta_generic(c) for c in chains}
+    anick.clear_caches()
+    backward = {c: delta_generic(c) for c in reversed(chains)}
+    assert forward == backward
+
+
+def test_rule_defect_round_trip_restores_values():
+    chains = [c for n in range(1, 5) for c in enumerate_chains(n, 4)]
+    before = {c: dict(delta_generic(c)) for c in chains}
+    rows = {c: dict(cochain.reduced_row(c)) for c in chains}
+    algebra.set_rule_defect(True)
+    try:
+        assert any(delta_generic(c) != before[c] for c in chains)
+    finally:
+        algebra.set_rule_defect(False)
+    assert {c: delta_generic(c) for c in chains} == before
+    assert {c: cochain.reduced_row(c) for c in chains} == rows
+
+
+@pytest.fixture
+def self_looping(monkeypatch, fresh_caches):
+    # every bracket that needs rewriting maps back to itself
+    real = anick.delta_dprime
+
+    def looping(slots):
+        res = real(slots)
+        return {((), slots): Fraction(1)} if res else res
+
+    monkeypatch.setattr(anick, "delta_dprime", looping)
+
+
+def test_bracket_rewriting_to_itself_overflows(self_looping):
+    with pytest.raises(IterationOverflow, match="exceeded 56 passes"):
+        delta_generic((3, 2))
+    # a budget beyond the interpreter's recursion limit still ends in the
+    # pass cap: the descent keeps its own stack
+    big = (sys.getrecursionlimit(), 0)
+    with pytest.raises(IterationOverflow):
+        delta_generic(big)
+
+
+def test_ddzero_fails_on_overflow(self_looping, capsys):
+    assert main(["ddzero", "--letters", "2", "--smax", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL" in err and "IterationOverflow" in err

@@ -1,6 +1,10 @@
 """Exit codes, output formats, caching, and defect injection for the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,40 @@ def test_ddzero_symbolic_injected_defect(capsys):
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize(
+    "patch,argv,named",
+    [
+        (
+            "anick.reduce_bracket = lambda slots, budget: "
+            "(((((9, 9, 9), (0, 0)), Fraction(1)),), 1)",
+            ["ddzero", "--letters", "2", "--smax", "1"],
+            "differential of [1|0]",
+        ),
+        (
+            "cochain.delta_generic = lambda c: {((2,), (0,)): Fraction(1)}",
+            ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
+            "row of [1|0] breaks the grade split at [2]",
+        ),
+    ],
+    ids=["delta_generic", "reduced_row"],
+)
+def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from virhoch import anick, cochain, cli\n"
+        f"{patch}\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL" in proc.stderr and named in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # cohomology
 
@@ -143,6 +181,19 @@ def test_truncated_cutoff_below_top_degree_is_usage_error(capsys, cutoff, nmax):
     assert code == 64
     assert "minimal grade" in err
     assert "stable" not in out
+
+
+def _no_work(*args):
+    raise AssertionError("computed before the options were validated")
+
+
+def test_locate_on_truncated_route_is_rejected_before_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compute_table", _no_work)
+    code, out, err = run(capsys, "cohomology", "--delta", "1", "--alpha", "1",
+                         "--truncated", "2", "--locate")
+    assert code == 64
+    assert out == ""
+    assert "--locate" in err
 
 
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):
@@ -263,3 +314,13 @@ def test_report_parallel_matches_serial(capsys, tmp_path):
         "--jobs", "2")
     for path in sorted(serial.iterdir()):
         assert (parallel / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_report_nonpositive_jobs_is_usage_error(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "_point_job", _no_work)
+    code, out, err = run(capsys, "report", "--format", "json", "--nmax", "1",
+                         "--smax", "2", "--jobs", jobs)
+    assert code == 64
+    assert out == ""
+    assert "--jobs" in err

@@ -233,21 +233,31 @@ def test_negative_dimension_check_survives_optimization():
 
 
 def test_locate_classes():
-    assert locate_classes(F(1), 1) == [(0,), (1,)]
-    assert locate_classes(F(1), 2) == [(1, 0)]
-    assert locate_classes(F(1), 3) == []
-    assert locate_classes(F(0), 1) == [(2,)]
-    assert locate_classes(F(0), 2) == [(2, 0), (2, 1)]
-    assert locate_classes(F(0), 3) == [(2, 1, 0)]
-    assert locate_classes(F(2), 1) == []
-    assert locate_classes(F(2), 2) == []
+    assert locate_classes(F(1), 3) == {1: [(0,), (1,)], 2: [(1, 0)], 3: []}
+    assert locate_classes(F(0), 3) == {1: [(2,)], 2: [(2, 0), (2, 1)], 3: [(2, 1, 0)]}
+    assert locate_classes(F(2), 2) == {1: [], 2: []}
 
 
 @pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
 def test_locate_counts_match_totals(delta):
     totals = cohomology_dims(delta, s_max=6).totals
+    located = locate_classes(delta, 4, s_max=6)
+    assert sorted(located) == [1, 2, 3, 4]
     for n in range(1, 5):
-        assert len(locate_classes(delta, n, s_max=6)) == totals[n]
+        assert len(located[n]) == totals[n]
+
+
+def test_locate_assembles_each_matrix_once(monkeypatch):
+    real = cohom.matrix_d
+    seen = []
+
+    def counting(n, source, target, delta, alpha):
+        seen.append((n, tuple(source), tuple(target)))
+        return real(n, source, target, delta, alpha)
+
+    monkeypatch.setattr(cohom, "matrix_d", counting)
+    assert locate_classes(F(0), 4, s_max=6)[3] == [(2, 1, 0)]
+    assert seen and len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------------------
