@@ -3,7 +3,10 @@
 
 Runs the same checks the test suite automates: rewriting soundness,
 both square-zero suites, and the dimension tables against the bundled
-expectations.  Nonzero exit on the first failure.
+expectations.  Two negative controls plant a defect in the rule table;
+they must fail (exit 1), which shows that the square-zero gates can
+fail at all.  Nonzero exit on the first step whose exit code differs
+from the one it expects.
 """
 
 import sys
@@ -12,23 +15,28 @@ import time
 from virhoch.cli import main
 
 STEPS = [
-    ["gsb", "--bound", "10"],
-    ["ddzero", "--letters", "5", "--smax", "8"],
-    ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8"],
-    ["cohomology", "--delta", "1", "--expect", "paper", "--locate"],
-    ["cohomology", "--delta", "0", "--expect", "paper", "--locate"],
-    ["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--expect", "paper"],
+    (0, ["gsb", "--bound", "10"]),
+    (0, ["ddzero", "--letters", "5", "--smax", "8"]),
+    (0, ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8"]),
+    (1, ["ddzero", "--letters", "5", "--smax", "8", "--inject-defect"]),
+    (1, ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8", "--inject-defect"]),
+    (0, ["cohomology", "--delta", "1", "--expect", "paper", "--locate"]),
+    (0, ["cohomology", "--delta", "0", "--expect", "paper", "--locate"]),
+    (0, ["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--expect", "paper"]),
 ]
 
 
 def run() -> int:
-    for argv in STEPS:
+    for expected, argv in STEPS:
         start = time.perf_counter()
         code = main(argv)
-        print(f"-> exit {code} in {time.perf_counter() - start:.1f}s : virhoch {' '.join(argv)}")
+        print(
+            f"-> exit {code} (expected {expected}) in "
+            f"{time.perf_counter() - start:.1f}s : virhoch {' '.join(argv)}"
+        )
         print()
-        if code:
-            return code
+        if code != expected:
+            return code or 1
     return 0
 
 

@@ -15,18 +15,12 @@ from .anick import (
     chain_from_text,
     chain_to_text,
     compose_delta,
-    delta_closed,
     delta_generic,
     enumerate_chains,
     grade,
     is_chain,
 )
-from .cochain import (
-    ScalarCochain,
-    closed_reduced_row,
-    reduced_differential,
-    reduced_row,
-)
+from .cochain import reduced_row
 from .cohom import (
     DimTable,
     cohomology_dims,
@@ -34,7 +28,6 @@ from .cohom import (
     truncated_cohomology,
     verify_contraction,
 )
-from .confmod import ModElem, act_gen, act_word
 from .scalars import ParamPoly, format_rational, parse_rational
 
 __all__ = [
@@ -42,18 +35,12 @@ __all__ = [
     "AlgElem",
     "Chain",
     "DimTable",
-    "ModElem",
     "ParamPoly",
-    "ScalarCochain",
-    "act_gen",
-    "act_word",
     "chain_from_text",
     "chain_to_text",
     "check_overlap",
-    "closed_reduced_row",
     "cohomology_dims",
     "compose_delta",
-    "delta_closed",
     "delta_generic",
     "enumerate_chains",
     "format_rational",
@@ -63,7 +50,6 @@ __all__ = [
     "nf_word",
     "normal_form",
     "parse_rational",
-    "reduced_differential",
     "reduced_row",
     "truncated_cohomology",
     "verify_contraction",

@@ -88,11 +88,20 @@ def rule_rhs(i: int, j: int) -> list[tuple[Word, Fraction]]:
     return out
 
 
+class InvariantError(RuntimeError):
+    """A computed value broke an identity that holds for every input."""
+
+
 def _check_step(parent: Word, child: Word) -> None:
     # Each rewrite must respect the (weight, length) filtration and strictly
-    # decrease deg-lex; a violated assert means a broken rule table.
-    assert (weight(child), len(child)) <= (weight(parent), len(parent))
-    assert deglex_key(child) < deglex_key(parent)
+    # decrease deg-lex; a violation means a broken rule table.
+    if (weight(child), len(child)) > (weight(parent), len(parent)):
+        problem = "raises the (weight, length) filtration"
+    elif deglex_key(child) >= deglex_key(parent):
+        problem = "does not decrease deg-lex"
+    else:
+        return
+    raise InvariantError(f"rewrite {word_to_text(parent)} -> {word_to_text(child)} {problem}")
 
 
 def rewrite_leftmost(w: Word) -> list[tuple[Word, Fraction]]:

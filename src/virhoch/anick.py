@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import algebra
-from .algebra import Word, is_obstruction, nf_word, weight
+from .algebra import InvariantError, Word, is_obstruction, nf_word, weight
 
 Chain = tuple[int, ...]
 Slots = tuple[Word, ...]
@@ -174,10 +174,6 @@ def delta_dprime(slots: Slots) -> BarElem | None:
         out = {key: -q for key, q in out.items()}
     _bar_add(out, ((), slots), _ONE)
     return out
-
-
-class InvariantError(RuntimeError):
-    """A computed value broke an identity that holds for every input."""
 
 
 class IterationOverflow(InvariantError):

@@ -97,6 +97,28 @@ def compute_table(config: RunConfig) -> cohom.DimTable:
     return cohom.cohomology_dims(config.delta, n_max=config.n_max, s_max=config.s_max)
 
 
+def check_entry(doc: dict, config: RunConfig) -> None:
+    """Raise ValueError unless a cached table dict is the table of config."""
+    table = cohom.DimTable.from_dict(doc)
+    truncated = config.truncated is not None
+    wanted = (config.delta, config.alpha, config.n_max,
+              config.truncated if truncated else config.s_max)
+    found = (table.delta, table.alpha, table.n_max, table.s_max)
+    if found != wanted:
+        raise ValueError(f"entry holds (delta, alpha, n_max, s_max) = "
+                         f"({', '.join(str(x) for x in found)})")
+    if (table.stable is not None) != truncated:
+        raise ValueError("stability flags do not match the route")
+    if sorted(table.totals) != list(range(1, config.n_max + 1)):
+        raise ValueError(f"totals cover degrees {sorted(table.totals)}")
+    if truncated:
+        return
+    for n, total in table.totals.items():
+        graded = sum(dim for (m, _), dim in table.by_grade.items() if m == n)
+        if total != graded:
+            raise ValueError(f"H^{n} total {total} differs from its graded sum {graded}")
+
+
 def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
     """Table as a JSON-ready dict, via the on-disk cache when enabled."""
     if cache_dir is None:
@@ -106,11 +128,11 @@ def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
     if path.exists():
         try:
             doc = json.loads(path.read_text())
-            cohom.DimTable.from_dict(doc)
+            check_entry(doc, config)
             return doc
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            # a torn or foreign entry is a miss: recompute and rewrite it
-            print(f"warning: recomputing unreadable cache entry {path}: {exc}", file=sys.stderr)
+            # a torn, foreign or edited entry is a miss: recompute and rewrite it
+            print(f"warning: recomputing cache entry {path}: {exc}", file=sys.stderr)
     doc = compute_table(config).as_dict()
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -252,7 +274,7 @@ def cmd_ddzero(args) -> int:
         if args.symbolic:
             return _ddzero_symbolic(args.degrees, args.smax)
         return _ddzero_resolution(args.letters, args.smax)
-    except (AssertionError, anick.InvariantError) as exc:
+    except anick.InvariantError as exc:
         # a corrupted rule table breaks structural invariants downstream
         print(f"FAIL: internal invariant violated: {exc!r}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -1,8 +1,8 @@
-"""Scalar cochains, the raw differential, and its scalar reduction.
+"""Rows of the reduced cochain differential, and two oracles for them.
 
 A degree-n cochain assigns a scalar to every n-letter chain (degree 0: one
 scalar, attached to the empty chain).  Pulling back along the resolution
-differential gives the raw differential with values in the module,
+differential gives values in the module,
 
     (d phi)(c) = sum over delta(c) of  coeff * act_word(w, phi(c') u),
 
@@ -12,98 +12,34 @@ the derivation-induced subcomplex is represented by the scalar cochain
     sigma(c) = c0(c) - sum_j i_j * psi(c with letter j decremented),
     psi      = c1,
 
-psi being extended by zero on tuples that are not chains.  ``reduced_row``
-bakes the same map into one row of polynomial coefficients per chain, which
-is what the rank computations consume.  It reads c0 and psi straight off the
-memoized ``delta_generic``, so only the reduced rows are cached, not the raw
-ones.  A row entry that breaks the grade split raises
-``anick.InvariantError`` naming the chain.
+psi being extended by zero on tuples that are not chains.  Every function
+here returns that map as a ``Row``, sigma(c) = sum over c' of row[c'] phi(c'),
+and all three agree on every chain:
 
-``closed_reduced_row`` evaluates an explicit formula for the reduced
-differential: sums over adjacent index pairs with two merge shapes plus a
-tail correction for chains ending in (1, 0), together with dedicated shapes
-for trailing pair (2, 0) in low degree.  Index tuples ending in (2, 0) make
-the denominator i_{L-1} + i_L - 2 vanish in degree >= 3, where no dedicated
-shape exists; those chains raise ``SingularIndexPattern`` and are covered by
-the generic engine only.  Two signs in the closed formula are fixed against
-the machine computation (and against its own low-degree special cases); see
-the test suite for the term-by-term confrontation.
+* ``reduced_row`` is the production path, the one the rank computations
+  consume.  It reads c0 and psi straight off the memoized ``delta_generic``
+  and caches the reduced rows.  An entry that breaks the grade split raises
+  ``anick.InvariantError`` naming the chain.
+
+* ``action_row`` is the module-action oracle: it applies
+  ``confmod.act_word`` to the generator for every term and takes the u and
+  ∂u coefficients of the results.  A term of ∂-degree above one raises
+  ``anick.InvariantError`` naming the chain and the module value.
+
+* ``closed_reduced_row`` is the closed-formula oracle: sums over adjacent
+  index pairs with two merge shapes, plus a tail correction for chains
+  ending in (1, 0).  It has no singular index patterns.  Two signs in it
+  are fixed against the machine computation; the test suite confronts it
+  with ``reduced_row`` chain by chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
-from .scalars import A, D, ParamPoly, Scalar
-
-Rule = Callable[[Chain], Scalar]
-
-
-class ScalarCochain:
-    """Degree-n cochain as a rule on n-letter chains, zero elsewhere."""
-
-    __slots__ = ("degree", "_rule")
-
-    def __init__(self, degree: int, rule: Rule):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
-        self._rule = rule
-
-    def __call__(self, c: Chain) -> ParamPoly:
-        if len(c) != self.degree or not is_chain(c):
-            return ParamPoly.const(0)
-        return ParamPoly.coerce(self._rule(c))
-
-    @staticmethod
-    def unit(c: Chain) -> "ScalarCochain":
-        """Indicator cochain of a single chain."""
-        if not is_chain(c):
-            raise ValueError(f"{c} is not a chain")
-        return ScalarCochain(len(c), lambda x: Fraction(1 if x == c else 0))
-
-    @staticmethod
-    def constant(beta: Scalar) -> "ScalarCochain":
-        return ScalarCochain(0, lambda _: beta)
-
-
-class RawValue:
-    """Module-valued cochain c -> c0(c) u + c1(c) ∂u (∂-degree <= 1)."""
-
-    __slots__ = ("degree", "_fn", "_cache")
-
-    def __init__(self, degree: int, fn: Callable[[Chain], ModElem]):
-        self.degree = degree
-        self._fn = fn
-        self._cache: dict[Chain, ModElem] = {}
-
-    def __call__(self, c: Chain) -> ModElem:
-        val = self._cache.get(c)
-        if val is None:
-            val = self._fn(c)
-            assert val.d_degree() <= 1, f"∂-degree {val.d_degree()} at {c}"
-            self._cache[c] = val
-        return val
-
-
-def raw_differential(phi: ScalarCochain, c: Chain) -> ModElem:
-    """Pull phi back along the resolution differential at chain c."""
-    if len(c) != phi.degree + 1:
-        raise ValueError(f"chain {c} has wrong length for degree {phi.degree}")
-    out = ModElem()
-    for (cp, lam), q in delta_generic(c).items():
-        val = phi(cp)
-        if val:
-            out = out + act_word(lam, ModElem.unit(val)).scale(q)
-    assert out.d_degree() <= 1
-    return out
-
-
-def raw_value(phi: ScalarCochain) -> RawValue:
-    return RawValue(phi.degree + 1, lambda c: raw_differential(phi, c))
+from .scalars import A, D, ParamPoly
 
 
 def _decrements(c: Chain):
@@ -112,30 +48,7 @@ def _decrements(c: Chain):
             yield letter, c[:j] + (letter - 1,) + c[j + 1 :]
 
 
-def reduce_to_scalar(rho: RawValue) -> tuple[ScalarCochain, ScalarCochain]:
-    """Represent rho modulo the derivation map by a scalar pair (sigma, psi)."""
-
-    def psi_rule(c: Chain) -> ParamPoly:
-        return rho(c).coeff(1)
-
-    def sigma_rule(c: Chain) -> ParamPoly:
-        out = rho(c).coeff(0)
-        for mult, down in _decrements(c):
-            if is_chain(down):
-                out = out - rho(down).coeff(1) * mult
-        return out
-
-    return (ScalarCochain(rho.degree, sigma_rule), ScalarCochain(rho.degree, psi_rule))
-
-
-def reduced_differential(phi: ScalarCochain, c: Chain) -> ParamPoly:
-    """Scalar value of the reduced differential of phi at chain c."""
-    return reduce_to_scalar(raw_value(phi))[0](c)
-
-
-# ---------------------------------------------------------------------------
-# row form: (d phi)(c) = sum over source chains c' of row_c[c'] * phi(c')
-
+# (d phi)(c) = sum over source chains c' of row[c'] * phi(c')
 Row = dict[Chain, ParamPoly]
 
 _RED_ROWS: dict[Chain, Row] = {}
@@ -197,43 +110,34 @@ def reduced_row(c: Chain) -> Row:
     return row
 
 
-def reduced_differential_by_rows(phi: ScalarCochain, c: Chain) -> ParamPoly:
-    out = ParamPoly.const(0)
-    for cp, val in reduced_row(c).items():
-        out = out + val * phi(cp)
-    return out
+def action_row(c: Chain) -> Row:
+    """Row of the reduced differential at chain c through the module action.
+
+    The c0 row is the u-coefficient of ``act_word(w, u)`` over the terms of
+    ``delta_generic(c)``; each chain ``down`` with one letter decremented
+    subtracts letter times its ∂u-coefficients.
+    """
+    row: Row = {}
+
+    def add_coeff(chain: Chain, k: int, scale: int) -> None:
+        for (cp, lam), q in delta_generic(chain).items():
+            val = act_word(lam, ModElem.unit(q))
+            if val.d_degree() > 1:
+                raise InvariantError(
+                    f"action row of {chain_to_text(c)}: a term of the differential "
+                    f"of {chain_to_text(chain)} acts with ∂-degree {val.d_degree()}: {val}"
+                )
+            _row_add(row, cp, val.coeff(k) * scale)
+
+    add_coeff(c, 0, 1)
+    for mult, down in _decrements(c):
+        if is_chain(down):
+            add_coeff(down, 1, -mult)
+    return row
 
 
 # ---------------------------------------------------------------------------
 # closed formula
-
-class SingularIndexPattern(ValueError):
-    """Chain whose closed formula hits a vanishing denominator."""
-
-
-def _psi_row(c: Chain) -> Row:
-    # scalar row of psi at c: the v(0)-merge coefficients, plus the tail
-    # term for the (1, 0) family
-    row: Row = {}
-    L = len(c)
-    special = c[-2:] == (1, 0)
-    jmax = L - 3 if special else L - 1
-    for j in range(1, jmax + 1):
-        x, y = c[j - 1], c[j]
-        sign = Fraction(1 if j % 2 else -1)  # (-1)^(j+1)
-        num = (x - 1) * (y - 1)
-        if num:
-            m_plus = c[: j - 1] + (x + y,) + c[j + 1 :]
-            if is_chain(m_plus):
-                _row_add(row, m_plus, ParamPoly.const(sign * Fraction(num, x + y - 1)))
-    if special:
-        sn = Fraction(1 if L % 2 else -1)  # (-1)^(L-1)
-        body = c[:-2]
-        tail = body + (1,)
-        if is_chain(tail):
-            _row_add(row, tail, ParamPoly.const(sn))
-    return row
-
 
 def closed_reduced_row(c: Chain) -> Row:
     """Reduced-differential row from the explicit formula."""
@@ -249,20 +153,6 @@ def closed_reduced_row(c: Chain) -> Row:
             return {(): D - 1}
         return {}
     special = c[-2:] == (1, 0)
-    if not special and c[-2:] == (2, 0):
-        if L != 3:
-            raise SingularIndexPattern(f"trailing pair (2,0) in {c}")
-        # dedicated shape for (n, 2, 0): the a-free part collapses onto one
-        # source chain; the a-part is a times the psi row
-        n = c[0]
-        row = {
-            (n + 1, 0): D * Fraction(-2 * n, n + 1)
-            + ParamPoly.const(-Fraction(n * (n - 1), n + 1) - (n - 2))
-        }
-        for cp, val in _psi_row(c).items():
-            _row_add(row, cp, val * A)
-        return row
-
     row: Row = {}
 
     def add(target: Chain, val) -> None:
@@ -273,7 +163,6 @@ def closed_reduced_row(c: Chain) -> Row:
     for j in range(1, jmax + 1):
         x, y = c[j - 1], c[j]
         K = x + y - 1
-        KK = x + y - 2
         m_minus = c[: j - 1] + (K,) + c[j + 1 :]
         m_plus = c[: j - 1] + (x + y,) + c[j + 1 :]
         sj = Fraction(-1 if j % 2 else 1)
@@ -287,11 +176,8 @@ def closed_reduced_row(c: Chain) -> Row:
             if c[t - 1]:
                 dec = m_plus[: t - 2] + (m_plus[t - 2] - 1,) + m_plus[t - 1 :]
                 add(dec, sj * c[t - 1] * Fraction((x - 1) * (y - 1), K))
-        for num, mult in (((x - 2) * (y - 1), x), ((x - 1) * (y - 2), y)):
-            if num * mult:
-                if KK == 0:
-                    raise SingularIndexPattern(f"pair ({x},{y}) in {c}")
-                add(m_minus, sj * mult * Fraction(num, KK))
+        # x(x-2)(y-1)/(x+y-2) + y(x-1)(y-2)/(x+y-2) = xy - x - y: no pole at (2, 0)
+        add(m_minus, sj * (x * y - x - y))
     if special:
         body = c[:-2]
         sL = Fraction(-1 if L % 2 else 1)  # (-1)^L

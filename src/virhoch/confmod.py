@@ -75,9 +75,9 @@ class ModElem:
                 continue
             head = f"({c})"
             if k == 1:
-                head += "·D"
+                head += "·∂"
             elif k >= 2:
-                head += f"·D^{k}"
+                head += f"·∂^{k}"
             parts.append(head)
         return " + ".join(parts) + " | u"
 

@@ -17,11 +17,7 @@ from virhoch.anick import (
     delta_generic,
     enumerate_chains,
 )
-from virhoch.cochain import (
-    SingularIndexPattern,
-    closed_reduced_row,
-    reduced_row,
-)
+from virhoch.cochain import action_row, closed_reduced_row, reduced_row
 from virhoch.cohom import (
     cohomology_dims,
     locate_classes,
@@ -89,24 +85,18 @@ def test_accept_3_resolution_square_zero():
 
 
 def test_accept_4_closed_reduced_rows_match_generic():
-    with Budget("closed reduced rows == generic rows", 60):
-        deferred = []
+    with Budget("closed and action rows == generic rows", 60):
         checked = 0
-        for n in (1, 2, 3):
-            for c in enumerate_chains(n + 1, S_MAX):
-                try:
-                    row = closed_reduced_row(c)
-                except SingularIndexPattern:
-                    deferred.append(c)
-                    continue
-                assert row == reduced_row(c), chain_to_text(c)
+        for n in range(1, 6):
+            for c in enumerate_chains(n, S_MAX):
+                row = reduced_row(c)
+                assert closed_reduced_row(c) == row, chain_to_text(c)
+                assert action_row(c) == row, chain_to_text(c)
                 checked += 1
-        assert checked > 200
-        # deferrals: exactly the trailing (2,0) chains with no dedicated shape
-        assert deferred
-        assert all(c[-2:] == (2, 0) and len(c) != 3 for c in deferred)
+        # every chain with 1-5 letters and grade <= 8, none deferred
+        assert checked == 767
 
-        # headline displays inside the covered families
+        # headline displays
         for n in (2, 4, 7):
             assert reduced_row((n, 1, 0)) == {
                 (n, 0): -D - ParamPoly.const(n - 2),

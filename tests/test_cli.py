@@ -1,9 +1,11 @@
 """Exit codes, output formats, caching, and defect injection for the CLI."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,14 +106,19 @@ def test_ddzero_symbolic_injected_defect(capsys):
             ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
             "row of [1|0] breaks the grade split at [2]",
         ),
+        (
+            "algebra.rule_rhs = lambda i, j: [((i, j), Fraction(1))]",
+            ["gsb", "--bound", "2"],
+            "rewrite v1.v0 -> v1.v0 does not decrease deg-lex",
+        ),
     ],
-    ids=["delta_generic", "reduced_row"],
+    ids=["delta_generic", "reduced_row", "rule_order"],
 )
 def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from virhoch import anick, cochain, cli\n"
+        "from virhoch import algebra, anick, cochain, cli\n"
         f"{patch}\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )
@@ -122,6 +129,18 @@ def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
     )
     assert proc.returncode == 1, proc.stderr
     assert "FAIL" in proc.stderr and named in proc.stderr
+
+
+def test_no_assert_statements_in_package():
+    # invariants are raised as InvariantError so that python -O keeps them
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +263,34 @@ def test_cache_warm_run_identical(capsys, tmp_path):
     assert out2 == out1
 
 
-@pytest.mark.parametrize("damage", ["truncate", "foreign"])
+def _foreign_point(good: bytes) -> bytes:
+    # a well-formed table of another weight under this config's file name
+    other = cli.RunConfig(delta=Fraction(1), alpha=Fraction(0), n_max=2, s_max=4)
+    return json.dumps(cli.table_dict(other, None)).encode()
+
+
+def _edited_total(good: bytes) -> bytes:
+    doc = json.loads(good)
+    doc["totals"]["1"] += 1
+    return json.dumps(doc).encode()
+
+
+DAMAGE = {
+    "truncate": lambda good: good[: len(good) // 2],
+    "foreign": lambda good: b"[]\n",
+    "foreign_point": _foreign_point,
+    "edited_total": _edited_total,
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
 def test_cache_corrupt_entry_is_recomputed(capsys, tmp_path, damage):
     args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
             "--format", "json", "--cache-dir", str(tmp_path))
     _, fresh, _ = run(capsys, *args)
     (entry,) = tmp_path.glob("virhoch-*.json")
     good = entry.read_bytes()
-    entry.write_bytes(good[: len(good) // 2] if damage == "truncate" else b"[]\n")
+    entry.write_bytes(DAMAGE[damage](good))
     code, out, err = run(capsys, *args)
     assert code == 0
     assert out == fresh

@@ -1,8 +1,9 @@
-"""Raw differential, scalar reduction, and the row forms.
+"""Rows of the reduced differential: the production row and its two oracles.
 
 Spot values below were cross-checked against hand reductions of the small
-resolution differentials; the closed-form rows are confronted with the
-generic engine over a window (the acceptance suite widens the window).
+resolution differentials.  ``action_row`` (the module action) and
+``closed_reduced_row`` (the closed formula) are confronted with
+``reduced_row`` over a window; the acceptance suite widens it.
 """
 
 from fractions import Fraction
@@ -11,19 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virhoch.anick import enumerate_chains, grade, is_chain
-from virhoch.cochain import (
-    RawValue,
-    ScalarCochain,
-    SingularIndexPattern,
-    closed_reduced_row,
-    raw_differential,
-    raw_value,
-    reduce_to_scalar,
-    reduced_differential,
-    reduced_differential_by_rows,
-    reduced_row,
-)
+from virhoch import cochain
+from virhoch.anick import InvariantError, enumerate_chains, grade, is_chain
+from virhoch.cochain import action_row, closed_reduced_row, reduced_row
+from virhoch.confmod import ModElem
 from virhoch.scalars import A, D, ParamPoly, rat
 
 ZERO = ParamPoly.const(0)
@@ -34,88 +26,62 @@ def poly(x) -> ParamPoly:
     return ParamPoly.coerce(x)
 
 
-def lookup(degree: int, table: dict) -> ScalarCochain:
-    return ScalarCochain(degree, lambda c: table.get(c, Fraction(0)))
+def evaluate(row: dict, phi) -> ParamPoly:
+    """Value of the cochain with this row at a cochain phi (a callable)."""
+    out = ZERO
+    for cp, val in row.items():
+        out = out + val * phi(cp)
+    return out
+
+
+def lookup(table: dict):
+    return lambda c: table.get(c, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
-# raw differential: module-valued, ∂-degree at most 1
+# module-action spot values: the raw value is c0 u + c1 ∂u, reduced by
+# subtracting letter times c1 at every decremented chain
 
 
 def test_raw_degree_zero():
-    beta = ScalarCochain.constant(Fraction(5))
-    assert raw_differential(beta, (1,)).coeff(0) == 5 * D
-    at_zero = raw_differential(beta, (0,))
-    assert at_zero.coeff(0) == 5 * A
-    assert at_zero.coeff(1) == poly(5)
-    assert not raw_differential(beta, (3,))
+    # raw values of the constant 5: 5D u at (1,), (5a + 5∂) u at (0,), 0 at
+    # (3,); the decrement (0,) of (1,) takes 5 off
+    beta = lookup({(): Fraction(5)})
+    assert evaluate(action_row((1,)), beta) == 5 * D - poly(5)
+    assert evaluate(action_row((0,)), beta) == 5 * A
+    assert action_row((3,)) == {}
 
 
 def test_raw_on_10():
-    # (d phi)(1,0) = (D - 1) a0 * u - a1 * (a + ∂) u
-    phi = lookup(1, {(0,): Fraction(2), (1,): Fraction(1, 3)})
-    val = raw_differential(phi, (1, 0))
-    assert val.coeff(0) == 2 * D - poly(2) - A * rat(1, 3)
-    assert val.coeff(1) == poly(rat(-1, 3))
+    # raw (d phi)(1,0) = (D - 1) a0 u - a1 (a + ∂) u; no decrement is a chain
+    phi = lookup({(0,): Fraction(2), (1,): Fraction(1, 3)})
+    assert evaluate(action_row((1, 0)), phi) == 2 * D - poly(2) - A * rat(1, 3)
 
 
 def test_raw_on_410():
-    phi = lookup(2, {(4, 0): Fraction(1), (4, 1): Fraction(2), (3, 1): Fraction(3)})
-    val = raw_differential(phi, (4, 1, 0))
-    assert val.coeff(0) == -D + poly(10) + 2 * A
-    assert val.coeff(1) == poly(2)
-
-
-def test_raw_rejects_wrong_length():
-    phi = ScalarCochain.unit((1, 0))
-    with pytest.raises(ValueError):
-        raw_differential(phi, (2,))
-
-
-def test_raw_value_caches_and_checks():
-    rho = raw_value(ScalarCochain.unit((1,)))
-    first = rho((1, 0))
-    assert rho((1, 0)) is first  # cached object
-
-    bad = RawValue(1, lambda c: raw_differential(ScalarCochain.constant(1), c))
-    bad._fn = lambda c: __import__("virhoch.confmod", fromlist=["ModElem"]).ModElem(
-        (ZERO, ZERO, ONE)
-    )
-    with pytest.raises(AssertionError):
-        bad((0,))
-
-
-# ---------------------------------------------------------------------------
-# scalar reduction sigma / psi
+    # raw (d phi)(4,1,0) = (-D + 10 + 2a) u + 2 ∂u; the decrement (3,1,0)
+    # has ∂u-coefficient phi(3,1) = 3, weighted by the letter 4, and (4,0,0)
+    # is no chain
+    phi = lookup({(4, 0): Fraction(1), (4, 1): Fraction(2), (3, 1): Fraction(3)})
+    assert evaluate(action_row((4, 1, 0)), phi) == -D + poly(10) + 2 * A - poly(12)
 
 
 def test_sigma_psi_on_10():
-    # sigma[1|0] = (D - 1) a0 - a * a1, psi[1|0] = -a1
-    sig0, psi0 = reduce_to_scalar(raw_value(ScalarCochain.unit((0,))))
-    assert sig0((1, 0)) == D - ONE
-    assert psi0((1, 0)) == ZERO
-
-    sig1, psi1 = reduce_to_scalar(raw_value(ScalarCochain.unit((1,))))
-    assert sig1((1, 0)) == -A
-    assert psi1((1, 0)) == -ONE
+    # sigma[1|0] = (D - 1) a0 - a * a1
+    assert action_row((1, 0)) == {(0,): D - ONE, (1,): -A}
 
 
 def test_sigma_correction_cancels_on_20():
-    # raw c0 at (2,0) is -2*a1, exactly cancelled by the decrement term
-    # -2*psi(1,0); only the a-part of a2 survives.
-    sig1, psi1 = reduce_to_scalar(raw_value(ScalarCochain.unit((1,))))
-    assert psi1((2, 0)) == ZERO
-    assert sig1((2, 0)) == ZERO
-
-    sig2, _ = reduce_to_scalar(raw_value(ScalarCochain.unit((2,))))
-    assert sig2((2, 0)) == -A
+    # raw c0 at (2,0) is -2*a1 - a*a2, and the decrement term -2*psi(1,0)
+    # cancels -2*a1 exactly; only the a-part of a2 survives
+    assert action_row((2, 0)) == {(2,): -A}
 
 
-def test_sigma_equals_reduced_differential():
-    phi = lookup(1, {(0,): Fraction(1), (1,): Fraction(-2), (3,): Fraction(1, 2)})
-    sig, _ = reduce_to_scalar(raw_value(phi))
-    for c in enumerate_chains(2, 6):
-        assert sig(c) == reduced_differential(phi, c)
+def test_action_row_rejects_high_d_degree(monkeypatch):
+    d2u = ModElem((ZERO, ZERO, ONE))
+    monkeypatch.setattr(cochain, "act_word", lambda w, m: d2u)
+    with pytest.raises(InvariantError, match=r"action row of \[1\|0\].*∂-degree 2: \(1\)·∂\^2 \| u"):
+        action_row((1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +108,8 @@ FROZEN_ROWS = {
 
 @pytest.mark.parametrize("c", sorted(FROZEN_ROWS))
 def test_frozen_rows(c):
-    assert reduced_row(c) == FROZEN_ROWS[c]
+    for form in (reduced_row, action_row, closed_reduced_row):
+        assert form(c) == FROZEN_ROWS[c], form.__name__
 
 
 def test_n10_row_family():
@@ -155,7 +122,7 @@ def test_n10_row_family():
 
 
 def test_n20_row_family():
-    # dedicated three-letter display for trailing pair (2,0)
+    # three-letter display for trailing pair (2,0)
     for n in (2, 3, 4, 6):
         q = Fraction(2 * n, n + 1)
         r = Fraction(n * (n - 1), n + 1) + (n - 2)
@@ -167,18 +134,10 @@ def test_n20_row_family():
 
 
 def test_rows_match_direct_composition():
-    phi_vals = {}
-
-    def rule(c):
-        h = 7
-        for m in c:
-            h = (h * 31 + m + 11) % 997
-        return Fraction(h % 13 - 6, 1 + h % 4)
-
+    # equal rows give equal values of d phi for every cochain phi
     for degree in (1, 2, 3):
-        phi = ScalarCochain(degree, rule)
         for c in enumerate_chains(degree + 1, 7):
-            assert reduced_differential_by_rows(phi, c) == reduced_differential(phi, c)
+            assert action_row(c) == reduced_row(c), c
 
 
 def test_row_grade_split():
@@ -200,26 +159,15 @@ def test_row_grade_split():
 
 
 def test_closed_rows_match_generic():
-    deferred = []
     for n in (1, 2, 3):
         for c in enumerate_chains(n + 1, 6):
-            try:
-                assert closed_reduced_row(c) == reduced_row(c)
-            except SingularIndexPattern:
-                deferred.append(c)
-    # deferrals are exactly the trailing (2,0) chains outside the dedicated
-    # degree-1 and degree-2 displays
-    assert all(c[-2:] == (2, 0) and len(c) != 3 for c in deferred)
-    assert (2, 0) in deferred
-    assert (3, 2, 0) not in deferred
+            assert closed_reduced_row(c) == reduced_row(c), c
 
 
-def test_singular_pattern_raises():
-    with pytest.raises(SingularIndexPattern):
-        closed_reduced_row((2, 0))
-    with pytest.raises(SingularIndexPattern):
-        closed_reduced_row((4, 3, 2, 0))
-    assert closed_reduced_row((4, 2, 0)) == reduced_row((4, 2, 0))
+def test_trailing_20_rows_match():
+    # the closed formula has no pole at a trailing (2,0)
+    for c in ((2, 0), (4, 2, 0), (4, 3, 2, 0), (5, 2, 2, 2, 0)):
+        assert closed_reduced_row(c) == reduced_row(c) == action_row(c), c
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +200,6 @@ def test_random_cochain_square_zero(data):
         )
         for cp in enumerate_chains(1, 8)
     }
-    phi = lookup(1, vals)
-    dphi = ScalarCochain(2, lambda x: reduced_differential(phi, x))
-    assert reduced_differential(dphi, c) == ZERO
+    phi = lookup(vals)
+    row = action_row(c)
+    assert evaluate(row, lambda x: evaluate(action_row(x), phi)) == ZERO

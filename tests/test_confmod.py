@@ -43,8 +43,9 @@ def test_mod_derive():
 
 
 def test_text_form():
-    assert str(act_gen(0, U)) == "(1*D^0*a^1) + (1)·D | u"
+    assert str(act_gen(0, U)) == "(1*D^0*a^1) + (1)·∂ | u"
     assert str(ModElem(())) == "0 | u"
+    assert str(mod_derive(DU)) == "(1)·∂^2 | u"
 
 
 def test_negative_index_rejected():
