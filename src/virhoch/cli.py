@@ -9,12 +9,14 @@ Four subcommands cover the computational claims end to end:
 
 Exit codes: 0 success, 1 internal check failure, 2 expectation mismatch,
 64 usage error.  All output is deterministic for a fixed configuration;
-tables can be cached on disk, keyed by package version and config hash.
+tables can be cached on disk, keyed by package version and a hash of the
+configuration and the package sources.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -78,10 +80,24 @@ class RunConfig:
                 "n_max": self.n_max,
                 "s_max": self.s_max,
                 "truncated": self.truncated,
+                "source": source_digest(),
             },
             sort_keys=True,
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@functools.cache
+def source_digest() -> str:
+    """Digest of the package's .py sources, so that changed code misses the cache."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+def table_digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +113,17 @@ def compute_table(config: RunConfig) -> cohom.DimTable:
     return cohom.cohomology_dims(config.delta, n_max=config.n_max, s_max=config.s_max)
 
 
-def check_entry(doc: dict, config: RunConfig) -> None:
-    """Raise ValueError unless a cached table dict is the table of config."""
+def check_entry(entry: dict, config: RunConfig) -> dict:
+    """The table dict of a cache entry; ValueError unless it is config's table.
+
+    An entry holds the table, its digest and the source digest of the code
+    that wrote it, so an edited table or an entry of other code is a miss.
+    """
+    if entry["source"] != source_digest():
+        raise ValueError(f"entry was written by package sources {entry['source']}")
+    doc = entry["table"]
+    if entry["digest"] != table_digest(doc):
+        raise ValueError("table differs from its digest")
     table = cohom.DimTable.from_dict(doc)
     truncated = config.truncated is not None
     wanted = (config.delta, config.alpha, config.n_max,
@@ -111,12 +136,12 @@ def check_entry(doc: dict, config: RunConfig) -> None:
         raise ValueError("stability flags do not match the route")
     if sorted(table.totals) != list(range(1, config.n_max + 1)):
         raise ValueError(f"totals cover degrees {sorted(table.totals)}")
-    if truncated:
-        return
-    for n, total in table.totals.items():
-        graded = sum(dim for (m, _), dim in table.by_grade.items() if m == n)
-        if total != graded:
-            raise ValueError(f"H^{n} total {total} differs from its graded sum {graded}")
+    if not truncated:
+        for n, total in table.totals.items():
+            graded = sum(dim for (m, _), dim in table.by_grade.items() if m == n)
+            if total != graded:
+                raise ValueError(f"H^{n} total {total} differs from its graded sum {graded}")
+    return doc
 
 
 def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
@@ -127,15 +152,14 @@ def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
     path = cache_dir / f"virhoch-{__version__}-{config.cache_key()}.json"
     if path.exists():
         try:
-            doc = json.loads(path.read_text())
-            check_entry(doc, config)
-            return doc
+            return check_entry(json.loads(path.read_text()), config)
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             # a torn, foreign or edited entry is a miss: recompute and rewrite it
             print(f"warning: recomputing cache entry {path}: {exc}", file=sys.stderr)
     doc = compute_table(config).as_dict()
+    entry = {"source": source_digest(), "digest": table_digest(doc), "table": doc}
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    tmp.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
     tmp.replace(path)
     return doc
 

@@ -4,8 +4,9 @@ With shift parameter a = 0 the reduced differential preserves the grade
 s = weight - letters, so the complex splits into finite graded pieces and
 each cohomology dimension is an exact rank computation over the rationals.
 With a != 0 the a-part lowers s by one, so the subcomplex of cochains
-supported on grades <= S is finite and closed under d; its cohomology is
-computed at S and S + 1 and compared (stabilization).
+supported on grades <= S is finite and closed under d.  Its cohomology is
+compared at S and S + 1 (stabilization) from one elimination per degree of
+the S + 1 window, read at two column cutoffs.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra: ranks count its pivots, and ``locate_classes`` reads the pivot
@@ -17,12 +18,13 @@ the pivots against a naive rational Gaussian oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .anick import Chain, InvariantError, enumerate_chains, grade, is_chain
+from .anick import Chain, InvariantError, chain_to_text, enumerate_chains, grade, is_chain
 from .cochain import reduced_row
 from .scalars import format_rational
 
@@ -39,7 +41,7 @@ def graded_basis(n: int, s: int) -> list[Chain]:
 def window_basis(n: int, s_max: int) -> list[Chain]:
     """Degree-n chains of grade <= s_max (the truncated complex basis)."""
     if n == 0:
-        return [()]
+        return [()] if s_max >= 0 else []  # the empty chain has grade 0
     return enumerate_chains(n, s_max)
 
 
@@ -84,7 +86,7 @@ def pivot_columns(rows: Iterable[dict[int, Rational]]) -> list[int]:
     echelon: dict[int, dict[int, int]] = {}  # leading column -> primitive row
     for row in rows:
         mult = lcm(*(v.denominator for v in row.values()))
-        vec = {j: int(v * mult) for j, v in row.items() if v}
+        vec = {j: v.numerator * (mult // v.denominator) for j, v in row.items() if v}
         while vec:
             g = gcd(*vec.values())
             if g > 1:
@@ -224,25 +226,31 @@ def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable
     return table
 
 
-def truncated_dims(delta: Rational, alpha: Rational, n_max: int, S: int) -> dict[int, int]:
-    """Cohomology of the finite subcomplex supported on grades <= S."""
-    if not alpha:
-        raise ValueError("the truncated route is for a nonzero shift")
-    bases = {n: window_basis(n, S) for n in range(0, n_max + 2)}
-    ranks = {
-        n: rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha))
-        for n in range(0, n_max + 1)
-    }
-    out = {}
-    for n in range(1, n_max + 1):
-        dim = len(bases[n]) - ranks[n] - ranks[n - 1]
-        if dim < 0:
-            raise InvariantError(
-                f"negative dimension {dim} in degree {n}, cutoff S={S}, "
-                f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
-            )
-        out[n] = dim
-    return out
+def _window_rows(
+    source: list[Chain], target: list[Chain], delta: Rational, alpha: Rational
+) -> Iterable[dict[int, Rational]]:
+    """Sparse rows of d over explicit window bases, each entry specialized once.
+
+    Every entry must be a-free where the source grade equals the target's,
+    or a multiple of a where it is one higher; ``truncated_cohomology``
+    reads two cutoffs off one elimination because of that shape.
+    """
+    col_of = {c: j for j, c in enumerate(source)}
+    for tgt in target:
+        s = grade(tgt)
+        row = {}
+        for src, val in reduced_row(tgt).items():
+            step = grade(src) - s
+            if step not in (0, 1) or val.a_degrees() != {step}:
+                raise InvariantError(
+                    f"row of {chain_to_text(tgt)} has the entry {val} at "
+                    f"{chain_to_text(src)}, {step} grades up; only a-free entries "
+                    f"at the same grade and a-linear ones one grade up are allowed"
+                )
+            j = col_of.get(src)
+            if j is not None:
+                row[j] = val.specialize(delta, alpha)
+        yield row
 
 
 def truncated_cohomology(
@@ -252,19 +260,53 @@ def truncated_cohomology(
 
     A cutoff below the minimal grade of degree n_max leaves that degree's
     window empty, so its "stable" zero would check nothing; it is rejected.
+
+    Each degree is eliminated once, over the S + 1 window with its chains
+    sorted by grade.  An entry's source grade is its target's or one more
+    (``_window_rows`` checks it), so the rows of grade S + 1 vanish on the
+    columns of grade <= S: d is [[A, B], [0, C]] with A the S-window
+    matrix, and the pivots among its first |window_basis(n, S)| columns
+    number rank(A).
     """
     lowest = _grade_range(n_max, S).start
     if S < lowest:
         raise ValueError(
             f"cutoff S={S} is below the minimal grade {lowest} of degree {n_max}"
         )
-    at_S = truncated_dims(delta, alpha, n_max, S)
-    at_S1 = truncated_dims(delta, alpha, n_max, S + 1)
-    table = DimTable(
-        delta=Fraction(delta), alpha=Fraction(alpha), n_max=n_max, s_max=S,
+    if not alpha:
+        raise ValueError("the truncated route is for a nonzero shift")
+    delta, alpha = Fraction(delta), Fraction(alpha)
+    bases = [sorted(window_basis(n, S + 1), key=grade) for n in range(n_max + 2)]
+    cuts = [len(window_basis(n, S)) for n in range(n_max + 2)]
+    ranks_S, ranks_S1 = [], []
+    for n in range(n_max + 1):
+        # The pivots do not depend on the row order, but the work does: fed
+        # in reverse lexicographic order, the echelon rows stay sparse, and
+        # at S + 1 = 8 and 9 elimination took 5-10x less time than in
+        # lexicographic order.
+        rows = _window_rows(bases[n], bases[n + 1][::-1], delta, alpha)
+        pivots = pivot_columns(rows)
+        ranks_S.append(bisect_left(pivots, cuts[n]))
+        ranks_S1.append(len(pivots))
+
+    def dims(sizes: list[int], ranks: list[int], cutoff: str) -> dict[int, int]:
+        out = {}
+        for n in range(1, n_max + 1):
+            dim = sizes[n] - ranks[n] - ranks[n - 1]
+            if dim < 0:
+                raise InvariantError(
+                    f"negative dimension {dim} in degree {n}, cutoff {cutoff}, "
+                    f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
+                )
+            out[n] = dim
+        return out
+
+    at_S = dims(cuts, ranks_S, f"S={S}")
+    at_S1 = dims([len(b) for b in bases], ranks_S1, f"S+1={S + 1}")
+    return DimTable(
+        delta=delta, alpha=alpha, n_max=n_max, s_max=S,
         totals=at_S, stable={n: at_S[n] == at_S1[n] for n in at_S},
     )
-    return table
 
 
 def locate_classes(

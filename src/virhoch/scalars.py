@@ -133,6 +133,10 @@ class ParamPoly:
     def degree_a(self) -> int:
         return max((da for (_, da) in self._terms), default=0)
 
+    def a_degrees(self) -> set[int]:
+        """The powers of a that occur."""
+        return {da for (_, da) in self._terms}
+
     def shift_part(self) -> "ParamPoly":
         """The coefficient of a^1, as a polynomial in D (a-linear part)."""
         return ParamPoly({(dd, da - 1): c for (dd, da), c in self._terms.items() if da >= 1})
@@ -145,12 +149,17 @@ class ParamPoly:
         """Evaluate at D = weight, a = shift.
 
         Ring homomorphism onto Fraction; the property suite checks that it
-        commutes with + and *.
+        commutes with + and *.  Row entries are affine, so exponents 0 and 1
+        are the hot case: they cost no power and no product with one.
         """
-        total = Fraction(0)
+        total = None
         for (dd, da), c in self._terms.items():
-            total += c * weight**dd * shift**da
-        return total
+            if dd:
+                c = c * (weight if dd == 1 else weight**dd)
+            if da:
+                c = c * (shift if da == 1 else shift**da)
+            total = c if total is None else total + c
+        return Fraction(0) if total is None else total
 
     # -- text --------------------------------------------------------------
 

@@ -263,16 +263,36 @@ def test_cache_warm_run_identical(capsys, tmp_path):
     assert out2 == out1
 
 
+def _restamped(entry: dict, table: dict) -> bytes:
+    # an entry whose digest matches its (edited or foreign) table
+    return json.dumps({**entry, "table": table, "digest": cli.table_digest(table)}).encode()
+
+
 def _foreign_point(good: bytes) -> bytes:
     # a well-formed table of another weight under this config's file name
     other = cli.RunConfig(delta=Fraction(1), alpha=Fraction(0), n_max=2, s_max=4)
-    return json.dumps(cli.table_dict(other, None)).encode()
+    return _restamped(json.loads(good), cli.table_dict(other, None))
 
 
 def _edited_total(good: bytes) -> bytes:
-    doc = json.loads(good)
-    doc["totals"]["1"] += 1
-    return json.dumps(doc).encode()
+    entry = json.loads(good)
+    entry["table"]["totals"]["1"] += 1
+    return _restamped(entry, entry["table"])
+
+
+def _edited_table(good: bytes) -> bytes:
+    # a total and one of its graded entries edited together stay consistent;
+    # only the digest tells
+    entry = json.loads(good)
+    entry["table"]["totals"]["1"] += 5
+    entry["table"]["by_grade"]["1,1"] += 5
+    return json.dumps(entry).encode()
+
+
+def _stale_source(good: bytes) -> bytes:
+    entry = json.loads(good)
+    entry["source"] = "0" * 16
+    return json.dumps(entry).encode()
 
 
 DAMAGE = {
@@ -280,6 +300,8 @@ DAMAGE = {
     "foreign": lambda good: b"[]\n",
     "foreign_point": _foreign_point,
     "edited_total": _edited_total,
+    "edited_table": _edited_table,
+    "stale_source": _stale_source,
 }
 
 
@@ -298,6 +320,19 @@ def test_cache_corrupt_entry_is_recomputed(capsys, tmp_path, damage):
     assert entry.read_bytes() == good  # rewritten in place
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
     assert run(capsys, *args) == (0, fresh, "")
+
+
+def test_cache_key_covers_the_sources(capsys, tmp_path, monkeypatch):
+    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
+            "--cache-dir", str(tmp_path))
+    _, fresh, _ = run(capsys, *args)
+    computed = []
+    real = cli.compute_table
+    monkeypatch.setattr(cli, "compute_table", lambda c: computed.append(c) or real(c))
+    monkeypatch.setattr(cli, "source_digest", lambda: "patched")
+    assert run(capsys, *args) == (0, fresh, "")
+    assert len(computed) == 1  # changed sources: a miss under a new key
+    assert len(list(tmp_path.glob("virhoch-*.json"))) == 2
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):

@@ -20,10 +20,10 @@ from virhoch.cohom import (
     pivot_columns,
     rank,
     truncated_cohomology,
-    truncated_dims,
     verify_contraction,
     window_basis,
 )
+from virhoch.scalars import A, ONE
 
 F = Fraction
 
@@ -170,7 +170,45 @@ def test_graded_breakdown():
 
 def test_truncated_requires_shift():
     with pytest.raises(ValueError):
-        truncated_dims(F(1), F(0), 3, 6)
+        truncated_cohomology(F(1), F(0), 3, 6)
+
+
+SHIFTED_POINTS = [
+    (F(1), F(1)), (F(0), F(2)), (F(3), F(-1)),  # the bundled points
+    (F(1), F(-1, 2)), (F(5, 2), F(2, 3)), (F(-2), F(3, 4)), (F(0), F(-7, 5)),
+]
+
+
+@pytest.mark.parametrize("delta,alpha", SHIFTED_POINTS)
+def test_truncated_split_matches_two_windows(delta, alpha):
+    # oracle: the S and S + 1 windows assembled and ranked on their own
+    ranks = {}
+
+    def window_dims(n_max, cutoff):
+        bases = [window_basis(n, cutoff) for n in range(n_max + 2)]
+        for n in range(n_max + 1):
+            if (cutoff, n) not in ranks:
+                m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
+                ranks[cutoff, n] = rank(m.entries[::-1])  # the row order only saves time
+        return {
+            n: len(bases[n]) - ranks[cutoff, n] - ranks[cutoff, n - 1]
+            for n in range(1, n_max + 1)
+        }
+
+    for n_max in (2, 3, 4, 5):
+        for S in range(max(-1, n_max - 3), 9 if n_max > 2 else 3):
+            table = truncated_cohomology(delta, alpha, n_max, S)
+            at_S, at_S1 = window_dims(n_max, S), window_dims(n_max, S + 1)
+            assert table.totals == at_S, (n_max, S)
+            assert table.stable == {n: at_S[n] == at_S1[n] for n in at_S}, (n_max, S)
+
+
+def test_truncated_window_below_grade_zero_has_no_degree_zero_chain():
+    # the empty chain has grade 0, so it is not in the window at S = -1
+    assert window_basis(0, -1) == [] and window_basis(0, 0) == [()]
+    table = truncated_cohomology(F(0), F(2), n_max=2, S=-1)
+    assert table.totals == {1: 0, 2: 0}
+    assert table.stable == {1: True, 2: False}
 
 
 def test_truncated_point():
@@ -202,10 +240,63 @@ def test_negative_graded_dimension_is_reported(monkeypatch):
         cohomology_dims(F(1), n_max=2, s_max=2)
 
 
+def _extra_pivot(monkeypatch, column):
+    # column -1 precedes every column, so it counts at both cutoffs; a column
+    # past every window counts at S + 1 only
+    real = cohom.pivot_columns
+    monkeypatch.setattr(cohom, "pivot_columns", lambda rows: sorted(real(rows) + [column]))
+
+
 def test_negative_truncated_dimension_is_reported(monkeypatch):
-    _overcount(monkeypatch)
+    _extra_pivot(monkeypatch, -1)
     with pytest.raises(InvariantError, match=r"degree 1, cutoff S=2, at delta=1, alpha=1/2"):
-        truncated_dims(F(1), F(1, 2), 2, 2)
+        truncated_cohomology(F(1), F(1, 2), 2, 2)
+
+
+def test_negative_dimension_at_next_cutoff_is_reported(monkeypatch):
+    _extra_pivot(monkeypatch, sys.maxsize)
+    with pytest.raises(InvariantError, match=r"degree 1, cutoff S\+1=3, at delta=1, alpha=1/2"):
+        truncated_cohomology(F(1), F(1, 2), 2, 2)
+
+
+# target [3|0] has grade 1; [2] has grade 1, [3] grade 2, [5] grade 4
+OFF_GRADE = {
+    "two_grades_up": ((5,), A),
+    "a_free_one_up": ((3,), ONE),
+    "a_linear_same_grade": ((2,), A),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_GRADE))
+def test_window_rejects_entry_off_the_grade_split(monkeypatch, case):
+    src, val = OFF_GRADE[case]
+    real = cohom.reduced_row
+    monkeypatch.setattr(
+        cohom, "reduced_row", lambda c: {**real(c), src: val} if c == (3, 0) else real(c)
+    )
+    with pytest.raises(InvariantError, match=r"row of \[3\|0\] has the entry"):
+        truncated_cohomology(F(1), F(1), 3, 2)
+
+
+def test_window_grade_check_survives_optimization():
+    script = (
+        "from fractions import Fraction\n"
+        "from virhoch import cohom\n"
+        "from virhoch.scalars import ONE\n"
+        "real = cohom.reduced_row\n"
+        "cohom.reduced_row = lambda c: {**real(c), (5,): ONE} if c == (3, 0) else real(c)\n"
+        "try:\n"
+        "    cohom.truncated_cohomology(Fraction(1), Fraction(1), 3, 2)\n"
+        "except cohom.InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "row of [3|0] has the entry 1 at [5]" in proc.stdout
 
 
 def test_negative_dimension_check_survives_optimization():

@@ -82,3 +82,31 @@ def test_specialize_values():
     p = D * D - 3 * A + ParamPoly.const(2)
     assert p.specialize(Fraction(1), Fraction(0)) == 3
     assert p.specialize(Fraction(5, 2), Fraction(1, 3)) == Fraction(25, 4) - 1 + 2
+
+
+def test_specialize_matches_naive_sum_on_row_entries():
+    from virhoch.anick import enumerate_chains
+    from virhoch.cochain import reduced_row
+
+    entries = [
+        val
+        for n in range(1, 6)
+        for c in enumerate_chains(n, 8)
+        for val in reduced_row(c).values()
+    ]
+    assert len(entries) == 5513
+    points = [(Fraction(1), Fraction(1)), (Fraction(5, 2), Fraction(2, 5)),
+              (Fraction(-2), Fraction(1, 3)), (Fraction(0), Fraction(0)),
+              (Fraction(-3, 7), Fraction(7, 4))]
+    for w, s in points:
+        for val in entries:
+            got = val.specialize(w, s)
+            assert type(got) is Fraction
+            assert got == sum(c * w**dd * s**da for (dd, da), c in val.terms())
+
+
+def test_specialize_higher_powers_and_zero():
+    p = ParamPoly({(3, 0): Fraction(1), (0, 2): Fraction(-2), (2, 1): Fraction(1, 2)})
+    assert p.specialize(Fraction(2), Fraction(3)) == 8 - 18 + Fraction(1, 2) * 4 * 3
+    assert type(ZERO.specialize(Fraction(2), Fraction(3))) is Fraction
+    assert ZERO.specialize(Fraction(2), Fraction(3)) == 0
