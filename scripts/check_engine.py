@@ -22,6 +22,7 @@ STEPS = [
     (1, ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8", "--inject-defect"]),
     (0, ["cohomology", "--delta", "1", "--expect", "paper", "--locate"]),
     (0, ["cohomology", "--delta", "0", "--expect", "paper", "--locate"]),
+    (0, ["cohomology", "--delta", "5/2", "--expect", "paper"]),
     (0, ["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--expect", "paper"]),
 ]
 

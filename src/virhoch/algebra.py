@@ -104,14 +104,6 @@ def _check_step(parent: Word, child: Word) -> None:
     raise InvariantError(f"rewrite {word_to_text(parent)} -> {word_to_text(child)} {problem}")
 
 
-def rewrite_leftmost(w: Word) -> list[tuple[Word, Fraction]]:
-    """One rewriting step at the leftmost obstruction (error if normal)."""
-    k = leftmost_obstruction(w)
-    if k is None:
-        raise ValueError(f"{word_to_text(w)} is already normal")
-    return _expand_at(w, k)
-
-
 def _expand_at(w: Word, k: int) -> list[tuple[Word, Fraction]]:
     out = []
     for rhs, coeff in rule_rhs(w[k], w[k + 1]):
@@ -184,16 +176,8 @@ class AlgElem:
         self._terms = clean
 
     @staticmethod
-    def gen(i: int) -> "AlgElem":
-        return AlgElem({(i,): Fraction(1)})
-
-    @staticmethod
     def word(w: Word, coeff: Scalar = Fraction(1)) -> "AlgElem":
         return AlgElem({tuple(w): coeff})
-
-    @staticmethod
-    def one() -> "AlgElem":
-        return AlgElem({(): Fraction(1)})
 
     def __add__(self, other: "AlgElem") -> "AlgElem":
         out = dict(self._terms)
@@ -251,9 +235,6 @@ class AlgElem:
 
     def coeff(self, w: Word) -> Scalar:
         return self._terms.get(tuple(w), Fraction(0))
-
-    def is_normal(self) -> bool:
-        return all(is_normal_word(w) for w in self._terms)
 
     def __str__(self) -> str:
         if not self._terms:

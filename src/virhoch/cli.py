@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,9 +159,16 @@ def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
             print(f"warning: recomputing cache entry {path}: {exc}", file=sys.stderr)
     doc = compute_table(config).as_dict()
     entry = {"source": source_digest(), "digest": table_digest(doc), "table": doc}
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
-    tmp.replace(path)
+    # a temporary file of this process's own, so that concurrent writers of
+    # one key never share it; os.replace makes the entry appear whole
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.stem + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as out:
+            out.write(json.dumps(entry, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return doc
 
 

@@ -5,20 +5,30 @@ s = weight - letters, so the complex splits into finite graded pieces and
 each cohomology dimension is an exact rank computation over the rationals.
 With a != 0 the a-part lowers s by one, so the subcomplex of cochains
 supported on grades <= S is finite and closed under d.  Its cohomology is
-compared at S and S + 1 (stabilization) from one elimination per degree of
-the S + 1 window, read at two column cutoffs.
+compared at S and S + 1 (stabilization).
+
+Both routes assemble and eliminate each degree once, over the window of
+chains of grade <= T, sorted by grade.  ``matrix_d`` is the one row
+assembler; it checks that every entry is a-free at its target's grade or a
+multiple of a one grade up.  With that shape the rows of grade > s vanish
+on the columns of grade <= s, so the rank of the window of grades <= s is
+the rank of a column prefix, and ``rank`` reads every prefix off one
+elimination.  The truncated route reads the S + 1 window at the prefixes
+ending at grades S and S + 1.  At a = 0 the a-linear entries vanish, so d
+is block-diagonal by grade and the rank of the block at grade s is the
+prefix rank at s minus the prefix rank at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra: ranks count its pivots, and ``locate_classes`` reads the pivot
 columns of ker d (the non-pivots of d with its columns mirrored) minus
-those of im d, for all degrees of a grade in one pass.  Rows are kept
-primitive over Z, so no Fraction enters the inner loop; the tests check
-the pivots against a naive rational Gaussian oracle.
+those of im d.  Rows are kept primitive over Z, so no Fraction enters the
+inner loop; the tests check the pivots against a naive rational Gaussian
+oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,45 +41,51 @@ from .scalars import format_rational
 Rational = Fraction
 
 
-def graded_basis(n: int, s: int) -> list[Chain]:
-    """Degree-n chains of grade exactly s, in lexicographic order."""
-    if n == 0:
-        return [()] if s == 0 else []
-    return [c for c in enumerate_chains(n, s) if grade(c) == s]
-
-
 def window_basis(n: int, s_max: int) -> list[Chain]:
-    """Degree-n chains of grade <= s_max (the truncated complex basis)."""
+    """Degree-n chains of grade <= s_max, sorted by grade, lexicographic within one."""
     if n == 0:
         return [()] if s_max >= 0 else []  # the empty chain has grade 0
-    return enumerate_chains(n, s_max)
+    return sorted(enumerate_chains(n, s_max), key=grade)
 
 
 @dataclass
 class DiffMatrix:
-    """Rows indexed by target chains, columns by source chains."""
+    """Sparse rows indexed by target chains, columns by source chains."""
 
     source: list[Chain]
     target: list[Chain]
-    entries: list[list[Rational]]  # entries[i][j] = coefficient of source[j] in d(·)(target[i])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.target), len(self.source))
+    # entries[i][j] = coefficient of source[j] in d(·)(target[i]); zeros are not stored
+    entries: list[dict[int, Rational]]
 
 
 def matrix_d(
     n: int, source: list[Chain], target: list[Chain], delta: Rational, alpha: Rational
 ) -> DiffMatrix:
-    """Differential from degree n to n + 1 between explicit bases."""
+    """Differential from degree n to n + 1 between explicit bases.
+
+    Each entry is specialized once.  Every entry of a row, inside the bases
+    or not, must be a-free where the source grade equals the target's, or a
+    multiple of a where it is one higher; ``rank`` reads grade windows and
+    graded blocks off one elimination because of that shape.
+    """
     col_of = {c: j for j, c in enumerate(source)}
     rows = []
     for tgt in target:
-        row = [Fraction(0)] * len(source)
+        s = grade(tgt)
+        row = {}
         for src, val in reduced_row(tgt).items():
+            step = grade(src) - s
+            if step not in (0, 1) or val.a_degrees() != {step}:
+                raise InvariantError(
+                    f"row of {chain_to_text(tgt)} has the entry {val} at "
+                    f"{chain_to_text(src)}, {step} grades up; only a-free entries "
+                    f"at the same grade and a-linear ones one grade up are allowed"
+                )
             j = col_of.get(src)
             if j is not None:
-                row[j] = val.specialize(delta, alpha)
+                x = val.specialize(delta, alpha)
+                if x:
+                    row[j] = x
         rows.append(row)
     return DiffMatrix(source=source, target=target, entries=rows)
 
@@ -109,14 +125,19 @@ def pivot_columns(rows: Iterable[dict[int, Rational]]) -> list[int]:
     return sorted(echelon)
 
 
-def _sparse(rows: Iterable[Iterable[Rational]]) -> list[dict[int, Rational]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+def rank(m: DiffMatrix, cuts: Iterable[int]) -> list[int]:
+    """Rank of the first k columns of m, for each k in cuts.
 
-
-def rank(m: DiffMatrix | list[list[Rational]]) -> int:
-    """Exact rank: the number of pivot columns."""
-    rows = m.entries if isinstance(m, DiffMatrix) else m
-    return len(pivot_columns(_sparse(rows)))
+    The pivots are leading columns, so the echelon rows whose pivot lies
+    below k span the rows of m cut to their first k columns: one
+    elimination gives every prefix rank.
+    """
+    # The pivots do not depend on the row order, but the work does: fed in
+    # reverse order of the grade-sorted targets, the echelon rows stay
+    # sparse, and at S + 1 = 8 and 9 elimination took 5-10x less time than
+    # in lexicographic order.
+    pivots = pivot_columns(m.entries[::-1])
+    return [bisect_left(pivots, k) for k in cuts]
 
 
 @dataclass
@@ -189,32 +210,45 @@ def _grade_range(n: int, s_max: int) -> range:
     return range(lo, s_max + 1)
 
 
+def _windows(
+    delta: Rational, alpha: Rational, n_max: int, grades: list[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Sizes and ranks of the windows of grade <= each of ``grades``.
+
+    ``sizes[n][i]`` counts the degree-n chains of grade <= grades[i] (n <=
+    n_max + 1), and ``ranks[n][i]`` is the rank of d from degree n to n + 1
+    on that window (n <= n_max): one assembly and one elimination per
+    degree, over the window of the last grade.
+    """
+    bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
+    sizes = [[bisect_right(g, s) for s in grades] for g in ([grade(c) for c in b] for b in bases)]
+    ranks = [
+        rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n])
+        for n in range(n_max + 1)
+    ]
+    return sizes, ranks
+
+
 def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable:
-    """Graded cohomology dimensions for the shift-free module (alpha = 0)."""
-    table = DimTable(delta=Fraction(delta), alpha=Fraction(0), n_max=n_max, s_max=s_max)
-    bases: dict[tuple[int, int], list[Chain]] = {}
-    ranks: dict[tuple[int, int], int] = {}
+    """Graded cohomology dimensions for the shift-free module (alpha = 0).
 
-    def basis(n: int, s: int) -> list[Chain]:
-        key = (n, s)
-        if key not in bases:
-            bases[key] = graded_basis(n, s)
-        return bases[key]
+    The window sizes and ranks are cumulative over grades; d is
+    block-diagonal by grade at alpha = 0, so each graded piece is the
+    difference of two consecutive ones.
+    """
+    delta = Fraction(delta)
+    table = DimTable(delta=delta, alpha=Fraction(0), n_max=n_max, s_max=s_max)
+    grades = list(_grade_range(1, s_max))  # grade -1 is the lowest of any chain
+    sizes, ranks = _windows(delta, Fraction(0), n_max, grades)
 
-    def rank_d(n: int, s: int) -> int:
-        key = (n, s)
-        if key not in ranks:
-            ranks[key] = rank(matrix_d(n, basis(n, s), basis(n + 1, s), delta, Fraction(0)))
-        return ranks[key]
+    def piece(cumulative: list[int], i: int) -> int:
+        return cumulative[i] - (cumulative[i - 1] if i else 0)
 
     for n in range(1, n_max + 1):
         total = 0
         for s in _grade_range(n, s_max):
-            dim_n = len(basis(n, s))
-            if dim_n == 0:
-                table.by_grade[(n, s)] = 0
-                continue
-            dim = dim_n - rank_d(n, s) - rank_d(n - 1, s)
+            i = s - grades[0]
+            dim = piece(sizes[n], i) - piece(ranks[n], i) - piece(ranks[n - 1], i)
             if dim < 0:
                 raise InvariantError(
                     f"negative dimension {dim} in degree {n}, grade {s}, "
@@ -226,33 +260,6 @@ def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable
     return table
 
 
-def _window_rows(
-    source: list[Chain], target: list[Chain], delta: Rational, alpha: Rational
-) -> Iterable[dict[int, Rational]]:
-    """Sparse rows of d over explicit window bases, each entry specialized once.
-
-    Every entry must be a-free where the source grade equals the target's,
-    or a multiple of a where it is one higher; ``truncated_cohomology``
-    reads two cutoffs off one elimination because of that shape.
-    """
-    col_of = {c: j for j, c in enumerate(source)}
-    for tgt in target:
-        s = grade(tgt)
-        row = {}
-        for src, val in reduced_row(tgt).items():
-            step = grade(src) - s
-            if step not in (0, 1) or val.a_degrees() != {step}:
-                raise InvariantError(
-                    f"row of {chain_to_text(tgt)} has the entry {val} at "
-                    f"{chain_to_text(src)}, {step} grades up; only a-free entries "
-                    f"at the same grade and a-linear ones one grade up are allowed"
-                )
-            j = col_of.get(src)
-            if j is not None:
-                row[j] = val.specialize(delta, alpha)
-        yield row
-
-
 def truncated_cohomology(
     delta: Rational, alpha: Rational, n_max: int = 4, S: int = 8
 ) -> DimTable:
@@ -260,13 +267,7 @@ def truncated_cohomology(
 
     A cutoff below the minimal grade of degree n_max leaves that degree's
     window empty, so its "stable" zero would check nothing; it is rejected.
-
-    Each degree is eliminated once, over the S + 1 window with its chains
-    sorted by grade.  An entry's source grade is its target's or one more
-    (``_window_rows`` checks it), so the rows of grade S + 1 vanish on the
-    columns of grade <= S: d is [[A, B], [0, C]] with A the S-window
-    matrix, and the pivots among its first |window_basis(n, S)| columns
-    number rank(A).
+    Both cutoffs come from one elimination per degree of the S + 1 window.
     """
     lowest = _grade_range(n_max, S).start
     if S < lowest:
@@ -276,23 +277,12 @@ def truncated_cohomology(
     if not alpha:
         raise ValueError("the truncated route is for a nonzero shift")
     delta, alpha = Fraction(delta), Fraction(alpha)
-    bases = [sorted(window_basis(n, S + 1), key=grade) for n in range(n_max + 2)]
-    cuts = [len(window_basis(n, S)) for n in range(n_max + 2)]
-    ranks_S, ranks_S1 = [], []
-    for n in range(n_max + 1):
-        # The pivots do not depend on the row order, but the work does: fed
-        # in reverse lexicographic order, the echelon rows stay sparse, and
-        # at S + 1 = 8 and 9 elimination took 5-10x less time than in
-        # lexicographic order.
-        rows = _window_rows(bases[n], bases[n + 1][::-1], delta, alpha)
-        pivots = pivot_columns(rows)
-        ranks_S.append(bisect_left(pivots, cuts[n]))
-        ranks_S1.append(len(pivots))
+    sizes, ranks = _windows(delta, alpha, n_max, [S, S + 1])
 
-    def dims(sizes: list[int], ranks: list[int], cutoff: str) -> dict[int, int]:
+    def dims(i: int, cutoff: str) -> dict[int, int]:
         out = {}
         for n in range(1, n_max + 1):
-            dim = sizes[n] - ranks[n] - ranks[n - 1]
+            dim = sizes[n][i] - ranks[n][i] - ranks[n - 1][i]
             if dim < 0:
                 raise InvariantError(
                     f"negative dimension {dim} in degree {n}, cutoff {cutoff}, "
@@ -301,8 +291,7 @@ def truncated_cohomology(
             out[n] = dim
         return out
 
-    at_S = dims(cuts, ranks_S, f"S={S}")
-    at_S1 = dims([len(b) for b in bases], ranks_S1, f"S+1={S + 1}")
+    at_S, at_S1 = dims(0, f"S={S}"), dims(1, f"S+1={S + 1}")
     return DimTable(
         delta=delta, alpha=alpha, n_max=n_max, s_max=S,
         totals=at_S, stable={n: at_S[n] == at_S1[n] for n in at_S},
@@ -314,45 +303,43 @@ def locate_classes(
 ) -> dict[int, list[Chain]]:
     """Chains carrying the surviving classes in degrees 1..n_max (alpha = 0).
 
-    Per degree n and grade, the pivot columns (leftmost nonzero
-    coordinates, after full reduction) of ker d_out that are not pivot
-    columns of im d_in; each marks the chain whose dual coordinate carries
-    one cohomology class.  All degrees of a grade are located in one pass,
-    so each graded matrix is assembled once: d_out of degree n is d_in of
-    degree n + 1.
+    Per degree n, the pivot columns (leftmost nonzero coordinates, after
+    full reduction) of ker d_out that are not pivot columns of im d_in;
+    each marks the chain whose dual coordinate carries one cohomology
+    class.  Each degree is eliminated once over the window of grades <=
+    s_max: d is block-diagonal by grade, and the pivot columns of a sum of
+    subspaces on disjoint column blocks are the union of theirs.  Each
+    matrix is assembled once: d_out of degree n is d_in of degree n + 1.
     """
-    found: dict[int, list[Chain]] = {n: [] for n in range(1, n_max + 1)}
-    for s in _grade_range(1, s_max):
-        bases = [graded_basis(n, s) for n in range(n_max + 2)]
-        matrices: dict[int, list[list[Rational]]] = {}
-
-        def d(n: int) -> list[list[Rational]]:
-            # degree n -> n + 1 at grade s; d(n) is d_out of degree n and
-            # d_in of degree n + 1
-            if n not in matrices:
-                matrices[n] = matrix_d(n, bases[n], bases[n + 1], delta, Fraction(0)).entries
-            return matrices[n]
-
-        for n in range(1, n_max + 1):
-            src = bases[n]
-            if not src:
-                continue
-            m = len(src)
-            # The pivot columns (leftmost nonzeros of an echelon basis) of a
-            # subspace depend only on the subspace, and im d_in lies in
-            # ker d_out, so the classes sit at pivots(ker) - pivots(im).
-            # Solving an echelon form of d_out for each free column gives a
-            # kernel basis whose vectors end (rightmost nonzero) exactly at
-            # the free columns.  Eliminating with the columns mirrored
-            # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
-            # columns that are not pivots of the mirrored d_out.
-            reversed_pivots = pivot_columns(
-                {m - 1 - j: v for j, v in row.items()} for row in _sparse(d(n))
-            )
-            kernel = set(range(m)) - {m - 1 - j for j in reversed_pivots}
-            image = pivot_columns(_sparse(zip(*d(n - 1))))
-            found[n].extend(src[j] for j in kernel.difference(image))
-    return {n: sorted(chains) for n, chains in found.items()}
+    bases = [window_basis(n, s_max) for n in range(n_max + 2)]
+    d = [
+        matrix_d(n, bases[n], bases[n + 1], delta, Fraction(0)).entries
+        for n in range(n_max + 1)
+    ]
+    found: dict[int, list[Chain]] = {}
+    for n in range(1, n_max + 1):
+        src = bases[n]
+        m = len(src)
+        # The pivot columns (leftmost nonzeros of an echelon basis) of a
+        # subspace depend only on the subspace, and im d_in lies in
+        # ker d_out, so the classes sit at pivots(ker) - pivots(im).
+        # Solving an echelon form of d_out for each free column gives a
+        # kernel basis whose vectors end (rightmost nonzero) exactly at
+        # the free columns.  Eliminating with the columns mirrored
+        # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
+        # columns that are not pivots of the mirrored d_out.
+        reversed_pivots = pivot_columns(
+            {m - 1 - j: v for j, v in row.items()} for row in d[n]
+        )
+        kernel = set(range(m)) - {m - 1 - j for j in reversed_pivots}
+        # im d_in is spanned by the columns of d_in
+        columns: list[dict[int, Rational]] = [{} for _ in bases[n - 1]]
+        for i, row in enumerate(d[n - 1]):
+            for j, v in row.items():
+                columns[j][i] = v
+        image = pivot_columns(columns)
+        found[n] = sorted(src[j] for j in kernel.difference(image))
+    return found
 
 
 @dataclass

@@ -217,7 +217,7 @@ def test_locate_on_truncated_route_is_rejected_before_work(capsys, monkeypatch):
 
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):
     real = cli.cohom.rank
-    monkeypatch.setattr(cli.cohom, "rank", lambda m: real(m) + 1)
+    monkeypatch.setattr(cli.cohom, "rank", lambda m, cuts: [r + 1 for r in real(m, cuts)])
     code, _, err = run(capsys, "cohomology", "--delta", "1", "--nmax", "2", "--smax", "2")
     assert code == 1
     assert "FAIL: negative dimension" in err and "degree 1, grade -1" in err
@@ -333,6 +333,20 @@ def test_cache_key_covers_the_sources(capsys, tmp_path, monkeypatch):
     assert run(capsys, *args) == (0, fresh, "")
     assert len(computed) == 1  # changed sources: a miss under a new key
     assert len(list(tmp_path.glob("virhoch-*.json"))) == 2
+
+
+def test_cache_write_ignores_leftover_temp_path(capsys, tmp_path):
+    # a leftover "<entry>.tmp" (here a directory) must not break the write,
+    # and no temporary file outlives the run
+    config = cli.RunConfig(delta=Fraction(0), alpha=Fraction(0), n_max=2, s_max=4)
+    leftover = tmp_path / f"virhoch-{cli.__version__}-{config.cache_key()}.tmp"
+    leftover.mkdir()
+    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
+            "--cache-dir", str(tmp_path))
+    code, _, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert len(list(tmp_path.glob("virhoch-*.json"))) == 1
+    assert [p.name for p in tmp_path.glob("*.tmp")] == [leftover.name]
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):

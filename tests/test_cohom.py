@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from virhoch import cohom
+from virhoch.anick import grade
+from virhoch.cochain import reduced_row
 from virhoch.cohom import (
+    DiffMatrix,
     DimTable,
     InvariantError,
     cohomology_dims,
-    graded_basis,
     locate_classes,
     matrix_d,
     pivot_columns,
@@ -74,18 +76,28 @@ def random_rows(seed):
     ]
 
 
+def as_matrix(dense, width) -> DiffMatrix:
+    """Dense rows as a DiffMatrix; only the number of source chains matters."""
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
+    return DiffMatrix(source=[(j,) for j in range(width)], target=[], entries=sparse)
+
+
 def test_rank_edge_cases():
-    assert rank([]) == 0
-    assert rank([[F(0), F(0)]]) == 0
-    assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rank([[F(1, 3)], [F(0)], [F(5)]]) == 1
+    assert rank(as_matrix([], 0), [0]) == [0]
+    assert rank(as_matrix([[F(0), F(0)]], 2), [0, 1, 2]) == [0, 0, 0]
+    assert rank(as_matrix([[F(1), F(0)], [F(0), F(1)]], 2), [2]) == [2]
+    assert rank(as_matrix([[F(1), F(2)], [F(2), F(4)]], 2), [1, 2]) == [1, 1]
+    assert rank(as_matrix([[F(1, 3)], [F(0)], [F(5)]], 1), [0, 1]) == [0, 1]
+    assert rank(as_matrix([[F(0), F(1)], [F(0), F(2)]], 2), [1, 2]) == [0, 1]
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_rank_matches_gaussian_oracle(seed):
+    # every column prefix, from one call
     rows = random_rows(seed)
-    assert rank(rows) == gauss_rank(rows)[0]
+    width = len(rows[0])
+    prefixes = [gauss_rank([r[:k] for r in rows])[0] if k else 0 for k in range(width + 1)]
+    assert rank(as_matrix(rows, width), range(width + 1)) == prefixes
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -102,34 +114,50 @@ def test_pivot_columns_match_gaussian_oracle(seed):
 # graded bases and small differential matrices
 
 
+def graded_basis(n, s):
+    """Degree-n chains of grade exactly s, in lexicographic order."""
+    return [c for c in window_basis(n, s) if grade(c) == s]
+
+
 def test_graded_basis_examples():
     assert graded_basis(0, 0) == [()]
     assert graded_basis(0, 1) == []
     assert graded_basis(1, -1) == [(0,)]
     assert graded_basis(1, 3) == [(4,)]
     assert graded_basis(2, -1) == [(1, 0)]
-    assert set(window_basis(2, 2)) == {
+    # sorted by grade (-1, 0, 1, 1, 2, 2, 2), lexicographic within a grade
+    assert window_basis(2, 2) == [
         (1, 0), (2, 0), (2, 1), (3, 0), (2, 2), (3, 1), (4, 0),
-    }
+    ]
 
 
 def test_matrix_d_single_entry():
     src, tgt = [(0,)], [(1, 0)]
     m = matrix_d(1, src, tgt, F(2), F(0))
-    assert m.entries == [[F(1)]]  # (D - 1) at D = 2
-    assert rank(m) == 1
+    assert m.entries == [{0: F(1)}]  # (D - 1) at D = 2
+    assert rank(m, [1]) == [1]
     m0 = matrix_d(1, src, tgt, F(1), F(0))
-    assert m0.entries == [[F(0)]]
-    assert rank(m0) == 0
+    assert m0.entries == [{}]  # zeros are not stored
+    assert rank(m0, [1]) == [0]
 
 
 def test_matrix_d_orientation():
     # rows indexed by target chains, columns by source chains
-    src = graded_basis(1, 0)
-    tgt = graded_basis(2, 0)
-    m = matrix_d(1, src, tgt, F(0), F(0))
+    src = window_basis(1, 1)
+    tgt = window_basis(2, 1)
+    m = matrix_d(1, src, tgt, F(0), F(1))
     assert len(m.entries) == len(tgt)
-    assert all(len(r) == len(src) for r in m.entries)
+    assert all(0 <= j < len(src) for r in m.entries for j in r)
+    assert any(r for r in m.entries)
+
+
+def assemble(source, target, delta, alpha):
+    """Oracle rows of d, built here from ``reduced_row`` without ``matrix_d``."""
+    col = {c: j for j, c in enumerate(source)}
+    return [
+        {col[c]: v.specialize(delta, alpha) for c, v in reduced_row(t).items() if c in col}
+        for t in target
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +196,22 @@ def test_graded_breakdown():
     assert t0[(3, 0)] == 1
 
 
+@pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
+def test_graded_pieces_match_blocks_ranked_alone(delta):
+    # oracle: each (degree, grade) block assembled and ranked on its own
+    n_max, s_max = 4, 8
+    ranks = {}
+    for n in range(n_max + 1):
+        for s in range(-1, s_max + 1):
+            rows = assemble(graded_basis(n, s), graded_basis(n + 1, s), delta, F(0))
+            ranks[n, s] = len(pivot_columns(rows))
+    want = {}
+    for n in range(1, n_max + 1):
+        for s in range(max(-1, n - 3), s_max + 1):
+            want[n, s] = len(graded_basis(n, s)) - ranks[n, s] - ranks[n - 1, s]
+    assert cohomology_dims(delta, n_max, s_max).by_grade == want
+
+
 def test_truncated_requires_shift():
     with pytest.raises(ValueError):
         truncated_cohomology(F(1), F(0), 3, 6)
@@ -188,8 +232,8 @@ def test_truncated_split_matches_two_windows(delta, alpha):
         bases = [window_basis(n, cutoff) for n in range(n_max + 2)]
         for n in range(n_max + 1):
             if (cutoff, n) not in ranks:
-                m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
-                ranks[cutoff, n] = rank(m.entries[::-1])  # the row order only saves time
+                rows = assemble(bases[n], bases[n + 1], delta, alpha)
+                ranks[cutoff, n] = len(pivot_columns(rows[::-1]))  # the order only saves time
         return {
             n: len(bases[n]) - ranks[cutoff, n] - ranks[cutoff, n - 1]
             for n in range(1, n_max + 1)
@@ -229,9 +273,15 @@ def test_truncated_accepts_lowest_cutoff():
     assert sorted(table.stable) == [1, 2, 3, 4]
 
 
-def _overcount(monkeypatch):
+def _overcount(monkeypatch, last_only=False):
+    # one rank too many at every cut, or at the last cut (S + 1) only
     real = cohom.rank
-    monkeypatch.setattr(cohom, "rank", lambda m: real(m) + 1)
+
+    def overcounted(m, cuts):
+        ranks = real(m, cuts)
+        return ranks[:-1] + [ranks[-1] + 1] if last_only else [r + 1 for r in ranks]
+
+    monkeypatch.setattr(cohom, "rank", overcounted)
 
 
 def test_negative_graded_dimension_is_reported(monkeypatch):
@@ -240,21 +290,16 @@ def test_negative_graded_dimension_is_reported(monkeypatch):
         cohomology_dims(F(1), n_max=2, s_max=2)
 
 
-def _extra_pivot(monkeypatch, column):
-    # column -1 precedes every column, so it counts at both cutoffs; a column
-    # past every window counts at S + 1 only
-    real = cohom.pivot_columns
-    monkeypatch.setattr(cohom, "pivot_columns", lambda rows: sorted(real(rows) + [column]))
-
-
 def test_negative_truncated_dimension_is_reported(monkeypatch):
-    _extra_pivot(monkeypatch, -1)
+    # a pivot at column -1 precedes every column, so it counts at both cutoffs
+    real = cohom.pivot_columns
+    monkeypatch.setattr(cohom, "pivot_columns", lambda rows: [-1] + real(rows))
     with pytest.raises(InvariantError, match=r"degree 1, cutoff S=2, at delta=1, alpha=1/2"):
         truncated_cohomology(F(1), F(1, 2), 2, 2)
 
 
 def test_negative_dimension_at_next_cutoff_is_reported(monkeypatch):
-    _extra_pivot(monkeypatch, sys.maxsize)
+    _overcount(monkeypatch, last_only=True)
     with pytest.raises(InvariantError, match=r"degree 1, cutoff S\+1=3, at delta=1, alpha=1/2"):
         truncated_cohomology(F(1), F(1, 2), 2, 2)
 
@@ -267,6 +312,14 @@ OFF_GRADE = {
 }
 
 
+# both routes assemble their rows in ``matrix_d``, which checks the split;
+# each window of grades <= 2 holds the target [3|0]
+ROUTES = [
+    ("truncated_cohomology", (F(1), F(1), 3, 2)),
+    ("cohomology_dims", (F(1), 3, 2)),
+]
+
+
 @pytest.mark.parametrize("case", list(OFF_GRADE))
 def test_window_rejects_entry_off_the_grade_split(monkeypatch, case):
     src, val = OFF_GRADE[case]
@@ -274,8 +327,9 @@ def test_window_rejects_entry_off_the_grade_split(monkeypatch, case):
     monkeypatch.setattr(
         cohom, "reduced_row", lambda c: {**real(c), src: val} if c == (3, 0) else real(c)
     )
-    with pytest.raises(InvariantError, match=r"row of \[3\|0\] has the entry"):
-        truncated_cohomology(F(1), F(1), 3, 2)
+    for name, args in ROUTES:
+        with pytest.raises(InvariantError, match=r"row of \[3\|0\] has the entry"):
+            getattr(cohom, name)(*args)
 
 
 def test_window_grade_check_survives_optimization():
@@ -285,10 +339,11 @@ def test_window_grade_check_survives_optimization():
         "from virhoch.scalars import ONE\n"
         "real = cohom.reduced_row\n"
         "cohom.reduced_row = lambda c: {**real(c), (5,): ONE} if c == (3, 0) else real(c)\n"
-        "try:\n"
-        "    cohom.truncated_cohomology(Fraction(1), Fraction(1), 3, 2)\n"
-        "except cohom.InvariantError as exc:\n"
-        "    print(exc)\n"
+        f"for name, args in {ROUTES!r}:\n"
+        "    try:\n"
+        "        getattr(cohom, name)(*args)\n"
+        "    except cohom.InvariantError as exc:\n"
+        "        print(name, exc)\n"
     )
     src = str(Path(cohom.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -296,7 +351,8 @@ def test_window_grade_check_survives_optimization():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert "row of [3|0] has the entry 1 at [5]" in proc.stdout
+    for name, _ in ROUTES:
+        assert f"{name} row of [3|0] has the entry 1 at [5]" in proc.stdout
 
 
 def test_negative_dimension_check_survives_optimization():
@@ -304,7 +360,7 @@ def test_negative_dimension_check_survives_optimization():
         "from fractions import Fraction\n"
         "from virhoch import cohom\n"
         "real = cohom.rank\n"
-        "cohom.rank = lambda m: real(m) + 1\n"
+        "cohom.rank = lambda m, cuts: [r + 1 for r in real(m, cuts)]\n"
         "try:\n"
         "    cohom.cohomology_dims(Fraction(1), n_max=2, s_max=2)\n"
         "except cohom.InvariantError as exc:\n"
