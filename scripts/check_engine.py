@@ -2,10 +2,10 @@
 """End-to-end consistency battery, printed with timings.
 
 Runs the same checks the test suite automates: rewriting soundness,
-both square-zero suites, and the dimension tables against the bundled
-expectations.  Two negative controls plant a defect in the rule table;
-they must fail (exit 1), which shows that the square-zero gates can
-fail at all.  Nonzero exit on the first step whose exit code differs
+both square-zero suites, and the dimension tables at all nine bundled
+parameter points against the bundled expectations.  Two negative controls
+plant a defect in the rule table; they must fail (exit 1), which shows
+that the square-zero gates can fail at all.  Nonzero exit on the first step whose exit code differs
 from the one it expects.
 """
 
@@ -22,8 +22,13 @@ STEPS = [
     (1, ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8", "--inject-defect"]),
     (0, ["cohomology", "--delta", "1", "--expect", "paper", "--locate"]),
     (0, ["cohomology", "--delta", "0", "--expect", "paper", "--locate"]),
+    (0, ["cohomology", "--delta", "2", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "-1", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "-2", "--expect", "paper"]),
     (0, ["cohomology", "--delta", "5/2", "--expect", "paper"]),
     (0, ["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "0", "--alpha", "2", "--truncated", "8", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "3", "--alpha", "-1", "--truncated", "8", "--expect", "paper"]),
 ]
 
 

@@ -3,13 +3,7 @@ conformal algebra: rewriting system, resolution, and dimension tables."""
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    AlgElem,
-    check_overlap,
-    nf_word,
-    normal_form,
-    verify_defining_relations,
-)
+from .algebra import check_overlap, nf_word, normal_form, verify_defining_relations
 from .anick import (
     Chain,
     chain_from_text,
@@ -32,7 +26,6 @@ from .scalars import ParamPoly, format_rational, parse_rational
 
 __all__ = [
     "__version__",
-    "AlgElem",
     "Chain",
     "DimTable",
     "ParamPoly",

@@ -19,16 +19,18 @@ all inclusion-free critical pairs and soundness by
     v(n)v(m) - 3 v(n-1)v(m+1) + 3 v(n-2)v(m+2) - v(n-3)v(m+3) = 0   (n >= 3)
     v(n)v(m) - v(m)v(n) = (n-m) v(n+m-1)                            (n > m)
 
-Words are plain int tuples; linear combinations are ``AlgElem``.
+Words are plain int tuples.  A linear combination of words is a dict
+{word: Fraction} with no zero values; ``normal_form`` takes (word, coeff)
+pairs to the normal form of their sum in that shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .scalars import Scalar, format_rational
+from .scalars import add_term
 
 Word = tuple[int, ...]
 
@@ -74,18 +76,21 @@ def leftmost_obstruction(w: Word) -> int | None:
 
 
 def rule_rhs(i: int, j: int) -> list[tuple[Word, Fraction]]:
-    """Right-hand side of the rule rewriting v(i)v(j), as (word, coeff) pairs."""
+    """Right-hand side of the rule rewriting v(i)v(j), as (word, coeff) pairs.
+
+    Zero coefficients are left out; the last pair is never zero.
+    """
     if not is_obstruction(i, j):
         raise ValueError(f"v({i})v({j}) is not a rule left-hand side")
     if (i, j) == (1, 0):
         return [((0, 1), Fraction(1)), ((0,), Fraction(1))]
     d = Fraction(1, i + j - 1)
-    out = [((1, i + j - 1), d * i * j)]
-    c0 = -d * (i - 1) * (j - 1)
-    if c0:
-        out.append(((0, i + j), c0))
-    out.append(((i + j - 1,), d * i * (i - 1)))
-    return out
+    out = [
+        ((1, i + j - 1), d * i * j),
+        ((0, i + j), -d * (i - 1) * (j - 1)),
+        ((i + j - 1,), d * i * (i - 1)),
+    ]
+    return [(w, c) for w, c in out if c]
 
 
 class InvariantError(RuntimeError):
@@ -142,11 +147,7 @@ def nf_word(w: Word) -> dict[Word, Fraction]:
         total: dict[Word, Fraction] = {}
         for child, coeff in children:
             for word, inner in _NF_CACHE[child].items():
-                val = total.get(word, Fraction(0)) + coeff * inner
-                if val:
-                    total[word] = val
-                elif word in total:
-                    del total[word]
+                add_term(total, word, coeff * inner)
         _NF_CACHE[cur] = total
         stack.pop()
     return _NF_CACHE[w]
@@ -157,114 +158,16 @@ def clear_caches() -> None:
     _NF_CACHE.clear()
 
 
-class AlgElem:
-    """Linear combination of words, coefficients Fraction or ParamPoly."""
+def normal_form(terms: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
+    """Normal form of the sum of coeff * word over the pairs, as {word: coeff}.
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        clean: dict[Word, Scalar] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    prev = clean.get(word)
-                    coeff = coeff if prev is None else prev + coeff
-                    if coeff:
-                        clean[word] = coeff
-                    elif word in clean:
-                        del clean[word]
-        self._terms = clean
-
-    @staticmethod
-    def word(w: Word, coeff: Scalar = Fraction(1)) -> "AlgElem":
-        return AlgElem({tuple(w): coeff})
-
-    def __add__(self, other: "AlgElem") -> "AlgElem":
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            prev = out.get(word)
-            val = coeff if prev is None else prev + coeff
-            if val:
-                out[word] = val
-            elif word in out:
-                del out[word]
-        elem = AlgElem()
-        elem._terms = out
-        return elem
-
-    def __neg__(self) -> "AlgElem":
-        return self.scale(-1)
-
-    def __sub__(self, other: "AlgElem") -> "AlgElem":
-        return self + (-other)
-
-    def scale(self, coeff) -> "AlgElem":
-        if not coeff:
-            return AlgElem()
-        return AlgElem({w: coeff * c for w, c in self._terms.items()})
-
-    def __mul__(self, other: "AlgElem") -> "AlgElem":
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                val = c1 * c2
-                prev = out.get(word)
-                val = val if prev is None else prev + val
-                if val:
-                    out[word] = val
-                elif word in out:
-                    del out[word]
-        elem = AlgElem()
-        elem._terms = out
-        return elem
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("AlgElem is mutable-adjacent; not hashable")
-
-    def terms(self) -> list[tuple[Word, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: deglex_key(kv[0]))
-
-    def coeff(self, w: Word) -> Scalar:
-        return self._terms.get(tuple(w), Fraction(0))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            cs = format_rational(c) if isinstance(c, Fraction) else f"({c})"
-            parts.append(f"{cs}*{word_to_text(w) or '1'}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def normal_form(x: AlgElem | Word) -> AlgElem:
-    """Unique normal form; linear, idempotent, multiplicative with products."""
-    if isinstance(x, tuple):
-        x = AlgElem.word(x)
-    out: dict[Word, Scalar] = {}
-    for word, coeff in x._terms.items():
+    Linear and idempotent, and multiplicative with word concatenation.
+    """
+    out: dict[Word, Fraction] = {}
+    for word, coeff in terms:
         for nw, q in nf_word(word).items():
-            val = coeff * q
-            prev = out.get(nw)
-            val = val if prev is None else prev + val
-            if val:
-                out[nw] = val
-            elif nw in out:
-                del out[nw]
-    elem = AlgElem()
-    elem._terms = out
-    return elem
+            add_term(out, nw, coeff * q)
+    return out
 
 
 def check_overlap(n: int, m: int, p: int) -> bool:
@@ -276,9 +179,7 @@ def check_overlap(n: int, m: int, p: int) -> bool:
     if not (is_obstruction(n, m) and is_obstruction(m, p)):
         raise ValueError(f"({n},{m},{p}) is not an overlap ambiguity")
     w = (n, m, p)
-    left = AlgElem({child: c for child, c in _expand_at(w, 0)})
-    right = AlgElem({child: c for child, c in _expand_at(w, 1)})
-    return normal_form(left) == normal_form(right)
+    return normal_form(_expand_at(w, 0)) == normal_form(_expand_at(w, 1))
 
 
 @dataclass
@@ -313,24 +214,17 @@ def verify_defining_relations(bound: int, with_overlaps: bool = True) -> Relatio
     report = RelationReport(bound=bound)
     for n in range(3, bound + 1):
         for m in range(0, bound + 1):
-            elem = (
-                AlgElem.word((n, m))
-                - AlgElem.word((n - 1, m + 1)).scale(3)
-                + AlgElem.word((n - 2, m + 2)).scale(3)
-                - AlgElem.word((n - 3, m + 3))
-            )
+            relation = [
+                ((n, m), 1), ((n - 1, m + 1), -3), ((n - 2, m + 2), 3), ((n - 3, m + 3), -1)
+            ]
             report.locality_checked += 1
-            if normal_form(elem):
+            if normal_form(relation):
                 report.violations.append(f"locality({n},{m})")
     for n in range(1, bound + 1):
         for m in range(0, n):
-            elem = (
-                AlgElem.word((n, m))
-                - AlgElem.word((m, n))
-                - AlgElem.word((n + m - 1,)).scale(Fraction(n - m))
-            )
+            relation = [((n, m), 1), ((m, n), -1), ((n + m - 1,), m - n)]
             report.commutator_checked += 1
-            if normal_form(elem):
+            if normal_form(relation):
                 report.violations.append(f"commutator({n},{m})")
     if with_overlaps:
         for n in range(2, bound + 1):
@@ -349,15 +243,13 @@ def verify_defining_relations(bound: int, with_overlaps: bool = True) -> Relatio
 # negative-control hook: deliberately corrupt the second rule family so the
 # downstream consistency suites must fail.  Only the CLI test mode uses this.
 
-_RULE_DEFECT = False
 _true_rule_rhs = rule_rhs
 
 
 def set_rule_defect(enabled: bool) -> None:
-    global rule_rhs, _RULE_DEFECT
+    global rule_rhs
     from . import anick, cochain  # local import; avoids a cycle at load time
 
-    _RULE_DEFECT = bool(enabled)
     rule_rhs = _defective_rule_rhs if enabled else _true_rule_rhs
     clear_caches()
     anick.clear_caches()

@@ -40,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from . import algebra
-from .algebra import InvariantError, Word, is_obstruction, nf_word, weight
+from .algebra import InvariantError, Word, nf_word, weight
+from .scalars import add_term
 
 Chain = tuple[int, ...]
 Slots = tuple[Word, ...]
@@ -120,15 +120,6 @@ ResElem = dict[tuple[Chain, Word], Fraction]
 _ONE = Fraction(1)
 
 
-def _bar_add(acc: dict, key, val) -> None:
-    cur = acc.get(key)
-    val = val if cur is None else cur + val
-    if val:
-        acc[key] = val
-    elif key in acc:
-        del acc[key]
-
-
 def delta_prime(slots: Slots) -> BarElem:
     """Peel the first slot out front and merge each adjacent pair.
 
@@ -136,11 +127,11 @@ def delta_prime(slots: Slots) -> BarElem:
     [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly.
     """
     out: BarElem = {}
-    _bar_add(out, (slots[0], slots[1:]), _ONE)
+    add_term(out, (slots[0], slots[1:]), _ONE)
     for j in range(1, len(slots)):
         for word, q in nf_word(slots[j - 1] + slots[j]).items():
             merged = slots[: j - 1] + (word,) + slots[j + 1 :]
-            _bar_add(out, ((), merged), -q if j % 2 else q)
+            add_term(out, ((), merged), -q if j % 2 else q)
     return out
 
 
@@ -172,7 +163,7 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     out = delta_prime(split)
     if p % 2:
         out = {key: -q for key, q in out.items()}
-    _bar_add(out, ((), slots), _ONE)
+    add_term(out, ((), slots), _ONE)
     return out
 
 
@@ -199,12 +190,12 @@ def _times(acc: ResElem, lam: Word, q: Fraction, terms: Terms) -> None:
     """acc += q * lam * terms, leading words multiplied through ``nf_word``."""
     for (cp, mu), r in terms:
         if not mu:
-            _bar_add(acc, (cp, lam), q * r)
+            add_term(acc, (cp, lam), q * r)
         elif not lam:
-            _bar_add(acc, (cp, mu), q * r)
+            add_term(acc, (cp, mu), q * r)
         else:
             for word, t in nf_word(lam + mu).items():
-                _bar_add(acc, (cp, word), q * r * t)
+                add_term(acc, (cp, word), q * r * t)
 
 
 def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
@@ -327,7 +318,7 @@ def delta_closed(c: Chain) -> ResElem:
         return {((), (c[0],)): Fraction(1)}
     special = c[-2:] == (1, 0)
     out: ResElem = {}
-    _bar_add(out, (c[1:], (c[0],)), Fraction(1))  # leading letter peels off
+    add_term(out, (c[1:], (c[0],)), Fraction(1))  # leading letter peels off
     jmax = L - 2 if special else L - 1
     for j in range(1, jmax + 1):
         x, y = c[j - 1], c[j]
@@ -337,24 +328,24 @@ def delta_closed(c: Chain) -> ResElem:
         sj = Fraction(-1 if j % 2 else 1)
         frac = Fraction(x * y, K)
         if frac:
-            _bar_add(out, (m_minus, (1,)), sj * frac)
+            add_term(out, (m_minus, (1,)), sj * frac)
             for t in range(1, j):
-                _bar_add(out, (m_minus, ()), sj * frac * (c[t - 1] - 1))
-        _bar_add(out, (m_minus, ()), sj * Fraction(x * (x - 1), K))
+                add_term(out, (m_minus, ()), sj * frac * (c[t - 1] - 1))
+        add_term(out, (m_minus, ()), sj * Fraction(x * (x - 1), K))
         frac = Fraction((x - 1) * (y - 1), K)
         if frac:
-            _bar_add(out, (m_plus, (0,)), -sj * frac)
+            add_term(out, (m_plus, (0,)), -sj * frac)
             for t in range(1, j):
                 dec = m_plus[: t - 1] + (m_plus[t - 1] - 1,) + m_plus[t:]
-                _bar_add(out, (dec, ()), -sj * frac * c[t - 1])
+                add_term(out, (dec, ()), -sj * frac * c[t - 1])
     if special:
         body = c[:-2]
         sn = Fraction(1 if L % 2 else -1)  # (-1)^(L-1)
-        _bar_add(out, (body + (0,), ()), sn)
-        _bar_add(out, (body + (1,), (0,)), sn)
+        add_term(out, (body + (0,), ()), sn)
+        add_term(out, (body + (1,), (0,)), sn)
         for j, letter in enumerate(body):
             dec = body[:j] + (letter - 1,) + body[j + 1 :]
-            _bar_add(out, (dec + (1,), ()), sn * letter)
+            add_term(out, (dec + (1,), ()), sn * letter)
     return _drop_non_chains(out)
 
 
@@ -373,5 +364,5 @@ def compose_delta(c: Chain, delta=delta_generic) -> dict[tuple[Chain, Word], Fra
     for (c1, lam1), q1 in delta(c).items():
         for (c2, lam2), q2 in delta(c1).items():
             for word, r in nf_word(lam1 + lam2).items():
-                _bar_add(out, ((c2), word), q1 * q2 * r)
+                add_term(out, (c2, word), q1 * q2 * r)
     return out

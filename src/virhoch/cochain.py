@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
-from .scalars import A, D, ParamPoly
+from .scalars import A, D, ParamPoly, add_term
 
 
 def _decrements(c: Chain):
@@ -56,15 +56,6 @@ _RED_ROWS: dict[Chain, Row] = {}
 
 def clear_caches() -> None:
     _RED_ROWS.clear()
-
-
-def _row_add(row: Row, c: Chain, val) -> None:
-    cur = row.get(c)
-    val = val if cur is None else cur + val
-    if val:
-        row[c] = val
-    elif c in row:
-        del row[c]
 
 
 def reduced_row(c: Chain) -> Row:
@@ -85,16 +76,16 @@ def reduced_row(c: Chain) -> Row:
     row: Row = {}
     for (cp, lam), q in delta_generic(c).items():
         if lam == ():
-            _row_add(row, cp, ParamPoly.const(q))
+            add_term(row, cp, ParamPoly.const(q))
         elif lam == (0,):
-            _row_add(row, cp, A * q)
+            add_term(row, cp, A * q)
         elif lam == (1,):
-            _row_add(row, cp, D * q)
+            add_term(row, cp, D * q)
     for mult, down in _decrements(c):
         if is_chain(down):
             for (cp, lam), q in delta_generic(down).items():
                 if lam == (0,):
-                    _row_add(row, cp, ParamPoly.const(-mult * q))
+                    add_term(row, cp, ParamPoly.const(-mult * q))
     s = grade(c)
     for cp, val in row.items():
         if (
@@ -127,7 +118,7 @@ def action_row(c: Chain) -> Row:
                     f"action row of {chain_to_text(c)}: a term of the differential "
                     f"of {chain_to_text(chain)} acts with ∂-degree {val.d_degree()}: {val}"
                 )
-            _row_add(row, cp, val.coeff(k) * scale)
+            add_term(row, cp, val.coeff(k) * scale)
 
     add_coeff(c, 0, 1)
     for mult, down in _decrements(c):
@@ -157,7 +148,7 @@ def closed_reduced_row(c: Chain) -> Row:
 
     def add(target: Chain, val) -> None:
         if val and is_chain(target):
-            _row_add(row, target, ParamPoly.coerce(val))
+            add_term(row, target, ParamPoly.coerce(val))
 
     jmax = L - 3 if special else L - 1
     for j in range(1, jmax + 1):

@@ -36,7 +36,7 @@ from typing import Iterable
 
 from .anick import Chain, InvariantError, chain_to_text, enumerate_chains, grade, is_chain
 from .cochain import reduced_row
-from .scalars import format_rational
+from .scalars import add_term, format_rational
 
 Rational = Fraction
 
@@ -63,10 +63,12 @@ def matrix_d(
 ) -> DiffMatrix:
     """Differential from degree n to n + 1 between explicit bases.
 
-    Each entry is specialized once.  Every entry of a row, inside the bases
-    or not, must be a-free where the source grade equals the target's, or a
-    multiple of a where it is one higher; ``rank`` reads grade windows and
-    graded blocks off one elimination because of that shape.
+    Every entry of a row, inside the bases or not, must be a-free where the
+    source grade equals the target's, or a multiple of a where it is one
+    higher; ``rank`` reads grade windows and graded blocks off one
+    elimination because of that shape.  Each entry inside the bases is
+    specialized once, except that at a = 0 the a-linear ones are skipped:
+    they vanish there.
     """
     col_of = {c: j for j, c in enumerate(source)}
     rows = []
@@ -82,7 +84,7 @@ def matrix_d(
                     f"at the same grade and a-linear ones one grade up are allowed"
                 )
             j = col_of.get(src)
-            if j is not None:
+            if j is not None and (alpha or not step):
                 x = val.specialize(delta, alpha)
                 if x:
                     row[j] = x
@@ -117,11 +119,7 @@ def pivot_columns(rows: Iterable[dict[int, Rational]]) -> list[int]:
             if a != 1:
                 vec = {j: a * v for j, v in vec.items()}
             for j, v in piv.items():
-                x = vec.get(j, 0) - b * v
-                if x:
-                    vec[j] = x
-                else:
-                    del vec[j]
+                add_term(vec, j, -b * v)
     return sorted(echelon)
 
 
@@ -373,7 +371,6 @@ def verify_contraction(
     delta: Rational,
     alpha: Rational,
     samples: list[Chain] | None = None,
-    alpha_rule=None,
 ) -> ContractionReport:
     """Check the coboundary witness for cocycles concentrated on (..., 0).
 
@@ -393,13 +390,13 @@ def verify_contraction(
     delta = Fraction(delta)
     if samples is None:
         samples = [c for c in enumerate_chains(n, 8) if c[-1] == 0][:12]
-    if alpha_rule is None:
+
+    def alpha_rule(c: Chain) -> Fraction:
         # deterministic but unstructured sample values
-        def alpha_rule(c: Chain) -> Fraction:
-            h = 1
-            for m in c:
-                h = (h * 31 + m + 7) % 1009
-            return Fraction(h % 19 - 9, 1 + h % 5)
+        h = 1
+        for m in c:
+            h = (h * 31 + m + 7) % 1009
+        return Fraction(h % 19 - 9, 1 + h % 5)
 
     sign = Fraction(1 if n % 2 else -1)  # (-1)^(n-1)
 

@@ -40,6 +40,22 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def add_term(acc: dict, key, val) -> None:
+    """acc[key] += val, dropping the key when the sum is zero.
+
+    Every sparse linear combination in the package (normal forms, the
+    resolution differential, reduced rows, echelon rows over Z) is a dict
+    of nonzero values kept that way by this one helper.
+    """
+    cur = acc.get(key)
+    if cur is not None:
+        val = cur + val
+    if val:
+        acc[key] = val
+    elif cur is not None:
+        del acc[key]
+
+
 class ParamPoly:
     """Polynomial in the module parameters D and a with rational coefficients.
 

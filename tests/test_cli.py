@@ -143,6 +143,62 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# Mutation-style negative controls: a flipped sign in one reduced row and a
+# dropped pivot must each fail the gate that covers them.  Each mutant is
+# the source of a replacement for ``module.name``, evaluated with the
+# original bound to ``real``.
+MUTANTS = {
+    "row_sign": (
+        "cochain", "reduced_row",
+        "lambda c: {k: -v if c == (2, 1, 0) and i == 0 else v "
+        "for i, (k, v) in enumerate(real(c).items())}",
+        ["ddzero", "--symbolic", "--degrees", "2", "--smax", "3"],
+        1, "FAIL d.d at [2|1|0]",
+    ),
+    "dropped_pivot": (
+        "cohom", "pivot_columns",
+        "lambda rows: real(rows)[:-1]",
+        ["cohomology", "--delta", "1", "--expect", "paper"],
+        2, "totals {'1': 3, '2': 3, '3': 2, '4': 2} differ from expected "
+        "{'1': 2, '2': 1, '3': 0, '4': 0}",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_mutant_fails_its_gate(capsys, monkeypatch, mutant):
+    module, name, source, argv, code, message = MUTANTS[mutant]
+    target = getattr(cli, module)
+    monkeypatch.setattr(target, name, eval(source, {"real": getattr(target, name)}))
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert message in out + err
+
+
+def test_mutants_fail_under_optimization():
+    script = (
+        "from virhoch import cli\n"
+        f"for module, name, source, argv, _, _ in {list(MUTANTS.values())!r}:\n"
+        "    target = getattr(cli, module)\n"
+        "    real = getattr(target, name)\n"
+        "    setattr(target, name, eval(source))\n"
+        "    print('exit', cli.main(argv), flush=True)\n"
+        "    setattr(target, name, real)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert exits == [f"exit {code}" for _, _, _, _, code, _ in MUTANTS.values()]
+    for _, _, _, _, _, message in MUTANTS.values():
+        assert message in proc.stdout + proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # cohomology
 

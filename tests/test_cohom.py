@@ -25,7 +25,7 @@ from virhoch.cohom import (
     verify_contraction,
     window_basis,
 )
-from virhoch.scalars import A, ONE
+from virhoch.scalars import A, ONE, ParamPoly
 
 F = Fraction
 
@@ -210,6 +210,40 @@ def test_graded_pieces_match_blocks_ranked_alone(delta):
         for s in range(max(-1, n - 3), s_max + 1):
             want[n, s] = len(graded_basis(n, s)) - ranks[n, s] - ranks[n - 1, s]
     assert cohomology_dims(delta, n_max, s_max).by_grade == want
+
+
+# nonzero graded pieces for n_max 3, s_max 5; every other piece is 0
+SMALL_PIECES = {
+    F(1): {(1, -1): 1, (1, 0): 1, (2, -1): 1},
+    F(0): {(1, 1): 1, (2, 0): 1, (2, 1): 1, (3, 0): 1},
+}
+
+
+@pytest.mark.parametrize("delta", sorted(SMALL_PIECES))
+def test_graded_route_specializes_no_entry_one_grade_up(monkeypatch, delta):
+    # At a = 0 the a-linear entries, whose source sits one grade above the
+    # target, vanish: the grade-split check reads them, nothing evaluates them.
+    real_row, real_specialize = cohom.reduced_row, ParamPoly.specialize
+    step = {}  # id of a row entry -> source grade minus target grade
+
+    def row(c):
+        out = real_row(c)
+        for src, val in out.items():
+            step[id(val)] = grade(src) - grade(c)
+        return out
+
+    steps = []
+
+    def specialize(val, weight, shift):
+        steps.append(step.get(id(val)))
+        return real_specialize(val, weight, shift)
+
+    monkeypatch.setattr(cohom, "reduced_row", row)
+    monkeypatch.setattr(ParamPoly, "specialize", specialize)
+    by_grade = cohomology_dims(delta, n_max=3, s_max=5).by_grade
+    assert steps and set(steps) == {0}
+    assert len(by_grade) == 20
+    assert {k: v for k, v in by_grade.items() if v} == SMALL_PIECES[delta]
 
 
 def test_truncated_requires_shift():
