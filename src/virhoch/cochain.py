@@ -52,6 +52,7 @@ def _decrements(c: Chain):
 Row = dict[Chain, ParamPoly]
 
 _RED_ROWS: dict[Chain, Row] = {}
+_ZERO = Fraction(0)
 
 
 def clear_caches() -> None:
@@ -61,42 +62,51 @@ def clear_caches() -> None:
 def reduced_row(c: Chain) -> Row:
     """Row of the reduced differential at chain c over the source basis.
 
-    One pass over ``delta_generic(c)`` gives the raw c0 row (v(1) feeds D,
-    v(0) feeds a and ∂u, letters >= 2 annihilate the generator); each chain
-    ``down`` with one letter decremented adds -letter times its psi row,
-    the v(0) terms of ``delta_generic(down)``.
+    One pass over ``delta_generic(c)`` and the chains ``down`` with one
+    letter decremented fills three rational maps: the constant part (the
+    raw c0 terms, whose word is empty, and -letter times the psi terms of
+    each ``down``, the v(0) terms of ``delta_generic(down)``), the D part
+    (the v(1) terms of c) and the a part (the v(0) terms of c).  Letters
+    >= 2 annihilate the generator.
 
-    Every entry splits as P + a·Q with P supported where source and target
-    grades agree and Q where the source grade exceeds the target's by one;
-    that decomposition is what makes the a = 0 complex split by grade.
+    The grade split is checked on the maps: the constant and D parts sit
+    where source and target grades agree, the a part where the source
+    grade exceeds the target's by one; that decomposition is what makes
+    the a = 0 complex split by grade.  A violation raises
+    ``InvariantError`` naming the chain and the entry.  Each entry is then
+    emitted once, as ``ParamPoly.affine``.
     """
     cached = _RED_ROWS.get(c)
     if cached is not None:
         return cached
-    row: Row = {}
+    r0: dict[Chain, Fraction] = {}
+    rd: dict[Chain, Fraction] = {}
+    ra: dict[Chain, Fraction] = {}
     for (cp, lam), q in delta_generic(c).items():
         if lam == ():
-            add_term(row, cp, ParamPoly.const(q))
+            add_term(r0, cp, q)
         elif lam == (0,):
-            add_term(row, cp, A * q)
+            add_term(ra, cp, q)
         elif lam == (1,):
-            add_term(row, cp, D * q)
+            add_term(rd, cp, q)
     for mult, down in _decrements(c):
         if is_chain(down):
             for (cp, lam), q in delta_generic(down).items():
                 if lam == (0,):
-                    add_term(row, cp, ParamPoly.const(-mult * q))
+                    add_term(r0, cp, -mult * q)
+
+    def entry(cp: Chain) -> ParamPoly:
+        return ParamPoly.affine(r0.get(cp, _ZERO), rd.get(cp, _ZERO), ra.get(cp, _ZERO))
+
     s = grade(c)
-    for cp, val in row.items():
-        if (
-            val.degree_a() > 1
-            or (val.drop_shift() and grade(cp) != s)
-            or (val.shift_part() and grade(cp) != s + 1)
-        ):
-            raise InvariantError(
-                f"row of {chain_to_text(c)} breaks the grade split at "
-                f"{chain_to_text(cp)}: {val}"
-            )
+    for part, at in ((r0, s), (rd, s), (ra, s + 1)):
+        for cp in part:
+            if grade(cp) != at:
+                raise InvariantError(
+                    f"row of {chain_to_text(c)} breaks the grade split at "
+                    f"{chain_to_text(cp)}: {entry(cp)}"
+                )
+    row: Row = {cp: entry(cp) for cp in {**r0, **rd, **ra}}
     _RED_ROWS[c] = row
     return row
 

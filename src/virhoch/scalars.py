@@ -13,6 +13,14 @@ always in lowest terms with positive denominator.  ``ParamPoly`` is a thin
 commutative-polynomial layer over ``Fraction`` in the two parameters; it
 exists so that differentials can be assembled once, symbolically, and then
 specialized at many parameter points.
+
+Its term map (monomial -> nonzero Fraction) is private to this module.  The
+public constructor ``ParamPoly(terms)`` validates what it is given: it
+coerces every coefficient to ``Fraction``, drops zeros and rejects negative
+exponents.  Results of the module's own arithmetic (``+``, ``-``, ``*``,
+``const``) are built with ``add_term`` from maps that already hold, and are
+stored as they are.  ``ParamPoly.affine(c0, cd, ca)`` builds the row-entry
+shape ``c0 + cd*D + ca*a`` straight from three Fractions.
 """
 
 from __future__ import annotations
@@ -74,16 +82,34 @@ class ParamPoly:
                     dd, da = key
                     if dd < 0 or da < 0:
                         raise ValueError(f"negative exponent in {key}")
-                    clean[(dd, da)] = clean.get((dd, da), Fraction(0)) + coeff
-                    if not clean[(dd, da)]:
-                        del clean[(dd, da)]
+                    add_term(clean, (dd, da), coeff)
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Fraction]) -> "ParamPoly":
+        """Wrap a map of nonzero Fractions at nonnegative exponents, as is."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(x) -> "ParamPoly":
-        return ParamPoly({(0, 0): Fraction(x)})
+        x = Fraction(x)
+        return ParamPoly._trusted({(0, 0): x} if x else {})
+
+    @staticmethod
+    def affine(c0: Fraction, cd: Fraction, ca: Fraction) -> "ParamPoly":
+        """c0 + cd*D + ca*a from three Fractions; zero parts are not stored."""
+        terms: dict[Monomial, Fraction] = {}
+        if c0:
+            terms[(0, 0)] = c0
+        if cd:
+            terms[(1, 0)] = cd
+        if ca:
+            terms[(0, 1)] = ca
+        return ParamPoly._trusted(terms)
 
     @staticmethod
     def coerce(x: Scalar) -> "ParamPoly":
@@ -97,13 +123,13 @@ class ParamPoly:
         other = ParamPoly.coerce(other)
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return ParamPoly(out)
+            add_term(out, key, coeff)
+        return ParamPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({k: -c for k, c in self._terms.items()})
+        return ParamPoly._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
@@ -113,14 +139,15 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
-            return ParamPoly({k: c * other for k, c in self._terms.items()})
+            if not other:
+                return ParamPoly._trusted({})
+            return ParamPoly._trusted({k: c * other for k, c in self._terms.items()})
         other = ParamPoly.coerce(other)
         out: dict[Monomial, Fraction] = {}
         for (d1, a1), c1 in self._terms.items():
             for (d2, a2), c2 in other._terms.items():
-                key = (d1 + d2, a1 + a2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ParamPoly(out)
+                add_term(out, (d1 + d2, a1 + a2), c1 * c2)
+        return ParamPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -146,20 +173,9 @@ class ParamPoly:
     def coeff(self, dd: int, da: int) -> Fraction:
         return self._terms.get((dd, da), Fraction(0))
 
-    def degree_a(self) -> int:
-        return max((da for (_, da) in self._terms), default=0)
-
     def a_degrees(self) -> set[int]:
         """The powers of a that occur."""
         return {da for (_, da) in self._terms}
-
-    def shift_part(self) -> "ParamPoly":
-        """The coefficient of a^1, as a polynomial in D (a-linear part)."""
-        return ParamPoly({(dd, da - 1): c for (dd, da), c in self._terms.items() if da >= 1})
-
-    def drop_shift(self) -> "ParamPoly":
-        """The a-free part."""
-        return ParamPoly({(dd, da): c for (dd, da), c in self._terms.items() if da == 0})
 
     def specialize(self, weight: Fraction, shift: Fraction) -> Fraction:
         """Evaluate at D = weight, a = shift.

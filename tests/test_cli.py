@@ -89,7 +89,7 @@ def test_ddzero_symbolic_injected_defect(capsys):
     code, _, err = run(capsys, "ddzero", "--symbolic", "--degrees", "1",
                        "--smax", "3", "--inject-defect")
     assert code == 1
-    assert "FAIL" in err
+    assert err == "FAIL d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
 
 
 @pytest.mark.parametrize(
@@ -107,12 +107,17 @@ def test_ddzero_symbolic_injected_defect(capsys):
             "row of [1|0] breaks the grade split at [2]",
         ),
         (
+            "cochain.delta_generic = lambda c: {((1,), (1,)): Fraction(1)}",
+            ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
+            "row of [1|0] breaks the grade split at [1]",
+        ),
+        (
             "algebra.rule_rhs = lambda i, j: [((i, j), Fraction(1))]",
             ["gsb", "--bound", "2"],
             "rewrite v1.v0 -> v1.v0 does not decrease deg-lex",
         ),
     ],
-    ids=["delta_generic", "reduced_row", "rule_order"],
+    ids=["delta_generic", "reduced_row", "reduced_row_d_part", "rule_order"],
 )
 def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
     script = (

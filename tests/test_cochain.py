@@ -147,10 +147,10 @@ def test_row_grade_split():
             s = grade(c)
             for cp, val in reduced_row(c).items():
                 assert is_chain(cp) and len(cp) == n
-                assert val.degree_a() <= 1
-                if val.drop_shift():
+                assert val.a_degrees() <= {0, 1}
+                if 0 in val.a_degrees():
                     assert grade(cp) == s
-                if val.shift_part():
+                if 1 in val.a_degrees():
                     assert grade(cp) == s + 1
 
 

@@ -44,14 +44,32 @@ def test_specialize_is_a_homomorphism(x, y, w, s):
     assert ONE.specialize(w, s) == 1
 
 
-@given(polys)
-def test_shift_decomposition(x):
-    # split off the a-multiples: x = drop_shift(x) + a * (...)
-    assert x.drop_shift() + A * ParamPoly(
-        {(dd, da - 1): c for (dd, da), c in x._terms.items() if da >= 1}
-    ) == x
-    if x.degree_a() <= 1:
-        assert x.drop_shift() + A * x.shift_part() == x
+scalars = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def stored_cleanly(p: ParamPoly) -> bool:
+    # the arithmetic stores its results unvalidated, so each stored map must
+    # already be what the validating constructor makes of it
+    terms = p._terms
+    return (
+        all(type(c) is Fraction and c for c in terms.values())
+        and all(dd >= 0 and da >= 0 for dd, da in terms)
+        and ParamPoly(terms)._terms == terms
+    )
+
+
+@given(polys, polys, scalars, st.tuples(scalars, scalars, scalars))
+def test_arithmetic_stores_clean_maps(x, y, q, parts):
+    results = [
+        x + y, x - y, x * y, x * q, q * x, x * q.numerator, q.numerator * x, -x,
+        ParamPoly.const(q), ParamPoly.affine(*parts),
+    ]
+    for p in results:
+        assert stored_cleanly(p), p
+    # map equality is polynomial equality only while zero stores nothing
+    assert (x + (-x))._terms == {}
+    assert (x * 0)._terms == {} and (x * Fraction(0))._terms == {}
+    assert ParamPoly.affine(*parts) == ParamPoly.const(parts[0]) + parts[1] * D + parts[2] * A
 
 
 @given(polys)
