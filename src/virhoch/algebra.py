@@ -247,10 +247,20 @@ _true_rule_rhs = rule_rhs
 
 
 def set_rule_defect(enabled: bool) -> None:
+    """Make the defective rule table active, or the true one.
+
+    The memos of ``algebra``, ``anick`` and ``cochain`` hold values computed
+    under the active rule, so they are dropped when the rule changes and
+    kept while it stays the same: runs in one process reuse each other's
+    normal forms, differentials and rows.
+    """
     global rule_rhs
     from . import anick, cochain  # local import; avoids a cycle at load time
 
-    rule_rhs = _defective_rule_rhs if enabled else _true_rule_rhs
+    rule = _defective_rule_rhs if enabled else _true_rule_rhs
+    if rule is rule_rhs:
+        return
+    rule_rhs = rule
     clear_caches()
     anick.clear_caches()
     cochain.clear_caches()

@@ -19,10 +19,17 @@ The differential is computed two ways:
   Iteration stops when every bracket is a chain of single letters.  This is
   the authority: it only uses the rewriting system.  The iteration is linear
   in the bracket, so ``reduce_bracket`` reduces each bracket once, depth
-  first, and memoizes the value of every bracket that needs rewriting for
-  the life of the process; a chain's differential is ``delta_prime`` of its
-  letters with each resulting bracket replaced by that value.  Brackets
-  that are final or vanish after one pass are recomputed, not stored.
+  first, and memoizes the value of every bracket that needs rewriting while
+  the rule table stays the same; a chain's differential is ``delta_prime``
+  of its letters with each resulting bracket replaced by that value.
+  Brackets that are final or vanish after one pass are recomputed, not
+  stored, and most of those that vanish are never built: every bracket the
+  iteration meets is single letters with at most one two-letter slot, and
+  it vanishes at once unless the letters before that slot plus the slot's
+  first letter form a chain.  So once ``delta_dprime`` has split a bracket
+  into letters l_0, l_1, ..., with l_f the first letter below 2, a merge
+  into slot k can survive only if k <= f, or k = f + 1 with l_f = 1 and the
+  merged word starting with 0; ``delta_prime`` skips every other merge.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
@@ -124,13 +131,39 @@ def delta_prime(slots: Slots) -> BarElem:
     """Peel the first slot out front and merge each adjacent pair.
 
     [w1|...|wk] maps to w1 [w2|...|wk] plus sum over j of (-1)^j
-    [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly.
+    [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly,
+    less the merged brackets that ``delta_dprime`` maps to zero at once,
+    which are never built.
+
+    Those are read off the slot heads.  ``delta_dprime`` kills a bracket
+    unless a tuple t of its heads is a chain: the heads up to its first
+    composite slot, or all of them.  A chain has letters >= 2 except in its
+    last two places.  Let slot f (0-based) be the first that is not a single
+    letter >= 2, and let it hold a letter l_f < 2 and slot f + 1 a single
+    letter; otherwise nothing is skipped.  (The reduction only splits
+    brackets into single letters.)  After a merge into slot k > f + 1, l_f
+    is not in the last two places of t, so those merges are skipped.  At
+    k = f + 1 it is second to last or earlier, so a merged word survives
+    only if l_f = 1 and the word starts with 0.
     """
+    n = len(slots)
     out: BarElem = {}
     add_term(out, (slots[0], slots[1:]), _ONE)
-    for j in range(1, len(slots)):
-        for word, q in nf_word(slots[j - 1] + slots[j]).items():
-            merged = slots[: j - 1] + (word,) + slots[j + 1 :]
+    live, edge = n - 1, n  # merge into slots k < live; filter words at k = edge
+    for f, w in enumerate(slots):
+        if len(w) > 1:
+            break
+        if w[0] < 2:
+            if f + 1 < n and len(slots[f + 1]) == 1:
+                # l_f = 0 ends the merges at slot f, l_f = 1 at slot f + 1
+                live, edge = min(f + 1 + w[0], n - 1), f + 1
+            break
+    for k in range(live):
+        j = k + 1
+        for word, q in nf_word(slots[k] + slots[j]).items():
+            if k == edge and word[0]:
+                continue
+            merged = slots[:k] + (word,) + slots[j + 1 :]
             add_term(out, ((), merged), -q if j % 2 else q)
     return out
 
@@ -141,11 +174,14 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     A bracket of single letters is final when the letters form a chain and
     zero otherwise.  Otherwise let the leftmost composite slot sit at
     position p (0-based): the bracket maps to zero unless the p letters
-    before it form a chain that stays a chain after appending the composite
-    slot's first letter; in that case the slot is split in two and
-    ``delta_prime`` of the longer bracket is taken with sign (-1)^p, plus
-    the bracket itself.  The copy regenerated by the merge at the split
-    point cancels that last summand.
+    before it followed by the composite slot's first letter form a chain
+    (every prefix of a chain is a chain, so the p letters then do too); in
+    that case the slot is split in two and ``delta_prime`` of the longer
+    bracket is taken with sign (-1)^p, plus the bracket itself.  The copy
+    regenerated by the merge at the split point cancels that last summand;
+    ``delta_prime`` never skips it, since its heads up to the split are the
+    chain just tested.  The merges it does skip are brackets this function
+    would map to zero.
     """
     p = None
     for idx, w in enumerate(slots):
@@ -155,11 +191,9 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     if p is None:
         letters = tuple(w[0] for w in slots)
         return None if is_chain(letters) else {}
-    prefix = tuple(w[0] for w in slots[:p])
-    head = slots[p][0]
-    if not (is_chain(prefix) and is_chain(prefix + (head,))):
+    if not is_chain(tuple(w[0] for w in slots[: p + 1])):
         return {}
-    split = slots[:p] + ((head,), slots[p][1:]) + slots[p + 1 :]
+    split = slots[:p] + ((slots[p][0],), slots[p][1:]) + slots[p + 1 :]
     out = delta_prime(split)
     if p % 2:
         out = {key: -q for key, q in out.items()}
@@ -225,8 +259,8 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
     the value is the sum of q * lam * reduce_bracket(child) over the terms
     q lam [child] of ``delta_dprime(slots)``, and the passes are one more
     than the children's deepest.  Only brackets that need rewriting are
-    cached, for the life of the process.  A descent that would take more
-    than ``budget`` passes raises ``IterationOverflow``; it runs on an
+    cached, while the rule table stays the same.  A descent that would take
+    more than ``budget`` passes raises ``IterationOverflow``; it runs on an
     explicit stack, so a rewrite that never stabilizes reaches the budget
     and not the interpreter's recursion limit.
     """

@@ -3,7 +3,8 @@
 delta_generic is the authority (iterated splitting against the rewriting
 system); delta_closed evaluates the explicit two-case formula.  They must
 agree exactly, and the composite must vanish with coefficient products
-pushed through the rewriting engine.
+pushed through the rewriting engine.  A plain recursion over the bar
+operators, with no merge skipped, checks the pruning in delta_prime.
 """
 
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virhoch import algebra, anick, cochain
+from virhoch.algebra import nf_word
 from virhoch.cli import main
 from virhoch.anick import (
     IterationOverflow,
@@ -28,6 +30,7 @@ from virhoch.anick import (
     grade,
     is_chain,
 )
+from virhoch.scalars import add_term
 
 CHECK_SMAX = 6  # unit-test range; the acceptance module runs the full window
 
@@ -66,6 +69,13 @@ def test_chain_counts_in_window():
     # cardinalities of the degree-n bases with grade <= 8
     counts = [len(enumerate_chains(n, 8)) for n in range(6)]
     assert counts == [1, 10, 46, 129, 246, 336]
+
+
+def test_every_prefix_of_a_chain_is_a_chain():
+    # delta_dprime tests only the p letters plus the composite slot's head
+    for n in range(1, 7):
+        for c in enumerate_chains(n, 9):
+            assert all(is_chain(c[:k]) for k in range(n)), c
 
 
 def test_chain_text_round_trip():
@@ -122,6 +132,76 @@ def test_delta_dprime_splits():
     assert out == {((1,), ((1,),)): Fraction(1)}
     # already a chain: fixed point, signalled as None
     assert delta_dprime(((2,), (3,))) is None
+
+
+# the bar operators as written, with no merge skipped: the reference for the
+# pruning in delta_prime
+
+
+def unpruned_delta_prime(slots):
+    out = {}
+    add_term(out, (slots[0], slots[1:]), Fraction(1))
+    for j in range(1, len(slots)):
+        for word, q in nf_word(slots[j - 1] + slots[j]).items():
+            merged = slots[: j - 1] + (word,) + slots[j + 1 :]
+            add_term(out, ((), merged), -q if j % 2 else q)
+    return out
+
+
+def times(acc, lam, q, value):
+    """acc += q * lam * value, leading words multiplied through nf_word."""
+    for (cp, mu), r in value.items():
+        for word, t in nf_word(lam + mu).items():
+            add_term(acc, (cp, word), q * r * t)
+
+
+def unpruned_reduce(slots, memo):
+    """Fully reduced value of a bracket, by plain recursion without pruning."""
+    if slots in memo:
+        return memo[slots]
+    heads = tuple(w[0] for w in slots)
+    p = next((i for i, w in enumerate(slots) if len(w) >= 2), None)
+    out = {}
+    if p is None:
+        if is_chain(heads):
+            out[(heads, ())] = Fraction(1)
+    elif is_chain(heads[: p + 1]):
+        split = slots[:p] + ((slots[p][0],), slots[p][1:]) + slots[p + 1 :]
+        sign = -1 if p % 2 else 1
+        rewrite = {k: sign * q for k, q in unpruned_delta_prime(split).items()}
+        add_term(rewrite, ((), slots), Fraction(1))
+        for (lam, child), q in rewrite.items():
+            times(out, lam, q, unpruned_reduce(child, memo))
+    memo[slots] = out
+    return out
+
+
+SLOT_WORDS = [(m,) for m in range(5)] + [(0, 1), (0, 3), (1, 2), (1, 1)]
+
+
+def test_pruned_merges_are_exactly_dead_brackets():
+    # brackets of single letters (what the reduction splits) and brackets with
+    # composite slots anywhere; what pruning drops must vanish at once
+    dropped = 0
+    for n in range(2, 5):
+        for slots in product(SLOT_WORDS, repeat=n):
+            diff = unpruned_delta_prime(slots)
+            for key, q in delta_prime(slots).items():
+                add_term(diff, key, -q)
+            for lam, child in diff:
+                assert lam == () and delta_dprime(child) == {}, (slots, child)
+            dropped += len(diff)
+    assert dropped > 0
+
+
+def test_generic_equals_unpruned_reduction():
+    memo = {}
+    for n in range(1, 6):
+        for c in enumerate_chains(n, 8):
+            want = {}
+            for (lam, slots), q in unpruned_delta_prime(tuple((m,) for m in c)).items():
+                times(want, lam, q, unpruned_reduce(slots, memo))
+            assert delta_generic(c) == want, c
 
 
 # --- the differential ---------------------------------------------------------

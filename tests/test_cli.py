@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from virhoch import cli
+from virhoch import anick, cli
 from virhoch.cli import main
 
 
@@ -90,6 +90,31 @@ def test_ddzero_symbolic_injected_defect(capsys):
                        "--smax", "3", "--inject-defect")
     assert code == 1
     assert err == "FAIL d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
+
+
+def fresh_run(argv):
+    """Exit code, stdout and stderr of one CLI call in a new interpreter."""
+    script = f"import sys\nfrom virhoch import cli\nsys.exit(cli.main({argv!r}))\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
+    symbolic = ["ddzero", "--symbolic", "--degrees", "3", "--smax", "5"]
+    letters = ["ddzero", "--letters", "4", "--smax", "5"]
+    assert run(capsys, *symbolic) == fresh_run(symbolic)
+    kept = anick._DELTA_CACHE[(2, 1, 0)]
+    assert run(capsys, *letters) == fresh_run(letters)
+    assert anick._DELTA_CACHE and anick._DELTA_CACHE[(2, 1, 0)] is kept
+
+    # the planted defect still fails, and its values do not outlive it
+    code, _, err = run(capsys, *letters, "--inject-defect")
+    assert code == 1 and "FAIL" in err
+    assert run(capsys, *letters) == fresh_run(letters)
 
 
 @pytest.mark.parametrize(
