@@ -84,11 +84,11 @@ def rule_rhs(i: int, j: int) -> list[tuple[Word, Fraction]]:
         raise ValueError(f"v({i})v({j}) is not a rule left-hand side")
     if (i, j) == (1, 0):
         return [((0, 1), Fraction(1)), ((0,), Fraction(1))]
-    d = Fraction(1, i + j - 1)
+    k = i + j - 1
     out = [
-        ((1, i + j - 1), d * i * j),
-        ((0, i + j), -d * (i - 1) * (j - 1)),
-        ((i + j - 1,), d * i * (i - 1)),
+        ((1, k), Fraction(i * j, k)),
+        ((0, i + j), Fraction(-(i - 1) * (j - 1), k)),
+        ((k,), Fraction(i * (i - 1), k)),
     ]
     return [(w, c) for w, c in out if c]
 

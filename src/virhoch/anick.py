@@ -23,13 +23,16 @@ The differential is computed two ways:
   the rule table stays the same; a chain's differential is ``delta_prime``
   of its letters with each resulting bracket replaced by that value.
   Brackets that are final or vanish after one pass are recomputed, not
-  stored, and most of those that vanish are never built: every bracket the
-  iteration meets is single letters with at most one two-letter slot, and
-  it vanishes at once unless the letters before that slot plus the slot's
-  first letter form a chain.  So once ``delta_dprime`` has split a bracket
-  into letters l_0, l_1, ..., with l_f the first letter below 2, a merge
-  into slot k can survive only if k <= f, or k = f + 1 with l_f = 1 and the
-  merged word starting with 0; ``delta_prime`` skips every other merge.
+  stored.  Every bracket the iteration meets is single letters with at most
+  one two-letter slot.  Written out as letters t, with t[f] the first
+  letter below 2, such a bracket reduces to zero unless t[f+1:] is a chain
+  or t[f:] = (1, 0, 0); ``delta_dprime`` maps every other one to zero at
+  once, and its docstring has the proof.  That test implies the iteration's
+  own: the letters before the slot plus the slot's first letter form a
+  chain.  So once ``delta_dprime`` has split a bracket into letters l_0,
+  l_1, ..., a merge into slot k can survive only if k <= f, or k = f + 1
+  with l_f = 1 and the merged word starting with 0; ``delta_prime`` skips
+  every other merge unbuilt.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
@@ -45,7 +48,7 @@ so it also runs under ``python -O``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable
 
 from .algebra import InvariantError, Word, nf_word, weight
 from .scalars import add_term
@@ -135,16 +138,20 @@ def delta_prime(slots: Slots) -> BarElem:
     less the merged brackets that ``delta_dprime`` maps to zero at once,
     which are never built.
 
-    Those are read off the slot heads.  ``delta_dprime`` kills a bracket
-    unless a tuple t of its heads is a chain: the heads up to its first
-    composite slot, or all of them.  A chain has letters >= 2 except in its
-    last two places.  Let slot f (0-based) be the first that is not a single
-    letter >= 2, and let it hold a letter l_f < 2 and slot f + 1 a single
-    letter; otherwise nothing is skipped.  (The reduction only splits
-    brackets into single letters.)  After a merge into slot k > f + 1, l_f
-    is not in the last two places of t, so those merges are skipped.  At
-    k = f + 1 it is second to last or earlier, so a merged word survives
-    only if l_f = 1 and the word starts with 0.
+    Those are read off the slot heads, by the heads test of
+    ``delta_dprime``: a bracket dies unless a tuple t of its heads is a
+    chain, the heads up to its first composite slot or all of them.  (Its
+    letter test, which decides for the brackets the reduction meets, only
+    kills more.)  A chain has letters >= 2 except in its last two places.
+    Let slot f (0-based) be the first that is not a single letter >= 2, and
+    let it hold a letter l_f < 2 and slot f + 1 a single letter; otherwise
+    nothing is skipped.  (The reduction only splits brackets into single
+    letters.)  After a merge into slot k > f + 1, l_f is not in the last two
+    places of t, so those merges are skipped.  At k = f + 1 it is second to
+    last or earlier, so a merged word survives only if l_f = 1 and the word
+    starts with 0.  Children that only the letter test kills are still
+    built: testing each child here measured slower than leaving the test to
+    ``delta_dprime``.
     """
     n = len(slots)
     out: BarElem = {}
@@ -173,25 +180,64 @@ def delta_dprime(slots: Slots) -> BarElem | None:
 
     A bracket of single letters is final when the letters form a chain and
     zero otherwise.  Otherwise let the leftmost composite slot sit at
-    position p (0-based): the bracket maps to zero unless the p letters
-    before it followed by the composite slot's first letter form a chain
-    (every prefix of a chain is a chain, so the p letters then do too); in
-    that case the slot is split in two and ``delta_prime`` of the longer
-    bracket is taken with sign (-1)^p, plus the bracket itself.  The copy
-    regenerated by the merge at the split point cancels that last summand;
-    ``delta_prime`` never skips it, since its heads up to the split are the
-    chain just tested.  The merges it does skip are brackets this function
-    would map to zero.
+    position p (0-based).  Unless the bracket is dead (below) the slot is
+    split in two and ``delta_prime`` of the longer bracket is taken with
+    sign (-1)^p, plus the bracket itself.  The copy regenerated by the merge
+    at the split point cancels that last summand; ``delta_prime`` never
+    skips it, since a bracket that is not dead passes the heads test.  A
+    dead bracket maps to zero.
+
+    The heads test: a bracket is dead when the p letters before slot p
+    followed by the slot's first letter form no chain.  That is the rule of
+    the iteration, and it decides for brackets with more than one composite
+    letter.  The reduction meets only single letters with at most one
+    two-letter slot, a normal word (0, c) or (1, c >= 1); for those the
+    letter test decides.  Let t be the letters, the slot written as two, and
+    f the first index with t[f] < 2 (the slot's first letter is below 2, so
+    f exists).  The bracket is dead unless t[f+1:] is a chain or
+    t[f:] = (1, 0, 0).  A bracket that is not dead passes the heads test
+    (f = p, or f = p - 1 with t[f:f+2] = (1, 0)), so the letter test only
+    adds dead brackets.  [1|00] reduces to v(0)[1|0] and [2|1|00] to
+    v(0)[2|1|0], so the exception (1, 0, 0) is needed.
+
+    Proof that a bracket the letter test calls dead reduces to zero under
+    the heads test, by induction on passes.  Every suffix of a chain is a
+    chain, so a chain has at most one letter after its f, and a dead t of
+    single letters is no chain.  A dead bracket that passes the heads test
+    splits into the single letters t.  Its rewrite holds, besides the merge
+    that cancels the bracket itself, the peel child and the merges into each
+    slot k, and each of them fails the heads test, is no chain, or is dead
+    and takes fewer passes:
+    - the peel child t[1:] has the suffix t[f+1:], which is no chain;
+    - at k < f (t[k] >= 2) the child keeps t[f+1:] as a suffix: a one-letter
+      word leaves single letters, no chain; a two-letter word w starts with
+      0 or 1, so the child's f is k and its tail w[1:] + t[k+2:] ends in
+      t[f+1:], no chain and longer than (0, 0);
+    - at k = f the letters stay t, except that (1, 0) becomes (0, 1) and
+      (0,): the tail (1,) + t[f+2:] and the letters t[:f] + (0,) + t[f+2:]
+      are chains only if t[f+2:] is () or (0,), that is, if t[f+1:] = (0,)
+      or t[f:] = (1, 0, 0);
+    - at k = f + 1 a normal pair keeps t; a rule's two-letter word passes
+      the heads test only as (0, y >= 1) after t[f] = 1, and the tail
+      (0, y) + t[f+3:] is no chain and not (0, 0); a one-letter word gives a
+      chain only from t[f+1:] = (1, 0), itself a chain;
+    - at k >= f + 2, t[f] < 2 lies before the last two places: these are
+      the merges ``delta_prime`` skips.
+    Exactness, that every such bracket which reduces to zero is dead, is
+    tested on all brackets of up to five slots.
     """
-    p = None
-    for idx, w in enumerate(slots):
-        if len(w) >= 2:
-            p = idx
-            break
-    if p is None:
-        letters = tuple(w[0] for w in slots)
-        return None if is_chain(letters) else {}
-    if not is_chain(tuple(w[0] for w in slots[: p + 1])):
+    n = len(slots)
+    t = sum(slots, ())  # the letters
+    if len(t) == n:
+        return None if is_chain(t) else {}
+    p = next(idx for idx, w in enumerate(slots) if len(w) > 1)
+    if len(t) == n + 1:
+        for f, m in enumerate(t):
+            if m < 2:
+                break
+        if t[f:] != (1, 0, 0) and not is_chain(t[f + 1 :]):
+            return {}
+    elif not is_chain(t[: p + 1]):
         return {}
     split = slots[:p] + ((slots[p][0],), slots[p][1:]) + slots[p + 1 :]
     out = delta_prime(split)
@@ -220,7 +266,9 @@ def clear_caches() -> None:
     _DELTA_CACHE.clear()
 
 
-def _times(acc: ResElem, lam: Word, q: Fraction, terms: Terms) -> None:
+def _times(
+    acc: ResElem, lam: Word, q: Fraction, terms: Iterable[tuple[tuple[Chain, Word], Fraction]]
+) -> None:
     """acc += q * lam * terms, leading words multiplied through ``nf_word``."""
     for (cp, mu), r in terms:
         if not mu:
@@ -396,7 +444,5 @@ def compose_delta(c: Chain, delta=delta_generic) -> dict[tuple[Chain, Word], Fra
         raise ValueError("need a chain of degree >= 2")
     out: dict[tuple[Chain, Word], Fraction] = {}
     for (c1, lam1), q1 in delta(c).items():
-        for (c2, lam2), q2 in delta(c1).items():
-            for word, r in nf_word(lam1 + lam2).items():
-                add_term(out, (c2, word), q1 * q2 * r)
+        _times(out, lam1, q1, delta(c1).items())
     return out

@@ -94,6 +94,25 @@ def _all_words(max_len, max_idx):
         yield from product(range(max_idx + 1), repeat=n)
 
 
+def test_rule_rhs_matches_three_products():
+    # each coefficient is one Fraction(p, i + j - 1); the same pairs, in the
+    # same order and with the same zeros left out, as d * i * j and so on
+    # with d = 1 / (i + j - 1)
+    for i in range(13):
+        for j in range(13):
+            if not is_obstruction(i, j) or (i, j) == (1, 0):
+                continue
+            d = Fraction(1, i + j - 1)
+            want = [
+                ((1, i + j - 1), d * i * j),
+                ((0, i + j), -d * (i - 1) * (j - 1)),
+                ((i + j - 1,), d * i * (i - 1)),
+            ]
+            got = rule_rhs(i, j)
+            assert got == [(w, c) for w, c in want if c], (i, j)
+            assert all(type(c) is Fraction for _, c in got)
+
+
 # --- normal forms ------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ delta_generic is the authority (iterated splitting against the rewriting
 system); delta_closed evaluates the explicit two-case formula.  They must
 agree exactly, and the composite must vanish with coefficient products
 pushed through the rewriting engine.  A plain recursion over the bar
-operators, with no merge skipped, checks the pruning in delta_prime.
+operators, with no merge skipped, checks the pruning in delta_prime and
+the dead-bracket test in delta_dprime.
 """
 
 import sys
@@ -194,9 +195,61 @@ def test_pruned_merges_are_exactly_dead_brackets():
     assert dropped > 0
 
 
+NORMAL_PAIRS = [w for w in product(range(5), repeat=2) if algebra.is_normal_word(w)]
+
+
+def one_pair_brackets(max_slots):
+    """Letters 0..4 with one normal two-letter word over 0..4 in any slot."""
+    for n in range(1, max_slots + 1):
+        for pos in range(n):
+            for pair in NORMAL_PAIRS:
+                for rest in product(range(5), repeat=n - 1):
+                    head = tuple((m,) for m in rest[:pos])
+                    yield head + (pair,) + tuple((m,) for m in rest[pos:])
+
+
+def heads_test(slots):
+    """The iteration's own test: False when delta_dprime must give zero."""
+    p = next(i for i, w in enumerate(slots) if len(w) >= 2)
+    return is_chain(tuple(w[0] for w in slots[: p + 1]))
+
+
+def test_dead_brackets_are_exactly_the_zero_ones():
+    # the reduction meets only brackets of this shape: delta_dprime maps one
+    # to zero exactly when the unpruned reduction (heads test only) gives 0
+    memo = {}
+    count = sharper = 0
+    for slots in one_pair_brackets(5):
+        dead = delta_dprime(slots) == {}
+        assert dead == (not unpruned_reduce(slots, memo)), slots
+        count += 1
+        sharper += dead and heads_test(slots)
+    assert count == 33_399
+    assert sharper > 0  # dead brackets that the heads test lets through
+
+
+def letter_test_without_exception(t):
+    f = next(i for i, m in enumerate(t) if m < 2)
+    return is_chain(t[f + 1 :])
+
+
+@pytest.mark.parametrize(
+    "slots, chain",
+    [(((1,), (0, 0)), (1, 0)), (((2,), (1,), (0, 0)), (2, 1, 0))],
+)
+def test_trailing_100_brackets_are_not_dead(slots, chain, fresh_caches):
+    # [1|00] = v(0)[1|0] and [2|1|00] = v(0)[2|1|0]
+    want = {(chain, (0,)): Fraction(1)}
+    assert unpruned_reduce(slots, {}) == want
+    assert delta_dprime(slots)
+    assert dict(anick.reduce_bracket(slots, 100)[0]) == want
+    # the letter test without its (1, 0, 0) exception would drop both
+    assert not letter_test_without_exception(sum(slots, ()))
+
+
 def test_generic_equals_unpruned_reduction():
     memo = {}
-    for n in range(1, 6):
+    for n in range(1, 7):
         for c in enumerate_chains(n, 8):
             want = {}
             for (lam, slots), q in unpruned_delta_prime(tuple((m,) for m in c)).items():
@@ -270,6 +323,32 @@ def test_compose_zero_small():
         for c in enumerate_chains(n, CHECK_SMAX):
             residual = compose_delta(c)
             assert not any(residual.values()), c
+
+
+def triple_loop_compose(c):
+    """compose_delta as one loop over both differentials and nf_word."""
+    out = {}
+    for (c1, lam1), q1 in delta_generic(c).items():
+        for (c2, lam2), q2 in delta_generic(c1).items():
+            for word, r in nf_word(lam1 + lam2).items():
+                add_term(out, (c2, word), q1 * q2 * r)
+    return out
+
+
+def test_compose_delta_equals_triple_loop():
+    # under the true rule both sums vanish; under the planted defect they do
+    # not, so there they are compared term by term, in the same order
+    algebra.set_rule_defect(True)
+    try:
+        nonzero = 0
+        for n in range(2, 6):
+            for c in enumerate_chains(n, 6):
+                got = compose_delta(c)
+                assert list(got.items()) == list(triple_loop_compose(c).items()), c
+                nonzero += bool(got)
+    finally:
+        algebra.set_rule_defect(False)
+    assert nonzero > 0
 
 
 def test_compose_examples():
