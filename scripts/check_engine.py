@@ -8,8 +8,8 @@ plant a defect in the rule table; they must fail (exit 1), which shows
 that the square-zero gates can fail at all.  A clean square-zero run after
 them must pass again: memos survive between runs only while the rule table
 stays the same, so the defect's values are gone once the true rule is back.
-A square-zero run on 6-letter chains, beyond the range of the test suite,
-follows.
+Square-zero runs on 6- and 7-letter chains, beyond the range of the test
+suite, follow.
 Nonzero exit on the first step whose exit code differs from the one it
 expects.
 """
@@ -27,6 +27,7 @@ STEPS = [
     (1, ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8", "--inject-defect"]),
     (0, ["ddzero", "--letters", "5", "--smax", "8"]),
     (0, ["ddzero", "--letters", "6", "--smax", "8"]),
+    (0, ["ddzero", "--letters", "7", "--smax", "8"]),
     (0, ["cohomology", "--delta", "1", "--expect", "paper", "--locate"]),
     (0, ["cohomology", "--delta", "0", "--expect", "paper", "--locate"]),
     (0, ["cohomology", "--delta", "2", "--expect", "paper"]),

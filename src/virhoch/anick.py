@@ -27,12 +27,14 @@ The differential is computed two ways:
   one two-letter slot.  Written out as letters t, with t[f] the first
   letter below 2, such a bracket reduces to zero unless t[f+1:] is a chain
   or t[f:] = (1, 0, 0); ``delta_dprime`` maps every other one to zero at
-  once, and its docstring has the proof.  That test implies the iteration's
-  own: the letters before the slot plus the slot's first letter form a
-  chain.  So once ``delta_dprime`` has split a bracket into letters l_0,
-  l_1, ..., a merge into slot k can survive only if k <= f, or k = f + 1
-  with l_f = 1 and the merged word starting with 0; ``delta_prime`` skips
-  every other merge unbuilt.
+  once.  The rewrite of one that is not dead is the peel term and the
+  merges into slots f - 1 and f (and into f + 1 when t[f:] = (1, 1, 0)):
+  every other child is dead at once, and every coefficient is an integer.
+  So rewrites, memoized values and their products are Python ``int``s; a
+  non-integral coefficient read off ``nf_word`` raises ``InvariantError``
+  naming the bracket.  Only the top-level product in ``delta_generic``, by
+  the rational coefficients of ``delta_prime``, makes ``Fraction`` values.
+  ``delta_dprime``'s docstring has the proofs.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
@@ -50,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import InvariantError, Word, nf_word, weight
+from .algebra import InvariantError, Word, nf_word, weight, word_to_text
 from .scalars import add_term
 
 Chain = tuple[int, ...]
@@ -124,53 +126,32 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
 # ---------------------------------------------------------------------------
 # generic differential
 
-BarElem = dict[tuple[Word, Slots], Fraction]
+# a bar element: int coefficients in the reduction, Fractions out of
+# ``delta_prime`` and in the brackets with more composite slots (tests only)
+BarElem = dict[tuple[Word, Slots], int | Fraction]
 ResElem = dict[tuple[Chain, Word], Fraction]
 
 _ONE = Fraction(1)
+
+
+def _non_integral(slots: Slots, q: Fraction) -> InvariantError:
+    bracket = "|".join(word_to_text(w) for w in slots)
+    return InvariantError(
+        f"bar reduction of [{bracket}] meets the non-integral coefficient {q}"
+    )
 
 
 def delta_prime(slots: Slots) -> BarElem:
     """Peel the first slot out front and merge each adjacent pair.
 
     [w1|...|wk] maps to w1 [w2|...|wk] plus sum over j of (-1)^j
-    [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly,
-    less the merged brackets that ``delta_dprime`` maps to zero at once,
-    which are never built.
-
-    Those are read off the slot heads, by the heads test of
-    ``delta_dprime``: a bracket dies unless a tuple t of its heads is a
-    chain, the heads up to its first composite slot or all of them.  (Its
-    letter test, which decides for the brackets the reduction meets, only
-    kills more.)  A chain has letters >= 2 except in its last two places.
-    Let slot f (0-based) be the first that is not a single letter >= 2, and
-    let it hold a letter l_f < 2 and slot f + 1 a single letter; otherwise
-    nothing is skipped.  (The reduction only splits brackets into single
-    letters.)  After a merge into slot k > f + 1, l_f is not in the last two
-    places of t, so those merges are skipped.  At k = f + 1 it is second to
-    last or earlier, so a merged word survives only if l_f = 1 and the word
-    starts with 0.  Children that only the letter test kills are still
-    built: testing each child here measured slower than leaving the test to
-    ``delta_dprime``.
+    [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly.
     """
-    n = len(slots)
     out: BarElem = {}
     add_term(out, (slots[0], slots[1:]), _ONE)
-    live, edge = n - 1, n  # merge into slots k < live; filter words at k = edge
-    for f, w in enumerate(slots):
-        if len(w) > 1:
-            break
-        if w[0] < 2:
-            if f + 1 < n and len(slots[f + 1]) == 1:
-                # l_f = 0 ends the merges at slot f, l_f = 1 at slot f + 1
-                live, edge = min(f + 1 + w[0], n - 1), f + 1
-            break
-    for k in range(live):
-        j = k + 1
-        for word, q in nf_word(slots[k] + slots[j]).items():
-            if k == edge and word[0]:
-                continue
-            merged = slots[:k] + (word,) + slots[j + 1 :]
+    for j in range(1, len(slots)):
+        for word, q in nf_word(slots[j - 1] + slots[j]).items():
+            merged = slots[: j - 1] + (word,) + slots[j + 1 :]
             add_term(out, ((), merged), -q if j % 2 else q)
     return out
 
@@ -180,25 +161,25 @@ def delta_dprime(slots: Slots) -> BarElem | None:
 
     A bracket of single letters is final when the letters form a chain and
     zero otherwise.  Otherwise let the leftmost composite slot sit at
-    position p (0-based).  Unless the bracket is dead (below) the slot is
-    split in two and ``delta_prime`` of the longer bracket is taken with
-    sign (-1)^p, plus the bracket itself.  The copy regenerated by the merge
-    at the split point cancels that last summand; ``delta_prime`` never
-    skips it, since a bracket that is not dead passes the heads test.  A
-    dead bracket maps to zero.
+    position p (0-based).  Unless the bracket is dead (below) its rewrite
+    splits the slot in two and takes ``delta_prime`` of the longer bracket
+    with sign (-1)^p, plus the bracket itself; the copy regenerated by the
+    merge at the split point cancels that last summand.  A dead bracket
+    maps to zero.
 
     The heads test: a bracket is dead when the p letters before slot p
     followed by the slot's first letter form no chain.  That is the rule of
     the iteration, and it decides for brackets with more than one composite
-    letter.  The reduction meets only single letters with at most one
-    two-letter slot, a normal word (0, c) or (1, c >= 1); for those the
-    letter test decides.  Let t be the letters, the slot written as two, and
-    f the first index with t[f] < 2 (the slot's first letter is below 2, so
-    f exists).  The bracket is dead unless t[f+1:] is a chain or
-    t[f:] = (1, 0, 0).  A bracket that is not dead passes the heads test
-    (f = p, or f = p - 1 with t[f:f+2] = (1, 0)), so the letter test only
-    adds dead brackets.  [1|00] reduces to v(0)[1|0] and [2|1|00] to
-    v(0)[2|1|0], so the exception (1, 0, 0) is needed.
+    letter, which get the rewrite as defined.  The reduction meets only
+    single letters with at most one two-letter slot, a normal word (0, c)
+    or (1, c >= 1); for those the letter test decides.  Let t be the
+    letters, the slot written as two, and f the first index with t[f] < 2
+    (the slot's first letter is below 2, so f exists).  The bracket is dead
+    unless t[f+1:] is a chain or t[f:] = (1, 0, 0).  A bracket that is not
+    dead passes the heads test (f = p, or f = p - 1 with
+    t[f:] = (1, 0, 0)), so the letter test only adds dead brackets.
+    [1|00] reduces to v(0)[1|0] and [2|1|00] to v(0)[2|1|0], so the
+    exception (1, 0, 0) is needed.
 
     Proof that a bracket the letter test calls dead reduces to zero under
     the heads test, by induction on passes.  Every suffix of a chain is a
@@ -221,29 +202,68 @@ def delta_dprime(slots: Slots) -> BarElem | None:
       the heads test only as (0, y >= 1) after t[f] = 1, and the tail
       (0, y) + t[f+3:] is no chain and not (0, 0); a one-letter word gives a
       chain only from t[f+1:] = (1, 0), itself a chain;
-    - at k >= f + 2, t[f] < 2 lies before the last two places: these are
-      the merges ``delta_prime`` skips.
+    - at k >= f + 2, t[f] < 2 lies before the last two heads up to slot k,
+      so the child fails the heads test.
     Exactness, that every such bracket which reduces to zero is dead, is
     tested on all brackets of up to five slots.
+
+    The rewrite of a bracket that is not dead is built straight from its
+    letters, in ``int``: the peel term t[0] [t[1:]] and the merges into
+    slots f - 1 and f, less the split point p, plus the merge into slot
+    f + 1 when t[f:] = (1, 1, 0).  Every merge left out gives children that
+    are dead at once, by the letter test.  The slot is (t[p], t[p+1]), not
+    (1, 0), so t[f:] starts below 2, has length at least 2 and is no chain.
+    - At k < f - 1, t[k] and t[k+1] are >= 2 and the child ends in t[f:]: a
+      one-letter word leaves single letters, no chain; a two-letter word
+      makes k the child's f, with a tail that ends in t[f:], no chain, and
+      is longer than (0, 0).
+    - At k = f + 1 (f = p; for f = p - 1 it is the split point), t[f+1:] is
+      a chain, so the pair is a rule's left side, either (b >= 2, c) or the
+      last two letters (1, 0).  A two-letter word (0, y) or (1, y >= 1)
+      after t[f] < 2 leaves the tail (0, y) + t[f+3:] or (1, y) + t[f+3:],
+      no chain and not (0, 0).  A one-letter word leaves single letters
+      with t[f] before the last two, unless it ends the bracket; then they
+      are t[:f] + (t[f], w), a chain only for (1, 0), that is, t[f:] =
+      (1, 1, 0).  Only that merge is kept.
+    - At k >= f + 2, t[f] < 2 lies before the merged slot with a letter
+      between them, so the child's f is still f and its tail holds a letter
+      below 2 before its last two, or ends in the normal two-letter word:
+      no chain, and longer than (0, 0).
+    Every kept merge has integer coefficients.  At f - 1 the pair is
+    (i >= 2, 0), which gives v(0)v(i) + i v(i-1), or (i >= 2, 1), which
+    gives v(1)v(i) + (i-1) v(i); at f and f + 1 it is (1, 0), which gives
+    v(0)v(1) + v(0).  The coefficients read off ``nf_word`` are checked
+    and kept as ``int``; a fraction raises ``InvariantError`` naming the
+    bracket.
     """
     n = len(slots)
     t = sum(slots, ())  # the letters
     if len(t) == n:
         return None if is_chain(t) else {}
     p = next(idx for idx, w in enumerate(slots) if len(w) > 1)
-    if len(t) == n + 1:
-        for f, m in enumerate(t):
-            if m < 2:
-                break
-        if t[f:] != (1, 0, 0) and not is_chain(t[f + 1 :]):
-            return {}
-    elif not is_chain(t[: p + 1]):
-        return {}
     split = slots[:p] + ((slots[p][0],), slots[p][1:]) + slots[p + 1 :]
-    out = delta_prime(split)
-    if p % 2:
-        out = {key: -q for key, q in out.items()}
-    add_term(out, ((), slots), _ONE)
+    sign = -1 if p % 2 else 1
+    if len(t) > n + 1:
+        if not is_chain(t[: p + 1]):
+            return {}
+        out = {key: sign * q for key, q in delta_prime(split).items()}
+        add_term(out, ((), slots), _ONE)
+        return out
+    for f, m in enumerate(t):
+        if m < 2:
+            break
+    tail = t[f:]
+    if tail != (1, 0, 0) and not is_chain(t[f + 1 :]):
+        return {}
+    out = {(split[0], split[1:]): sign}
+    for k in range(max(f - 1, 0), f + 2 if tail == (1, 1, 0) else f + 1):
+        if k == p:
+            continue
+        s = sign if k % 2 else -sign  # (-1)^(p + k + 1)
+        for word, q in nf_word(split[k] + split[k + 1]).items():
+            if q.denominator != 1:
+                raise _non_integral(slots, q)
+            add_term(out, ((), split[:k] + (word,) + split[k + 2 :]), s * q.numerator)
     return out
 
 
@@ -251,7 +271,7 @@ class IterationOverflow(InvariantError):
     """The bracket rewriting failed to stabilize within the pass budget."""
 
 
-Terms = tuple[tuple[tuple[Chain, Word], Fraction], ...]
+Terms = tuple[tuple[tuple[Chain, Word], int], ...]
 
 _ZERO: tuple[Terms, int] = ((), 1)  # value of every bracket that maps to zero at once
 # reduced values of the brackets that need rewriting, and interned targets
@@ -267,9 +287,18 @@ def clear_caches() -> None:
 
 
 def _times(
-    acc: ResElem, lam: Word, q: Fraction, terms: Iterable[tuple[tuple[Chain, Word], Fraction]]
+    acc: dict,
+    lam: Word,
+    q: int | Fraction,
+    terms: Iterable[tuple[tuple[Chain, Word], int | Fraction]],
+    bracket: Slots | None = None,
 ) -> None:
-    """acc += q * lam * terms, leading words multiplied through ``nf_word``."""
+    """acc += q * lam * terms, leading words multiplied through ``nf_word``.
+
+    Inside the reduction ``bracket`` is the bracket whose value ``acc``
+    holds: the coefficients read off ``nf_word`` must then be integers and
+    are kept as ``int``, and a fraction raises ``InvariantError`` naming it.
+    """
     for (cp, mu), r in terms:
         if not mu:
             add_term(acc, (cp, lam), q * r)
@@ -277,6 +306,10 @@ def _times(
             add_term(acc, (cp, mu), q * r)
         else:
             for word, t in nf_word(lam + mu).items():
+                if bracket is not None:
+                    if t.denominator != 1:
+                        raise _non_integral(bracket, t)
+                    t = t.numerator
                 add_term(acc, (cp, word), q * r * t)
 
 
@@ -288,7 +321,7 @@ def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
     res = delta_dprime(slots)
     if res is None:
         cp = tuple(w[0] for w in slots)
-        return ((((_CHAINS.setdefault(cp, cp), ()), _ONE),), 1), None
+        return ((((_CHAINS.setdefault(cp, cp), ()), 1),), 1), None
     if not res:
         return _ZERO, None
     return None, res
@@ -318,7 +351,7 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
         return known
     # frame: bracket, pending rewrite terms, value so far, deepest child, and
     # the (lam, q) by which the parent takes the value
-    stack = [[slots, iter(res.items()), {}, 0, (), _ONE]]
+    stack = [[slots, iter(res.items()), {}, 0, (), 1]]
     while True:
         frame = stack[-1]
         depth = len(stack)
@@ -330,7 +363,7 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
                 break
             _within(depth + known[1], budget)
             frame[3] = max(frame[3], known[1])
-            _times(frame[2], lam, q, known[0])
+            _times(frame[2], lam, q, known[0], frame[0])
         else:
             stack.pop()
             known = (tuple(frame[2].items()), frame[3] + 1)
@@ -339,14 +372,16 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
                 return known
             parent = stack[-1]
             parent[3] = max(parent[3], known[1])
-            _times(parent[2], frame[4], frame[5], known[0])
+            _times(parent[2], frame[4], frame[5], known[0], parent[0])
 
 
 def delta_generic(c: Chain) -> ResElem:
     """Differential of the basis element indexed by chain c, by iteration.
 
     ``delta_prime`` of the letter brackets, each resulting bracket reduced
-    by ``reduce_bracket`` and multiplied by its leading word.
+    by ``reduce_bracket`` and multiplied by its leading word.  The reduced
+    values are integral; the ``Fraction`` coefficients of ``delta_prime``
+    make every value of the differential a ``Fraction``.
     """
     cached = _DELTA_CACHE.get(c)
     if cached is not None:

@@ -4,8 +4,8 @@ delta_generic is the authority (iterated splitting against the rewriting
 system); delta_closed evaluates the explicit two-case formula.  They must
 agree exactly, and the composite must vanish with coefficient products
 pushed through the rewriting engine.  A plain recursion over the bar
-operators, with no merge skipped, checks the pruning in delta_prime and
-the dead-bracket test in delta_dprime.
+operators, with no merge skipped, checks the rewrite and the dead-bracket
+test in delta_dprime.
 """
 
 import sys
@@ -136,7 +136,7 @@ def test_delta_dprime_splits():
 
 
 # the bar operators as written, with no merge skipped: the reference for the
-# pruning in delta_prime
+# rewrite in delta_dprime
 
 
 def unpruned_delta_prime(slots):
@@ -177,24 +177,6 @@ def unpruned_reduce(slots, memo):
     return out
 
 
-SLOT_WORDS = [(m,) for m in range(5)] + [(0, 1), (0, 3), (1, 2), (1, 1)]
-
-
-def test_pruned_merges_are_exactly_dead_brackets():
-    # brackets of single letters (what the reduction splits) and brackets with
-    # composite slots anywhere; what pruning drops must vanish at once
-    dropped = 0
-    for n in range(2, 5):
-        for slots in product(SLOT_WORDS, repeat=n):
-            diff = unpruned_delta_prime(slots)
-            for key, q in delta_prime(slots).items():
-                add_term(diff, key, -q)
-            for lam, child in diff:
-                assert lam == () and delta_dprime(child) == {}, (slots, child)
-            dropped += len(diff)
-    assert dropped > 0
-
-
 NORMAL_PAIRS = [w for w in product(range(5), repeat=2) if algebra.is_normal_word(w)]
 
 
@@ -226,6 +208,32 @@ def test_dead_brackets_are_exactly_the_zero_ones():
         sharper += dead and heads_test(slots)
     assert count == 33_399
     assert sharper > 0  # dead brackets that the heads test lets through
+
+
+SLOT_WORDS = [(m,) for m in range(5)] + [(0, 1), (0, 3), (1, 2), (1, 1)]
+
+
+def test_pruned_merges_are_exactly_dead_brackets():
+    # brackets with composite slots anywhere, and the one-pair brackets the
+    # reduction meets: what a rewrite leaves out of the rewrite as defined
+    # (sign * unpruned_delta_prime(split) + bracket) must vanish at once
+    composite = (b for n in range(2, 5) for b in product(SLOT_WORDS, repeat=n))
+    dropped = 0
+    for slots in (*composite, *one_pair_brackets(5)):
+        rewrite = delta_dprime(slots)
+        if not rewrite:
+            continue
+        p = next(i for i, w in enumerate(slots) if len(w) >= 2)
+        split = slots[:p] + ((slots[p][0],), slots[p][1:]) + slots[p + 1 :]
+        sign = -1 if p % 2 else 1
+        diff = {key: sign * q for key, q in unpruned_delta_prime(split).items()}
+        add_term(diff, ((), slots), Fraction(1))
+        for key, q in rewrite.items():
+            add_term(diff, key, -q)
+        for lam, child in diff:
+            assert lam == () and delta_dprime(child) == {}, (slots, child)
+        dropped += len(diff)
+    assert dropped > 0
 
 
 def letter_test_without_exception(t):
@@ -397,6 +405,22 @@ def test_rule_defect_round_trip_restores_values():
         algebra.set_rule_defect(False)
     assert {c: delta_generic(c) for c in chains} == before
     assert {c: cochain.reduced_row(c) for c in chains} == rows
+
+
+def test_bar_reduction_is_integral(fresh_caches):
+    # the reduction works in int; only the top-level product is rational
+    for n in range(1, 6):
+        for c in enumerate_chains(n, 8):
+            assert all(type(q) is Fraction for q in delta_generic(c).values()), c
+    assert anick._BRACKETS
+    for slots, (terms, _) in anick._BRACKETS.items():
+        assert all(type(q) is int for _, q in terms), slots
+    count = 0
+    for slots in one_pair_brackets(5):
+        rewrite = delta_dprime(slots)
+        assert not rewrite or all(type(q) is int for q in rewrite.values()), slots
+        count += 1
+    assert count == 33_399
 
 
 @pytest.fixture

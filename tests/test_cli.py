@@ -141,8 +141,16 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
             ["gsb", "--bound", "2"],
             "rewrite v1.v0 -> v1.v0 does not decrease deg-lex",
         ),
+        (
+            # the halved table is also the one ``ddzero`` switches back to
+            "real = algebra.rule_rhs\n"
+            "algebra.rule_rhs = algebra._true_rule_rhs = lambda i, j: "
+            "[(w, c / 2 if len(w) == 1 else c) for w, c in real(i, j)]",
+            ["ddzero", "--letters", "3", "--smax", "1"],
+            "bar reduction of [v3|v0.v1] meets the non-integral coefficient 3/2",
+        ),
     ],
-    ids=["delta_generic", "reduced_row", "reduced_row_d_part", "rule_order"],
+    ids=["delta_generic", "reduced_row", "reduced_row_d_part", "rule_order", "integral_bar"],
 )
 def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
     script = (
