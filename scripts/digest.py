@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""One SHA-256 line per layer of computed values, for "outputs unchanged".
+
+Hashes, in insertion order, the items of
+
+* ``delta_generic`` for every chain with n <= 6 letters and grade <= 10;
+* ``compose_delta`` under the planted rule defect, n <= 5 and grade <= 6
+  (under the true rule every value is zero);
+* ``reduced_row`` for n <= 5 and grade <= 8;
+* ``normal_form`` of both expansions of every overlap ambiguity with
+  indices <= 10.
+
+Run it in two checkouts and compare the output; a change that keeps every
+value, type and order prints identical lines.  Stdlib only:
+
+    PYTHONPATH=src python3 scripts/digest.py
+"""
+
+import hashlib
+
+from virhoch import algebra, anick, cochain
+
+
+def chains(n_max: int, s_max: int, n_min: int = 1):
+    for n in range(n_min, n_max + 1):
+        yield from anick.enumerate_chains(n, s_max)
+
+
+def overlaps(bound: int):
+    for n in range(2, bound + 1):
+        for m in range(2, bound + 1):
+            for p in range(bound + 1):
+                yield (n, m, p)
+        yield (n, 1, 0)
+
+
+def line(name: str, values) -> str:
+    h = hashlib.sha256()
+    count = 0
+    for key, value in values:
+        h.update(repr((key, list(value.items()))).encode())
+        count += 1
+    return f"{name:<40} {count:>6} {h.hexdigest()}"
+
+
+def main() -> None:
+    print(line(
+        "delta_generic n<=6 grade<=10",
+        ((c, anick.delta_generic(c)) for c in chains(6, 10)),
+    ))
+    algebra.set_rule_defect(True)
+    try:
+        print(line(
+            "compose_delta (defect) n<=5 grade<=6",
+            ((c, anick.compose_delta(c)) for c in chains(5, 6, n_min=2)),
+        ))
+    finally:
+        algebra.set_rule_defect(False)
+    print(line(
+        "reduced_row n<=5 grade<=8",
+        ((c, cochain.reduced_row(c)) for c in chains(5, 8)),
+    ))
+    print(line(
+        "normal_form overlaps bound<=10",
+        (
+            ((w, k), algebra.normal_form(algebra._expand_at(w, k)))
+            for w in overlaps(10)
+            for k in (0, 1)
+        ),
+    ))
+
+
+if __name__ == "__main__":
+    main()

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import add_term
+from .scalars import RationalSum
 
 Word = tuple[int, ...]
 
@@ -144,11 +144,12 @@ def nf_word(w: Word) -> dict[Word, Fraction]:
         if missing:
             stack.extend(missing)
             continue
-        total: dict[Word, Fraction] = {}
+        total = RationalSum()
         for child, coeff in children:
+            n, d = coeff.numerator, coeff.denominator
             for word, inner in _NF_CACHE[child].items():
-                add_term(total, word, coeff * inner)
-        _NF_CACHE[cur] = total
+                total.add(word, n * inner.numerator, d * inner.denominator)
+        _NF_CACHE[cur] = total.fractions()
         stack.pop()
     return _NF_CACHE[w]
 
@@ -162,12 +163,14 @@ def normal_form(terms: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
     """Normal form of the sum of coeff * word over the pairs, as {word: coeff}.
 
     Linear and idempotent, and multiplicative with word concatenation.
+    Coefficients may be ints or Fractions; the values are Fractions.
     """
-    out: dict[Word, Fraction] = {}
+    out = RationalSum()
     for word, coeff in terms:
+        n, d = coeff.numerator, coeff.denominator
         for nw, q in nf_word(word).items():
-            add_term(out, nw, coeff * q)
-    return out
+            out.add(nw, n * q.numerator, d * q.denominator)
+    return out.fractions()
 
 
 def check_overlap(n: int, m: int, p: int) -> bool:

@@ -31,10 +31,13 @@ The differential is computed two ways:
   merges into slots f - 1 and f (and into f + 1 when t[f:] = (1, 1, 0)):
   every other child is dead at once, and every coefficient is an integer.
   So rewrites, memoized values and their products are Python ``int``s; a
-  non-integral coefficient read off ``nf_word`` raises ``InvariantError``
-  naming the bracket.  Only the top-level product in ``delta_generic``, by
-  the rational coefficients of ``delta_prime``, makes ``Fraction`` values.
-  ``delta_dprime``'s docstring has the proofs.
+  non-integral coefficient read off ``nf_word``, or a bracket of any other
+  shape, raises ``InvariantError`` naming the bracket.  The top-level
+  products, of ``delta_prime``'s rational coefficients in ``delta_generic``
+  and of two differentials in ``compose_delta``, sum int numerators over
+  one common denominator (``scalars.RationalSum``) and make one
+  ``Fraction`` per surviving term.  ``delta_dprime``'s docstring has the
+  proofs.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
@@ -53,7 +56,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import InvariantError, Word, nf_word, weight, word_to_text
-from .scalars import add_term
+from .scalars import RationalSum, add_term
 
 Chain = tuple[int, ...]
 Slots = tuple[Word, ...]
@@ -126,22 +129,25 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
 # ---------------------------------------------------------------------------
 # generic differential
 
-# a bar element: int coefficients in the reduction, Fractions out of
-# ``delta_prime`` and in the brackets with more composite slots (tests only)
-BarElem = dict[tuple[Word, Slots], int | Fraction]
+# a bar element of the reduction: int coefficients
+BarElem = dict[tuple[Word, Slots], int]
 ResElem = dict[tuple[Chain, Word], Fraction]
 
 _ONE = Fraction(1)
 
 
+def _bracket_text(slots: Slots) -> str:
+    return "[" + "|".join(word_to_text(w) for w in slots) + "]"
+
+
 def _non_integral(slots: Slots, q: Fraction) -> InvariantError:
-    bracket = "|".join(word_to_text(w) for w in slots)
     return InvariantError(
-        f"bar reduction of [{bracket}] meets the non-integral coefficient {q}"
+        f"bar reduction of {_bracket_text(slots)} meets the non-integral "
+        f"coefficient {q}"
     )
 
 
-def delta_prime(slots: Slots) -> BarElem:
+def delta_prime(slots: Slots) -> dict[tuple[Word, Slots], Fraction]:
     """Peel the first slot out front and merge each adjacent pair.
 
     [w1|...|wk] maps to w1 [w2|...|wk] plus sum over j of (-1)^j
@@ -169,10 +175,13 @@ def delta_dprime(slots: Slots) -> BarElem | None:
 
     The heads test: a bracket is dead when the p letters before slot p
     followed by the slot's first letter form no chain.  That is the rule of
-    the iteration, and it decides for brackets with more than one composite
-    letter, which get the rewrite as defined.  The reduction meets only
-    single letters with at most one two-letter slot, a normal word (0, c)
-    or (1, c >= 1); for those the letter test decides.  Let t be the
+    the iteration as defined.  The reduction meets only single letters with
+    at most one two-letter slot, a normal word (0, c) or (1, c >= 1):
+    ``delta_prime`` of single letters makes such brackets, and so does the
+    rewrite of one, which splits its slot and merges single letters.  Any
+    other bracket raises ``InvariantError`` naming it, also under
+    ``python -O``.  For those the reduction meets the letter test decides,
+    and the coefficients of the rewrite are ``int``s.  Let t be the
     letters, the slot written as two, and f the first index with t[f] < 2
     (the slot's first letter is below 2, so f exists).  The bracket is dead
     unless t[f+1:] is a chain or t[f:] = (1, 0, 0).  A bracket that is not
@@ -240,15 +249,14 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     t = sum(slots, ())  # the letters
     if len(t) == n:
         return None if is_chain(t) else {}
+    if len(t) > n + 1:
+        raise InvariantError(
+            f"bar reduction meets {_bracket_text(slots)}, which is not single "
+            "letters with at most one two-letter slot"
+        )
     p = next(idx for idx, w in enumerate(slots) if len(w) > 1)
     split = slots[:p] + ((slots[p][0],), slots[p][1:]) + slots[p + 1 :]
     sign = -1 if p % 2 else 1
-    if len(t) > n + 1:
-        if not is_chain(t[: p + 1]):
-            return {}
-        out = {key: sign * q for key, q in delta_prime(split).items()}
-        add_term(out, ((), slots), _ONE)
-        return out
     for f, m in enumerate(t):
         if m < 2:
             break
@@ -286,18 +294,12 @@ def clear_caches() -> None:
     _DELTA_CACHE.clear()
 
 
-def _times(
-    acc: dict,
-    lam: Word,
-    q: int | Fraction,
-    terms: Iterable[tuple[tuple[Chain, Word], int | Fraction]],
-    bracket: Slots | None = None,
-) -> None:
-    """acc += q * lam * terms, leading words multiplied through ``nf_word``.
+def _times(acc: dict, lam: Word, q: int, terms: Terms, bracket: Slots) -> None:
+    """acc += q * lam * terms in ``int``, leading words multiplied through ``nf_word``.
 
-    Inside the reduction ``bracket`` is the bracket whose value ``acc``
-    holds: the coefficients read off ``nf_word`` must then be integers and
-    are kept as ``int``, and a fraction raises ``InvariantError`` naming it.
+    ``bracket`` is the bracket whose value ``acc`` holds: the coefficients
+    read off ``nf_word`` must be integers, and a fraction raises
+    ``InvariantError`` naming it.
     """
     for (cp, mu), r in terms:
         if not mu:
@@ -306,11 +308,33 @@ def _times(
             add_term(acc, (cp, mu), q * r)
         else:
             for word, t in nf_word(lam + mu).items():
-                if bracket is not None:
-                    if t.denominator != 1:
-                        raise _non_integral(bracket, t)
-                    t = t.numerator
-                add_term(acc, (cp, word), q * r * t)
+                if t.denominator != 1:
+                    raise _non_integral(bracket, t)
+                add_term(acc, (cp, word), q * r * t.numerator)
+
+
+def _rational_times(
+    acc: RationalSum,
+    lam: Word,
+    q: int | Fraction,
+    terms: Iterable[tuple[tuple[Chain, Word], int | Fraction]],
+) -> None:
+    """acc += q * lam * terms over the rationals, in int numerators and denominators.
+
+    The top-level products of ``delta_generic`` and ``compose_delta``;
+    leading words are multiplied through ``nf_word``.
+    """
+    qn, qd = q.numerator, q.denominator
+    add = acc.add
+    for (cp, mu), r in terms:
+        n, d = qn * r.numerator, qd * r.denominator
+        if not mu:
+            add((cp, lam), n, d)
+        elif not lam:
+            add((cp, mu), n, d)
+        else:
+            for word, t in nf_word(lam + mu).items():
+                add((cp, word), n * t.numerator, d * t.denominator)
 
 
 def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
@@ -380,8 +404,9 @@ def delta_generic(c: Chain) -> ResElem:
 
     ``delta_prime`` of the letter brackets, each resulting bracket reduced
     by ``reduce_bracket`` and multiplied by its leading word.  The reduced
-    values are integral; the ``Fraction`` coefficients of ``delta_prime``
-    make every value of the differential a ``Fraction``.
+    values are integral; the products by the rational coefficients of
+    ``delta_prime`` are summed in ``RationalSum``, so every value of the
+    differential is a ``Fraction``.
     """
     cached = _DELTA_CACHE.get(c)
     if cached is not None:
@@ -389,9 +414,10 @@ def delta_generic(c: Chain) -> ResElem:
     if not is_chain(c) or not c:
         raise ValueError(f"{c} is not a nonempty chain")
     budget = 8 * (len(c) + sum(c))
-    out: ResElem = {}
+    acc = RationalSum()
     for (lam, slots), q in delta_prime(tuple((m,) for m in c)).items():
-        _times(out, lam, q, reduce_bracket(slots, budget)[0])
+        _rational_times(acc, lam, q, reduce_bracket(slots, budget)[0])
+    out: ResElem = acc.fractions()
     wt = sum(c)
     for (cp, lam) in out:
         # structural invariants of the computed differential
@@ -477,7 +503,7 @@ def compose_delta(c: Chain, delta=delta_generic) -> dict[tuple[Chain, Word], Fra
     """
     if len(c) < 2:
         raise ValueError("need a chain of degree >= 2")
-    out: dict[tuple[Chain, Word], Fraction] = {}
+    acc = RationalSum()
     for (c1, lam1), q1 in delta(c).items():
-        _times(out, lam1, q1, delta(c1).items())
-    return out
+        _rational_times(acc, lam1, q1, delta(c1).items())
+    return acc.fractions()

@@ -14,6 +14,11 @@ commutative-polynomial layer over ``Fraction`` in the two parameters; it
 exists so that differentials can be assembled once, symbolically, and then
 specialized at many parameter points.
 
+Sums of many rational products (normal forms, the resolution differential
+and its square) are accumulated over ints: ``RationalSum`` keeps int
+numerators over one common denominator and makes one ``Fraction`` per key
+at the end.
+
 Its term map (monomial -> nonzero Fraction) is private to this module.  The
 public constructor ``ParamPoly(terms)`` validates what it is given: it
 coerces every coefficient to ``Fraction``, drops zeros and rejects negative
@@ -26,6 +31,7 @@ shape ``c0 + cd*D + ca*a`` straight from three Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[Fraction, "ParamPoly"]
@@ -62,6 +68,41 @@ def add_term(acc: dict, key, val) -> None:
         acc[key] = val
     elif cur is not None:
         del acc[key]
+
+
+class RationalSum:
+    """Sparse sum of rationals, kept as int numerators over one denominator.
+
+    ``add(key, n, d)`` adds n/d (d > 0) to the value at key; the numerators
+    go through ``add_term``, so a key drops out at zero and comes back at the
+    end, exactly as in a sum of ``Fraction``s.  ``fractions()`` returns the
+    sum as {key: Fraction} in the same order, one ``Fraction`` per key.  An
+    int ``x`` and a ``Fraction`` both pass as ``x.numerator, x.denominator``.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self):
+        self.nums: dict = {}
+        self.den = 1
+
+    def add(self, key, n: int, d: int) -> None:
+        den = self.den
+        if d != den:
+            if den % d:
+                # rescale the stored numerators to the lcm of den and d
+                scale = d // gcd(den, d)
+                nums = self.nums
+                for k in nums:
+                    nums[k] *= scale
+                den *= scale
+                self.den = den
+            n *= den // d
+        add_term(self.nums, key, n)
+
+    def fractions(self) -> dict:
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.nums.items()}
 
 
 class ParamPoly:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from virhoch import algebra
 from virhoch.algebra import (
     check_overlap,
     is_normal_word,
@@ -20,6 +21,7 @@ from virhoch.algebra import (
     word_from_text,
     word_to_text,
 )
+from virhoch.scalars import add_term
 
 words = st.lists(st.integers(0, 6), max_size=4).map(tuple)
 # a linear combination of words, as (word, coeff) pairs; words may repeat
@@ -158,6 +160,42 @@ def test_nf_idempotent_linear(x):
 def test_nf_multiplicative(x, y):
     nx, ny = normal_form(x).items(), normal_form(y).items()
     assert normal_form(_product(x, y)) == normal_form(_product(nx, ny))
+
+
+def _reference_normal_form(terms):
+    """normal_form as add_term over Fractions."""
+    out = {}
+    for word, coeff in terms:
+        for nw, q in nf_word(word).items():
+            add_term(out, nw, Fraction(coeff) * q)
+    return out
+
+
+mixed_elems = st.lists(
+    st.tuples(
+        words,
+        st.one_of(
+            st.integers(-6, 6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        ),
+    ),
+    max_size=5,
+)
+
+
+@given(mixed_elems, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_fraction_sum(x, defect):
+    # the same values, types and order as a sum of Fractions, for int and
+    # Fraction coefficients, under the true rule and the planted defect
+    algebra.set_rule_defect(defect)
+    try:
+        got = normal_form(x)
+        want = _reference_normal_form(x)
+    finally:
+        algebra.set_rule_defect(False)
+    assert list(got.items()) == list(want.items())
+    assert all(type(q) is Fraction for q in got.values())
 
 
 # --- confluence and defining relations ---------------------------------------

@@ -19,6 +19,7 @@ from virhoch import algebra, anick, cochain
 from virhoch.algebra import nf_word
 from virhoch.cli import main
 from virhoch.anick import (
+    InvariantError,
     IterationOverflow,
     chain_from_text,
     chain_to_text,
@@ -214,12 +215,24 @@ SLOT_WORDS = [(m,) for m in range(5)] + [(0, 1), (0, 3), (1, 2), (1, 1)]
 
 
 def test_pruned_merges_are_exactly_dead_brackets():
-    # brackets with composite slots anywhere, and the one-pair brackets the
-    # reduction meets: what a rewrite leaves out of the rewrite as defined
-    # (sign * unpruned_delta_prime(split) + bracket) must vanish at once
-    composite = (b for n in range(2, 5) for b in product(SLOT_WORDS, repeat=n))
+    # the reduction never meets a bracket with more than one composite
+    # letter, so delta_dprime raises on one; unpruned_reduce above stays the
+    # oracle for the iteration as defined on those
+    composite = [
+        b
+        for n in range(2, 5)
+        for b in product(SLOT_WORDS, repeat=n)
+        if len(sum(b, ())) > n + 1
+    ]
+    for slots in composite:
+        with pytest.raises(InvariantError, match="at most one two-letter slot"):
+            delta_dprime(slots)
+    assert composite
+    # on the one-pair brackets the reduction meets, what a rewrite leaves out
+    # of the rewrite as defined (sign * unpruned_delta_prime(split) +
+    # bracket) must vanish at once
     dropped = 0
-    for slots in (*composite, *one_pair_brackets(5)):
+    for slots in one_pair_brackets(5):
         rewrite = delta_dprime(slots)
         if not rewrite:
             continue
@@ -408,7 +421,7 @@ def test_rule_defect_round_trip_restores_values():
 
 
 def test_bar_reduction_is_integral(fresh_caches):
-    # the reduction works in int; only the top-level product is rational
+    # the reduction works in int; only the top-level products are rational
     for n in range(1, 6):
         for c in enumerate_chains(n, 8):
             assert all(type(q) is Fraction for q in delta_generic(c).values()), c
@@ -421,6 +434,17 @@ def test_bar_reduction_is_integral(fresh_caches):
         assert not rewrite or all(type(q) is int for q in rewrite.values()), slots
         count += 1
     assert count == 33_399
+    # compose_delta is zero under the true rule; under the planted defect its
+    # values are Fractions too
+    algebra.set_rule_defect(True)
+    try:
+        values = [
+            q for n in range(2, 6) for c in enumerate_chains(n, 6)
+            for q in compose_delta(c).values()
+        ]
+    finally:
+        algebra.set_rule_defect(False)
+    assert values and all(type(q) is Fraction for q in values)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from virhoch.scalars import (
     A,
@@ -10,6 +10,8 @@ from virhoch.scalars import (
     ONE,
     ZERO,
     ParamPoly,
+    RationalSum,
+    add_term,
     format_rational,
     parse_param_poly,
     parse_rational,
@@ -128,3 +130,33 @@ def test_specialize_higher_powers_and_zero():
     assert p.specialize(Fraction(2), Fraction(3)) == 8 - 18 + Fraction(1, 2) * 4 * 3
     assert type(ZERO.specialize(Fraction(2), Fraction(3))) is Fraction
     assert ZERO.specialize(Fraction(2), Fraction(3)) == 0
+
+
+# --- sums over one common denominator -----------------------------------------
+
+sum_values = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-10, max_value=10, max_denominator=30),
+)
+# None cancels the running sum at the key, so the key drops out and may
+# come back later
+sum_ops = st.lists(
+    st.tuples(st.integers(0, 4), st.one_of(sum_values, st.none())), max_size=30
+)
+
+
+@given(sum_ops)
+# a key cancels and comes back after a rescale of the common denominator
+@example([(0, Fraction(1, 2)), (1, 3), (0, None), (2, Fraction(-5, 7)), (0, 1)])
+@example([(0, Fraction(1, 4)), (1, Fraction(1, 6)), (0, Fraction(-1, 4)), (0, 2)])
+def test_rational_sum_matches_fraction_add_term(ops):
+    acc, ref = RationalSum(), {}
+    for key, x in ops:
+        if x is None:
+            x = -ref.get(key, Fraction(0))
+        acc.add(key, x.numerator, x.denominator)
+        add_term(ref, key, Fraction(x))
+    got = acc.fractions()
+    assert list(got.items()) == list(ref.items())
+    assert all(type(q) is Fraction for q in got.values())
+
