@@ -8,21 +8,14 @@ Four subcommands cover the computational claims end to end:
   report      reproduction bundle over the standard parameter points
 
 Exit codes: 0 success, 1 internal check failure, 2 expectation mismatch,
-64 usage error.  All output is deterministic for a fixed configuration;
-tables can be cached on disk, keyed by package version and a hash of the
-configuration and the package sources.
+64 usage error.  All output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import hashlib
 import json
-import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -35,8 +28,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_EXPECT_MISMATCH = 2
 EXIT_USAGE = 64
-
-CACHE_ENV = "VIRHOCH_CACHE_DIR"
 
 # standard parameter points: weights probed at shift 0 (graded route)
 GRADED_POINTS = [Fraction(1), Fraction(0), Fraction(2), Fraction(-1), Fraction(-2), Fraction(5, 2)]
@@ -73,36 +64,9 @@ class RunConfig:
         if self.truncated is not None and not self.alpha:
             raise UsageError("the truncated route needs a nonzero --alpha")
 
-    def cache_key(self) -> str:
-        blob = json.dumps(
-            {
-                "delta": format_rational(self.delta),
-                "alpha": format_rational(self.alpha),
-                "n_max": self.n_max,
-                "s_max": self.s_max,
-                "truncated": self.truncated,
-                "source": source_digest(),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-@functools.cache
-def source_digest() -> str:
-    """Digest of the package's .py sources, so that changed code misses the cache."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return digest.hexdigest()[:16]
-
-
-def table_digest(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
 
 # ---------------------------------------------------------------------------
-# cached table computation
+# table computation
 
 
 def compute_table(config: RunConfig) -> cohom.DimTable:
@@ -114,79 +78,11 @@ def compute_table(config: RunConfig) -> cohom.DimTable:
     return cohom.cohomology_dims(config.delta, n_max=config.n_max, s_max=config.s_max)
 
 
-def check_entry(entry: dict, config: RunConfig) -> dict:
-    """The table dict of a cache entry; ValueError unless it is config's table.
-
-    An entry holds the table, its digest and the source digest of the code
-    that wrote it, so an edited table or an entry of other code is a miss.
-    """
-    if entry["source"] != source_digest():
-        raise ValueError(f"entry was written by package sources {entry['source']}")
-    doc = entry["table"]
-    if entry["digest"] != table_digest(doc):
-        raise ValueError("table differs from its digest")
-    table = cohom.DimTable.from_dict(doc)
-    truncated = config.truncated is not None
-    wanted = (config.delta, config.alpha, config.n_max,
-              config.truncated if truncated else config.s_max)
-    found = (table.delta, table.alpha, table.n_max, table.s_max)
-    if found != wanted:
-        raise ValueError(f"entry holds (delta, alpha, n_max, s_max) = "
-                         f"({', '.join(str(x) for x in found)})")
-    if (table.stable is not None) != truncated:
-        raise ValueError("stability flags do not match the route")
-    if sorted(table.totals) != list(range(1, config.n_max + 1)):
-        raise ValueError(f"totals cover degrees {sorted(table.totals)}")
-    if not truncated:
-        for n, total in table.totals.items():
-            graded = sum(dim for (m, _), dim in table.by_grade.items() if m == n)
-            if total != graded:
-                raise ValueError(f"H^{n} total {total} differs from its graded sum {graded}")
-    return doc
-
-
-def table_dict(config: RunConfig, cache_dir: Path | None) -> dict:
-    """Table as a JSON-ready dict, via the on-disk cache when enabled."""
-    if cache_dir is None:
-        return compute_table(config).as_dict()
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"virhoch-{__version__}-{config.cache_key()}.json"
-    if path.exists():
-        try:
-            return check_entry(json.loads(path.read_text()), config)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            # a torn, foreign or edited entry is a miss: recompute and rewrite it
-            print(f"warning: recomputing cache entry {path}: {exc}", file=sys.stderr)
-    doc = compute_table(config).as_dict()
-    entry = {"source": source_digest(), "digest": table_digest(doc), "table": doc}
-    # a temporary file of this process's own, so that concurrent writers of
-    # one key never share it; os.replace makes the entry appear whole
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.stem + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as out:
-            out.write(json.dumps(entry, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return doc
-
-
-def _point_job(args: tuple[str, str, int, int, str | None]) -> tuple[str, dict]:
-    # top-level so worker processes can unpickle it
-    delta, alpha, n_max, s_max, cache_dir = args
-    config = RunConfig(
-        delta=parse_rational(delta), alpha=parse_rational(alpha), n_max=n_max, s_max=s_max
-    )
-    return delta, table_dict(config, Path(cache_dir) if cache_dir else None)
-
-
 # ---------------------------------------------------------------------------
-# rendering (shared by cohomology and report so cached and fresh runs match)
+# rendering (shared by cohomology and report)
 
 
-def render_table(doc: dict) -> list[str]:
-    table = cohom.DimTable.from_dict(doc)
+def render_table(table: cohom.DimTable) -> list[str]:
     d, a = format_rational(table.delta), format_rational(table.alpha)
     lines = []
     if table.stable is None:
@@ -209,8 +105,8 @@ def render_table(doc: dict) -> list[str]:
     return lines
 
 
-def render_csv(doc: dict) -> list[str]:
-    return ["delta,alpha,n,s,dim"] + cohom.DimTable.from_dict(doc).csv_rows()
+def render_csv(table: cohom.DimTable) -> list[str]:
+    return ["delta,alpha,n,s,dim"] + table.csv_rows()
 
 
 def load_expected() -> dict:
@@ -326,20 +222,20 @@ def cmd_cohomology(args) -> int:
     if args.locate and config.truncated is not None:
         raise UsageError("--locate applies to the graded route (alpha = 0)")
     expected = find_expectation(config) if args.expect else None
-    doc = table_dict(config, args.cache_dir)
+    table = compute_table(config)
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(table.as_dict(), sort_keys=True, indent=2))
     elif args.format == "csv":
-        print("\n".join(render_csv(doc)))
+        print("\n".join(render_csv(table)))
     else:
-        print("\n".join(render_table(doc)))
+        print("\n".join(render_table(table)))
     if args.locate:
         located = cohom.locate_classes(config.delta, config.n_max, s_max=config.s_max)
         for n, found in located.items():
             if found:
                 print(f"classes at n={n}: " + ", ".join(anick.chain_to_text(c) for c in found))
     if expected is not None:
-        ok, message = check_expectation(doc, expected)
+        ok, message = check_expectation(table.as_dict(), expected)
         print(f"expectation ({args.expect}): {message}")
         if not ok:
             return EXIT_EXPECT_MISMATCH
@@ -354,21 +250,14 @@ def _point_filename(delta: Fraction, alpha: Fraction) -> str:
 
 
 def cmd_report(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    cache = str(args.cache_dir) if args.cache_dir else None
-    jobs = [
-        (format_rational(d), "0", args.nmax, args.smax, cache) for d in GRADED_POINTS
+    # one process, fixed emission order: the points share the memoized rows
+    tables = [
+        compute_table(RunConfig(delta=d, alpha=Fraction(0), n_max=args.nmax, s_max=args.smax))
+        for d in GRADED_POINTS
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_point_job, jobs))
-    else:
-        results = dict(map(_point_job, jobs))
-    docs = [results[format_rational(d)] for d in GRADED_POINTS]  # fixed emission order
 
     if args.format == "json":
-        bundle = {doc["delta"]: doc for doc in docs}
+        bundle = {format_rational(t.delta): t.as_dict() for t in tables}
         text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"
         if args.out is None:
             sys.stdout.write(text)
@@ -384,10 +273,9 @@ def cmd_report(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
     summary = [f"cohomology dimension tables (n <= {args.nmax}, s <= {args.smax})", ""]
-    for doc in docs:
-        table = cohom.DimTable.from_dict(doc)
+    for table in tables:
         path = args.out / _point_filename(table.delta, table.alpha)
-        path.write_text("\n".join(render_csv(doc)) + "\n")
+        path.write_text("\n".join(render_csv(table)) + "\n")
         written.append(path)
         totals = ",".join(str(table.totals[n]) for n in sorted(table.totals))
         summary.append(
@@ -404,16 +292,6 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
-
-
-def _add_cache_flag(p: argparse.ArgumentParser) -> None:
-    default = os.environ.get(CACHE_ENV)
-    p.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=Path(default) if default else None,
-        help=f"directory for cached tables (default: ${CACHE_ENV} if set)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the bundled expectation file")
     p.add_argument("--locate", action="store_true", help="list the chains carrying classes")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    _add_cache_flag(p)
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("report", help="write the reproduction bundle for the standard points")
@@ -452,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--smax", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over parameter points")
-    _add_cache_flag(p)
     p.set_defaults(fn=cmd_report)
 
     return parser

@@ -1,11 +1,10 @@
-"""Exit codes, output formats, caching, and defect injection for the CLI."""
+"""Exit codes, output formats, import footprint, and defect injection for the CLI."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,6 +38,51 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["cohomology", "--delta", "0", "--cache-dir", "{tmp}"], "--cache-dir"),
+        (["report", "--format", "json", "--cache-dir", "{tmp}"], "--cache-dir"),
+        (["report", "--format", "json", "--jobs", "2"], "--jobs"),
+    ],
+    ids=["cohomology_cache_dir", "report_cache_dir", "report_jobs"],
+)
+def test_removed_flags_are_usage_errors(capsys, tmp_path, argv, flag):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 64
+    assert out == ""
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_environment_variable_is_ignored(capsys, tmp_path, monkeypatch):
+    argv = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4", "--format", "json")
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("VIRHOCH_CACHE_DIR", str(tmp_path))
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_out_process_pools_and_openssl():
+    # modules the interpreter loaded at start-up do not count, so the test
+    # does not depend on what site imports on a given machine
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).resolve().parents[1])!r})\n"
+        "before = set(sys.modules)\n"
+        "import virhoch.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "virhoch.cli" in added
+    assert {"hashlib", "multiprocessing", "concurrent.futures"}.isdisjoint(added)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +252,6 @@ def test_mutant_fails_its_gate(capsys, monkeypatch, mutant):
     module, name, source, argv, code, message = MUTANTS[mutant]
     target = getattr(cli, module)
     monkeypatch.setattr(target, name, eval(source, {"real": getattr(target, name)}))
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     got, out, err = run(capsys, *argv)
     assert got == code
     assert message in out + err
@@ -225,8 +268,7 @@ def test_mutants_fail_under_optimization():
         "    setattr(target, name, real)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
-    env["PYTHONPATH"] = src
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
@@ -343,122 +385,6 @@ def test_json_format_round_trips(capsys):
 
 
 # ---------------------------------------------------------------------------
-# cache behaviour
-
-
-def test_cache_warm_run_identical(capsys, tmp_path):
-    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
-            "--format", "json", "--cache-dir", str(tmp_path))
-    code1, out1, _ = run(capsys, *args)
-    cached = list(tmp_path.glob("virhoch-*.json"))
-    assert code1 == 0 and len(cached) == 1
-    code2, out2, _ = run(capsys, *args)
-    assert code2 == 0
-    assert out2 == out1
-
-
-def _restamped(entry: dict, table: dict) -> bytes:
-    # an entry whose digest matches its (edited or foreign) table
-    return json.dumps({**entry, "table": table, "digest": cli.table_digest(table)}).encode()
-
-
-def _foreign_point(good: bytes) -> bytes:
-    # a well-formed table of another weight under this config's file name
-    other = cli.RunConfig(delta=Fraction(1), alpha=Fraction(0), n_max=2, s_max=4)
-    return _restamped(json.loads(good), cli.table_dict(other, None))
-
-
-def _edited_total(good: bytes) -> bytes:
-    entry = json.loads(good)
-    entry["table"]["totals"]["1"] += 1
-    return _restamped(entry, entry["table"])
-
-
-def _edited_table(good: bytes) -> bytes:
-    # a total and one of its graded entries edited together stay consistent;
-    # only the digest tells
-    entry = json.loads(good)
-    entry["table"]["totals"]["1"] += 5
-    entry["table"]["by_grade"]["1,1"] += 5
-    return json.dumps(entry).encode()
-
-
-def _stale_source(good: bytes) -> bytes:
-    entry = json.loads(good)
-    entry["source"] = "0" * 16
-    return json.dumps(entry).encode()
-
-
-DAMAGE = {
-    "truncate": lambda good: good[: len(good) // 2],
-    "foreign": lambda good: b"[]\n",
-    "foreign_point": _foreign_point,
-    "edited_total": _edited_total,
-    "edited_table": _edited_table,
-    "stale_source": _stale_source,
-}
-
-
-@pytest.mark.parametrize("damage", list(DAMAGE))
-def test_cache_corrupt_entry_is_recomputed(capsys, tmp_path, damage):
-    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
-            "--format", "json", "--cache-dir", str(tmp_path))
-    _, fresh, _ = run(capsys, *args)
-    (entry,) = tmp_path.glob("virhoch-*.json")
-    good = entry.read_bytes()
-    entry.write_bytes(DAMAGE[damage](good))
-    code, out, err = run(capsys, *args)
-    assert code == 0
-    assert out == fresh
-    assert err.count("\n") == 1 and err.startswith("warning: recomputing")
-    assert entry.read_bytes() == good  # rewritten in place
-    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-    assert run(capsys, *args) == (0, fresh, "")
-
-
-def test_cache_key_covers_the_sources(capsys, tmp_path, monkeypatch):
-    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
-            "--cache-dir", str(tmp_path))
-    _, fresh, _ = run(capsys, *args)
-    computed = []
-    real = cli.compute_table
-    monkeypatch.setattr(cli, "compute_table", lambda c: computed.append(c) or real(c))
-    monkeypatch.setattr(cli, "source_digest", lambda: "patched")
-    assert run(capsys, *args) == (0, fresh, "")
-    assert len(computed) == 1  # changed sources: a miss under a new key
-    assert len(list(tmp_path.glob("virhoch-*.json"))) == 2
-
-
-def test_cache_write_ignores_leftover_temp_path(capsys, tmp_path):
-    # a leftover "<entry>.tmp" (here a directory) must not break the write,
-    # and no temporary file outlives the run
-    config = cli.RunConfig(delta=Fraction(0), alpha=Fraction(0), n_max=2, s_max=4)
-    leftover = tmp_path / f"virhoch-{cli.__version__}-{config.cache_key()}.tmp"
-    leftover.mkdir()
-    args = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4",
-            "--cache-dir", str(tmp_path))
-    code, _, err = run(capsys, *args)
-    assert (code, err) == (0, "")
-    assert len(list(tmp_path.glob("virhoch-*.json"))) == 1
-    assert [p.name for p in tmp_path.glob("*.tmp")] == [leftover.name]
-
-
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    code, _, _ = run(capsys, "cohomology", "--delta", "2", "--nmax", "1",
-                     "--smax", "2")
-    assert code == 0
-    assert list(tmp_path.glob("virhoch-*.json"))
-
-
-def test_cache_key_separates_configs(capsys, tmp_path):
-    base = ("--nmax", "1", "--smax", "2", "--cache-dir", str(tmp_path))
-    run(capsys, "cohomology", "--delta", "1", *base)
-    run(capsys, "cohomology", "--delta", "2", *base)
-    assert len(list(tmp_path.glob("virhoch-*.json"))) == 2
-
-
-# ---------------------------------------------------------------------------
 # report bundle
 
 
@@ -487,22 +413,3 @@ def test_report_json_stdout(capsys):
     bundle = json.loads(out)
     assert sorted(bundle) == ["-1", "-2", "0", "1", "2", "5/2"]
     assert bundle["1"]["totals"] == {"1": 2}
-
-
-def test_report_parallel_matches_serial(capsys, tmp_path):
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    run(capsys, "report", "--out", str(serial), "--nmax", "1", "--smax", "2")
-    run(capsys, "report", "--out", str(parallel), "--nmax", "1", "--smax", "2",
-        "--jobs", "2")
-    for path in sorted(serial.iterdir()):
-        assert (parallel / path.name).read_bytes() == path.read_bytes()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_report_nonpositive_jobs_is_usage_error(capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "_point_job", _no_work)
-    code, out, err = run(capsys, "report", "--format", "json", "--nmax", "1",
-                         "--smax", "2", "--jobs", jobs)
-    assert code == 64
-    assert out == ""
-    assert "--jobs" in err
