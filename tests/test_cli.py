@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,7 +58,8 @@ def test_removed_flags_are_usage_errors(capsys, tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_environment_variable_is_ignored(capsys, tmp_path, monkeypatch):
+def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
+    # VIRHOCH_CACHE_DIR no longer names a table cache: same bytes, no files
     argv = ("cohomology", "--delta", "0", "--nmax", "2", "--smax", "4", "--format", "json")
     plain = run(capsys, *argv)
     monkeypatch.setenv("VIRHOCH_CACHE_DIR", str(tmp_path))
@@ -384,6 +386,18 @@ def test_json_format_round_trips(capsys):
     assert doc["totals"] == {"1": 0, "2": 0}
 
 
+def test_cache_warm_run_identical(capsys, tmp_path, monkeypatch):
+    # the second call in one process reuses the memoized rows of the first;
+    # both match a cold interpreter, and nothing is written to disk
+    args = ["cohomology", "--delta", "0", "--nmax", "2", "--smax", "4", "--format", "json"]
+    monkeypatch.chdir(tmp_path)
+    first = run(capsys, *args)
+    assert first[0] == 0
+    assert run(capsys, *args) == first
+    assert fresh_run(args) == first
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # report bundle
 
@@ -413,3 +427,29 @@ def test_report_json_stdout(capsys):
     bundle = json.loads(out)
     assert sorted(bundle) == ["-1", "-2", "0", "1", "2", "5/2"]
     assert bundle["1"]["totals"] == {"1": 2}
+
+
+def test_report_parallel_matches_serial(capsys, tmp_path):
+    # the report's points share one process and its memoized rows; each file
+    # matches its point computed alone in a fresh interpreter, as a separate
+    # worker process would
+    assert run(capsys, "report", "--out", str(tmp_path), "--nmax", "1", "--smax", "2")[0] == 0
+    for delta in cli.GRADED_POINTS:
+        d = cli.format_rational(delta)
+        code, out, err = fresh_run(
+            ["cohomology", "--delta", d, "--nmax", "1", "--smax", "2", "--format", "csv"]
+        )
+        assert (code, err) == (0, "")
+        path = tmp_path / cli._point_filename(delta, Fraction(0))
+        assert path.read_text() == out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_report_nonpositive_jobs_is_usage_error(capsys, monkeypatch, jobs):
+    # --jobs is gone: any value, nonpositive too, is rejected before any work
+    monkeypatch.setattr(cli, "compute_table", _no_work)
+    code, out, err = run(capsys, "report", "--format", "json", "--nmax", "1",
+                         "--smax", "2", "--jobs", jobs)
+    assert code == 64
+    assert out == ""
+    assert "--jobs" in err
