@@ -53,6 +53,7 @@ class RunConfig:
     n_max: int = 4
     s_max: int = 8
     truncated: int | None = None  # grade cutoff S, or None for the graded route
+    locate: bool = False  # also list the chains carrying the classes
 
     def validate(self) -> None:
         if self.n_max < 1 or self.s_max < 0:
@@ -63,6 +64,8 @@ class RunConfig:
             )
         if self.truncated is not None and not self.alpha:
             raise UsageError("the truncated route needs a nonzero --alpha")
+        if self.locate and self.truncated is not None:
+            raise UsageError("--locate applies to the graded route (alpha = 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +78,9 @@ def compute_table(config: RunConfig) -> cohom.DimTable:
         return cohom.truncated_cohomology(
             config.delta, config.alpha, n_max=config.n_max, S=config.truncated
         )
-    return cohom.cohomology_dims(config.delta, n_max=config.n_max, s_max=config.s_max)
+    return cohom.cohomology_dims(
+        config.delta, n_max=config.n_max, s_max=config.s_max, locate=config.locate
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +222,9 @@ def cmd_cohomology(args) -> int:
         n_max=args.nmax,
         s_max=args.smax,
         truncated=args.truncated,
+        locate=args.locate,
     )
     config.validate()
-    if args.locate and config.truncated is not None:
-        raise UsageError("--locate applies to the graded route (alpha = 0)")
     expected = find_expectation(config) if args.expect else None
     table = compute_table(config)
     if args.format == "json":
@@ -229,9 +233,8 @@ def cmd_cohomology(args) -> int:
         print("\n".join(render_csv(table)))
     else:
         print("\n".join(render_table(table)))
-    if args.locate:
-        located = cohom.locate_classes(config.delta, config.n_max, s_max=config.s_max)
-        for n, found in located.items():
+    if table.classes is not None:
+        for n, found in table.classes.items():
             if found:
                 print(f"classes at n={n}: " + ", ".join(anick.chain_to_text(c) for c in found))
     if expected is not None:
@@ -250,6 +253,8 @@ def _point_filename(delta: Fraction, alpha: Fraction) -> str:
 
 
 def cmd_report(args) -> int:
+    if args.format == "csv" and args.out is None:
+        raise UsageError("csv reports need --out DIR")
     # one process, fixed emission order: the points share the memoized rows
     tables = [
         compute_table(RunConfig(delta=d, alpha=Fraction(0), n_max=args.nmax, s_max=args.smax))
@@ -268,8 +273,6 @@ def cmd_report(args) -> int:
         print(path)
         return EXIT_OK
 
-    if args.out is None:
-        raise UsageError("csv reports need --out DIR")
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
     summary = [f"cohomology dimension tables (n <= {args.nmax}, s <= {args.smax})", ""]

@@ -7,23 +7,27 @@ With a != 0 the a-part lowers s by one, so the subcomplex of cochains
 supported on grades <= S is finite and closed under d.  Its cohomology is
 compared at S and S + 1 (stabilization).
 
-Both routes assemble and eliminate each degree once, over the window of
-chains of grade <= T, sorted by grade.  ``matrix_d`` is the one row
-assembler; it checks that every entry is a-free at its target's grade or a
-multiple of a one grade up.  With that shape the rows of grade > s vanish
-on the columns of grade <= s, so the rank of the window of grades <= s is
-the rank of a column prefix, and ``rank`` reads every prefix off one
-elimination.  The truncated route reads the S + 1 window at the prefixes
-ending at grades S and S + 1.  At a = 0 the a-linear entries vanish, so d
-is block-diagonal by grade and the rank of the block at grade s is the
-prefix rank at s minus the prefix rank at s - 1.
+Both routes assemble each degree once, over the window of chains of grade
+<= T, sorted by grade.  ``matrix_d`` is the one row assembler; it checks
+that every entry is a-free at its target's grade or a multiple of a one
+grade up.  With that shape the rows of grade > s vanish on the columns of
+grade <= s, so the rank of the window of grades <= s is the rank of a
+column prefix, and ``rank`` reads every prefix off one elimination.  The
+truncated route reads the S + 1 window at the prefixes ending at grades S
+and S + 1.  At a = 0 the a-linear entries vanish, so d is block-diagonal by
+grade and the rank of the block at grade s is the prefix rank at s minus
+the prefix rank at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
-algebra: ranks count its pivots, and ``locate_classes`` reads the pivot
-columns of ker d (the non-pivots of d with its columns mirrored) minus
-those of im d.  Rows are kept primitive over Z, so no Fraction enters the
-inner loop; the tests check the pivots against a naive rational Gaussian
-oracle.
+algebra.  Rows are kept primitive over Z, so no Fraction enters the inner
+loop; the tests check the pivots against a naive rational Gaussian oracle.
+The graded table and, when asked for, the chains carrying its classes come
+from one pass.  A class of degree n sits at a pivot column of ker d_out
+that is not a pivot column of im d_in.  The former are the non-pivots of
+d_out eliminated with its columns mirrored.  Each block of a block-diagonal
+matrix keeps its pivot count under any column order, so that same
+elimination, mapped back, also gives the prefix ranks; d_out is eliminated
+once.  ``locate_classes`` reads the classes off this pass.
 """
 
 from __future__ import annotations
@@ -145,7 +149,9 @@ class DimTable:
     For alpha = 0, ``by_grade[(n, s)]`` holds the graded dimensions and
     ``totals[n]`` their sums.  For alpha != 0 the complex is not graded;
     only ``totals`` is filled (from the truncated complex) together with
-    ``stable[n]`` comparing the cutoffs S and S + 1.
+    ``stable[n]`` comparing the cutoffs S and S + 1.  ``classes[n]``, when
+    asked for, lists the chains carrying the classes of degree n; it is not
+    serialized.
     """
 
     delta: Rational
@@ -155,6 +161,7 @@ class DimTable:
     by_grade: dict[tuple[int, int], int] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
     stable: dict[int, bool] | None = None
+    classes: dict[int, list[Chain]] | None = None
 
     def csv_rows(self) -> list[str]:
         out = []
@@ -209,35 +216,72 @@ def _grade_range(n: int, s_max: int) -> range:
 
 
 def _windows(
-    delta: Rational, alpha: Rational, n_max: int, grades: list[int]
-) -> tuple[list[list[int]], list[list[int]]]:
+    delta: Rational, alpha: Rational, n_max: int, grades: list[int], locate: bool = False
+) -> tuple[list[list[int]], list[list[int]], dict[int, list[Chain]] | None]:
     """Sizes and ranks of the windows of grade <= each of ``grades``.
 
     ``sizes[n][i]`` counts the degree-n chains of grade <= grades[i] (n <=
     n_max + 1), and ``ranks[n][i]`` is the rank of d from degree n to n + 1
     on that window (n <= n_max): one assembly and one elimination per
-    degree, over the window of the last grade.
+    degree, over the window of the last grade.  With ``locate`` (a = 0
+    only) the third result maps each degree 1..n_max to the chains
+    carrying its classes; it is None otherwise.
     """
     bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
     sizes = [[bisect_right(g, s) for s in grades] for g in ([grade(c) for c in b] for b in bases)]
-    ranks = [
-        rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n])
-        for n in range(n_max + 1)
-    ]
-    return sizes, ranks
+    if not locate:
+        ranks = [
+            rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n])
+            for n in range(n_max + 1)
+        ]
+        return sizes, ranks, None
+    ranks, classes, d_in = [], {}, []
+    for n in range(n_max + 1):
+        d_out = matrix_d(n, bases[n], bases[n + 1], delta, alpha).entries
+        m = len(bases[n])
+        # The pivot columns (leftmost nonzeros of an echelon basis) of a
+        # subspace depend only on the subspace, and im d_in lies in
+        # ker d_out, so the classes sit at pivots(ker) - pivots(im).
+        # Solving an echelon form of d_out for each free column gives a
+        # kernel basis whose vectors end (rightmost nonzero) exactly at
+        # the free columns.  Eliminating with the columns mirrored
+        # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
+        # columns that are not pivots of the mirrored d_out.  At a = 0
+        # each grade block keeps its pivot count under the mirror, so the
+        # mirrored pivots, mapped back, count every prefix rank as well.
+        # Rows fed by their leading mirrored column keep the fill-in low.
+        mirrored = sorted(
+            ({m - 1 - j: v for j, v in row.items()} for row in d_out if row), key=min
+        )
+        pivots = [m - 1 - j for j in reversed(pivot_columns(mirrored))]
+        ranks.append([bisect_left(pivots, k) for k in sizes[n]])
+        if n:
+            # im d_in is spanned by the columns of d_in
+            columns: list[dict[int, Rational]] = [{} for _ in bases[n - 1]]
+            for i, row in enumerate(d_in):
+                for j, v in row.items():
+                    columns[j][i] = v
+            kernel = set(range(m)).difference(pivots)
+            classes[n] = sorted(bases[n][j] for j in kernel.difference(pivot_columns(columns)))
+        d_in = d_out
+    return sizes, ranks, classes
 
 
-def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable:
+def cohomology_dims(
+    delta: Rational, n_max: int = 4, s_max: int = 8, locate: bool = False
+) -> DimTable:
     """Graded cohomology dimensions for the shift-free module (alpha = 0).
 
     The window sizes and ranks are cumulative over grades; d is
     block-diagonal by grade at alpha = 0, so each graded piece is the
-    difference of two consecutive ones.
+    difference of two consecutive ones.  With ``locate`` the same pass
+    fills ``classes``, and the number of classes in each degree must equal
+    its total.
     """
     delta = Fraction(delta)
     table = DimTable(delta=delta, alpha=Fraction(0), n_max=n_max, s_max=s_max)
     grades = list(_grade_range(1, s_max))  # grade -1 is the lowest of any chain
-    sizes, ranks = _windows(delta, Fraction(0), n_max, grades)
+    sizes, ranks, classes = _windows(delta, Fraction(0), n_max, grades, locate)
 
     def piece(cumulative: list[int], i: int) -> int:
         return cumulative[i] - (cumulative[i - 1] if i else 0)
@@ -255,6 +299,12 @@ def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable
             table.by_grade[(n, s)] = dim
             total += dim
         table.totals[n] = total
+        if classes is not None and len(classes[n]) != total:
+            raise InvariantError(
+                f"{len(classes[n])} classes located in degree {n} for dimension "
+                f"{total}, at delta={format_rational(delta)}, alpha=0"
+            )
+    table.classes = classes
     return table
 
 
@@ -275,7 +325,7 @@ def truncated_cohomology(
     if not alpha:
         raise ValueError("the truncated route is for a nonzero shift")
     delta, alpha = Fraction(delta), Fraction(alpha)
-    sizes, ranks = _windows(delta, alpha, n_max, [S, S + 1])
+    sizes, ranks, _ = _windows(delta, alpha, n_max, [S, S + 1])
 
     def dims(i: int, cutoff: str) -> dict[int, int]:
         out = {}
@@ -304,40 +354,10 @@ def locate_classes(
     Per degree n, the pivot columns (leftmost nonzero coordinates, after
     full reduction) of ker d_out that are not pivot columns of im d_in;
     each marks the chain whose dual coordinate carries one cohomology
-    class.  Each degree is eliminated once over the window of grades <=
-    s_max: d is block-diagonal by grade, and the pivot columns of a sum of
-    subspaces on disjoint column blocks are the union of theirs.  Each
-    matrix is assembled once: d_out of degree n is d_in of degree n + 1.
+    class.  They are read off the graded pass of ``cohomology_dims``,
+    which assembles each matrix once and eliminates d_out once.
     """
-    bases = [window_basis(n, s_max) for n in range(n_max + 2)]
-    d = [
-        matrix_d(n, bases[n], bases[n + 1], delta, Fraction(0)).entries
-        for n in range(n_max + 1)
-    ]
-    found: dict[int, list[Chain]] = {}
-    for n in range(1, n_max + 1):
-        src = bases[n]
-        m = len(src)
-        # The pivot columns (leftmost nonzeros of an echelon basis) of a
-        # subspace depend only on the subspace, and im d_in lies in
-        # ker d_out, so the classes sit at pivots(ker) - pivots(im).
-        # Solving an echelon form of d_out for each free column gives a
-        # kernel basis whose vectors end (rightmost nonzero) exactly at
-        # the free columns.  Eliminating with the columns mirrored
-        # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
-        # columns that are not pivots of the mirrored d_out.
-        reversed_pivots = pivot_columns(
-            {m - 1 - j: v for j, v in row.items()} for row in d[n]
-        )
-        kernel = set(range(m)) - {m - 1 - j for j in reversed_pivots}
-        # im d_in is spanned by the columns of d_in
-        columns: list[dict[int, Rational]] = [{} for _ in bases[n - 1]]
-        for i, row in enumerate(d[n - 1]):
-            for j, v in row.items():
-                columns[j][i] = v
-        image = pivot_columns(columns)
-        found[n] = sorted(src[j] for j in kernel.difference(image))
-    return found
+    return cohomology_dims(delta, n_max, s_max, locate=True).classes
 
 
 @dataclass

@@ -408,6 +408,14 @@ def test_report_csv_needs_out(capsys):
     assert "--out" in err
 
 
+def test_report_csv_without_out_is_rejected_before_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compute_table", _no_work)
+    code, out, err = run(capsys, "report")
+    assert code == 64
+    assert out == ""
+    assert "--out" in err
+
+
 def test_report_deterministic(capsys, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run(capsys, "report", "--out", str(out_a), "--nmax", "2", "--smax", "3")[0] == 0
@@ -453,3 +461,26 @@ def test_report_nonpositive_jobs_is_usage_error(capsys, monkeypatch, jobs):
     assert code == 64
     assert out == ""
     assert "--jobs" in err
+
+
+# ---------------------------------------------------------------------------
+# README transcripts
+
+
+def readme_transcripts() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of every ``$ virhoch ...`` block in README.md's Quick start."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for block in quick.split("```")[1::2]:
+        command, _, printed = block.strip("\n").partition("\n")
+        if command.startswith("$ virhoch "):
+            out.append((command.split()[2:], printed + "\n"))
+    return out
+
+
+def test_readme_transcripts_match(capsys):
+    transcripts = readme_transcripts()
+    assert len(transcripts) == 2
+    for argv, printed in transcripts:
+        assert run(capsys, *argv) == (0, printed, ""), argv

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from virhoch import cohom
+from virhoch import cli, cohom
 from virhoch.anick import grade
 from virhoch.cochain import reduced_row
 from virhoch.cohom import (
@@ -346,11 +346,12 @@ OFF_GRADE = {
 }
 
 
-# both routes assemble their rows in ``matrix_d``, which checks the split;
+# every route assembles its rows in ``matrix_d``, which checks the split;
 # each window of grades <= 2 holds the target [3|0]
 ROUTES = [
     ("truncated_cohomology", (F(1), F(1), 3, 2)),
     ("cohomology_dims", (F(1), 3, 2)),
+    ("locate_classes", (F(1), 3, 2)),
 ]
 
 
@@ -409,6 +410,40 @@ def test_negative_dimension_check_survives_optimization():
     assert "negative dimension" in proc.stdout
 
 
+# The located pass reads its ranks off ``pivot_columns`` of the mirrored
+# d_out, not off ``rank``.  A pivot past every column, mirrored back,
+# precedes every column, so it counts in every prefix rank.
+EXTRA_PIVOT = "lambda rows: real(rows) + [10**9]"
+
+
+def test_negative_located_dimension_is_reported(monkeypatch):
+    monkeypatch.setattr(
+        cohom, "pivot_columns", eval(EXTRA_PIVOT, {"real": cohom.pivot_columns})
+    )
+    with pytest.raises(InvariantError, match=r"degree 1, grade -1, at delta=1, alpha=0"):
+        locate_classes(F(1), 2, 2)
+
+
+def test_negative_located_dimension_survives_optimization():
+    script = (
+        "from fractions import Fraction\n"
+        "from virhoch import cohom\n"
+        "real = cohom.pivot_columns\n"
+        f"cohom.pivot_columns = {EXTRA_PIVOT}\n"
+        "try:\n"
+        "    cohom.locate_classes(Fraction(1), 2, 2)\n"
+        "except cohom.InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "negative dimension -1 in degree 1, grade -1" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # locating the class-carrying chains
 
@@ -421,14 +456,21 @@ def test_locate_classes():
 
 @pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
 def test_locate_counts_match_totals(delta):
-    totals = cohomology_dims(delta, s_max=6).totals
-    located = locate_classes(delta, 4, s_max=6)
-    assert sorted(located) == [1, 2, 3, 4]
+    # the located pass reads its ranks off the mirrored elimination of d_out,
+    # the plain route off ``rank``: both readings give the same table
+    plain = cohomology_dims(delta, s_max=7)
+    located = cohomology_dims(delta, s_max=7, locate=True)
+    assert plain.classes is None
+    assert located.by_grade == plain.by_grade
+    assert located.totals == plain.totals
+    assert tuple(located.totals[n] for n in (1, 2, 3, 4)) == GRADED_TOTALS[delta]
+    assert sorted(located.classes) == [1, 2, 3, 4]
     for n in range(1, 5):
-        assert len(located[n]) == totals[n]
+        assert len(located.classes[n]) == located.totals[n]
 
 
-def test_locate_assembles_each_matrix_once(monkeypatch):
+def test_locate_assembles_each_matrix_once(capsys, monkeypatch):
+    # the table and its classes come from one pass: n_max + 1 matrices
     real = cohom.matrix_d
     seen = []
 
@@ -437,8 +479,9 @@ def test_locate_assembles_each_matrix_once(monkeypatch):
         return real(n, source, target, delta, alpha)
 
     monkeypatch.setattr(cohom, "matrix_d", counting)
-    assert locate_classes(F(0), 4, s_max=6)[3] == [(2, 1, 0)]
-    assert seen and len(seen) == len(set(seen))
+    assert cli.main(["cohomology", "--delta", "0", "--smax", "6", "--locate"]) == 0
+    assert "classes at n=3: [2|1|0]" in capsys.readouterr().out
+    assert len(seen) == 5 and len(set(seen)) == 5
 
 
 # ---------------------------------------------------------------------------
