@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .algebra import check_overlap, nf_word, normal_form, verify_defining_relations
 from .anick import (
     Chain,
-    chain_from_text,
     chain_to_text,
     compose_delta,
     delta_generic,
@@ -29,7 +28,6 @@ __all__ = [
     "Chain",
     "DimTable",
     "ParamPoly",
-    "chain_from_text",
     "chain_to_text",
     "check_overlap",
     "cohomology_dims",

@@ -35,17 +35,6 @@ from .scalars import RationalSum
 Word = tuple[int, ...]
 
 
-def word_from_text(text: str) -> Word:
-    """Parse ``"v2.v0"`` or ``"[2|0]"`` (empty word: ``""`` or ``"[]"``)."""
-    text = text.strip()
-    if text.startswith("["):
-        inner = text[1:-1].strip()
-        return tuple(int(x) for x in inner.split("|")) if inner else ()
-    if not text:
-        return ()
-    return tuple(int(part.lstrip("v")) for part in text.split("."))
-
-
 def word_to_text(w: Word) -> str:
     return ".".join(f"v{i}" for i in w)
 
@@ -207,10 +196,10 @@ class RelationReport:
         )
 
 
-def verify_defining_relations(bound: int, with_overlaps: bool = True) -> RelationReport:
+def verify_defining_relations(bound: int) -> RelationReport:
     """Reduce both defining families with all indices <= bound to zero.
 
-    Optionally also resolves every overlap ambiguity with n, m, p <= bound.
+    Also resolves every overlap ambiguity with n, m, p <= bound.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -229,16 +218,15 @@ def verify_defining_relations(bound: int, with_overlaps: bool = True) -> Relatio
             report.commutator_checked += 1
             if normal_form(relation):
                 report.violations.append(f"commutator({n},{m})")
-    if with_overlaps:
-        for n in range(2, bound + 1):
-            for m in range(2, bound + 1):
-                for p in range(0, bound + 1):
-                    report.overlaps_checked += 1
-                    if not check_overlap(n, m, p):
-                        report.violations.append(f"overlap({n},{m},{p})")
-            report.overlaps_checked += 1
-            if not check_overlap(n, 1, 0):
-                report.violations.append(f"overlap({n},1,0)")
+    for n in range(2, bound + 1):
+        for m in range(2, bound + 1):
+            for p in range(0, bound + 1):
+                report.overlaps_checked += 1
+                if not check_overlap(n, m, p):
+                    report.violations.append(f"overlap({n},{m},{p})")
+        report.overlaps_checked += 1
+        if not check_overlap(n, 1, 0):
+            report.violations.append(f"overlap({n},1,0)")
     return report
 
 

@@ -82,19 +82,6 @@ def chain_to_text(c: Chain) -> str:
     return "[" + "|".join(str(m) for m in c) + "]"
 
 
-def chain_from_text(text: str) -> Chain:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"bad chain literal: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    c = tuple(int(p) for p in inner.split("|"))
-    if not is_chain(c):
-        raise ValueError(f"{text} is not a chain")
-    return c
-
-
 def enumerate_chains(n: int, s_max: int) -> list[Chain]:
     """All n-letter chains of grade <= s_max, in lexicographic order."""
     if n < 0 or (n >= 2 and s_max < n - 3):

@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options for one dimension-table computation."""
+    """Resolved options for one dimension table: how to compute and print it."""
 
     delta: Fraction
     alpha: Fraction
@@ -54,8 +54,10 @@ class RunConfig:
     s_max: int = 8
     truncated: int | None = None  # grade cutoff S, or None for the graded route
     locate: bool = False  # also list the chains carrying the classes
+    format: str = "table"  # the output format: table, csv or json
 
     def validate(self) -> None:
+        """Reject inconsistent options; each command calls it once, before any work."""
         if self.n_max < 1 or self.s_max < 0:
             raise UsageError("bounds must be positive")
         if self.truncated is None and self.alpha:
@@ -66,6 +68,8 @@ class RunConfig:
             raise UsageError("the truncated route needs a nonzero --alpha")
         if self.locate and self.truncated is not None:
             raise UsageError("--locate applies to the graded route (alpha = 0)")
+        if self.locate and self.format != "table":
+            raise UsageError("--locate prints its classes in the table format only")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +77,7 @@ class RunConfig:
 
 
 def compute_table(config: RunConfig) -> cohom.DimTable:
-    config.validate()
+    """The table for a validated configuration."""
     if config.truncated is not None:
         return cohom.truncated_cohomology(
             config.delta, config.alpha, n_max=config.n_max, S=config.truncated
@@ -84,7 +88,7 @@ def compute_table(config: RunConfig) -> cohom.DimTable:
 
 
 # ---------------------------------------------------------------------------
-# rendering (shared by cohomology and report)
+# rendering: the text, CSV and JSON forms of a table
 
 
 def render_table(table: cohom.DimTable) -> list[str]:
@@ -107,11 +111,41 @@ def render_table(table: cohom.DimTable) -> list[str]:
             flag = "stable" if table.stable[n] else "UNSTABLE"
             lines.append(f"H^{n} = {table.totals[n]} ({flag})")
     lines.append("totals: " + ",".join(str(table.totals[n]) for n in sorted(table.totals)))
+    if table.classes is not None:
+        for n, found in table.classes.items():
+            if found:
+                chains = ", ".join(anick.chain_to_text(c) for c in found)
+                lines.append(f"classes at n={n}: {chains}")
     return lines
 
 
 def render_csv(table: cohom.DimTable) -> list[str]:
-    return ["delta,alpha,n,s,dim"] + table.csv_rows()
+    """Header and one row per degree and grade; truncated tables leave s empty."""
+    d, a = format_rational(table.delta), format_rational(table.alpha)
+    out = ["delta,alpha,n,s,dim"]
+    if table.by_grade:
+        for (n, s), dim in sorted(table.by_grade.items()):
+            out.append(f"{d},{a},{n},{s},{dim}")
+    else:
+        for n in sorted(table.totals):
+            out.append(f"{d},{a},{n},,{table.totals[n]}")
+    return out
+
+
+def json_doc(table: cohom.DimTable) -> dict:
+    """The JSON form: rationals as strings, maps keyed by degree or "n,s"."""
+    doc = {
+        "delta": format_rational(table.delta),
+        "alpha": format_rational(table.alpha),
+        "n_max": table.n_max,
+        "s_max": table.s_max,
+        "totals": {str(n): table.totals[n] for n in sorted(table.totals)},
+    }
+    if table.by_grade:
+        doc["by_grade"] = {f"{n},{s}": dim for (n, s), dim in sorted(table.by_grade.items())}
+    if table.stable is not None:
+        doc["stable"] = {str(n): table.stable[n] for n in sorted(table.stable)}
+    return doc
 
 
 def load_expected() -> dict:
@@ -129,12 +163,12 @@ def find_expectation(config: RunConfig) -> dict:
     raise UsageError(f"no bundled expectation for delta={d}, alpha={a} ({family})")
 
 
-def check_expectation(doc: dict, entry: dict) -> tuple[bool, str]:
-    """Compare a table dict against one bundled claim. (ok, message)."""
-    if doc["totals"] != entry["totals"]:
-        return False, f"totals {doc['totals']} differ from expected {entry['totals']}"
-    if "stable" in doc and not all(doc["stable"].values()):
-        return False, f"cutoff-unstable degrees: {doc['stable']}"
+def check_expectation(table: cohom.DimTable, entry: dict) -> tuple[bool, str]:
+    """Compare a table against one bundled claim. (ok, message)."""
+    if table.totals != {int(n): dim for n, dim in entry["totals"].items()}:
+        return False, f"totals {json_doc(table)['totals']} differ from expected {entry['totals']}"
+    if table.stable is not None and not all(table.stable.values()):
+        return False, f"cutoff-unstable degrees: {json_doc(table)['stable']}"
     return True, "match"
 
 
@@ -223,22 +257,19 @@ def cmd_cohomology(args) -> int:
         s_max=args.smax,
         truncated=args.truncated,
         locate=args.locate,
+        format=args.format,
     )
     config.validate()
     expected = find_expectation(config) if args.expect else None
     table = compute_table(config)
-    if args.format == "json":
-        print(json.dumps(table.as_dict(), sort_keys=True, indent=2))
-    elif args.format == "csv":
+    if config.format == "json":
+        print(json.dumps(json_doc(table), sort_keys=True, indent=2))
+    elif config.format == "csv":
         print("\n".join(render_csv(table)))
     else:
         print("\n".join(render_table(table)))
-    if table.classes is not None:
-        for n, found in table.classes.items():
-            if found:
-                print(f"classes at n={n}: " + ", ".join(anick.chain_to_text(c) for c in found))
     if expected is not None:
-        ok, message = check_expectation(table.as_dict(), expected)
+        ok, message = check_expectation(table, expected)
         print(f"expectation ({args.expect}): {message}")
         if not ok:
             return EXIT_EXPECT_MISMATCH
@@ -255,14 +286,17 @@ def _point_filename(delta: Fraction, alpha: Fraction) -> str:
 def cmd_report(args) -> int:
     if args.format == "csv" and args.out is None:
         raise UsageError("csv reports need --out DIR")
-    # one process, fixed emission order: the points share the memoized rows
-    tables = [
-        compute_table(RunConfig(delta=d, alpha=Fraction(0), n_max=args.nmax, s_max=args.smax))
+    configs = [
+        RunConfig(delta=d, alpha=Fraction(0), n_max=args.nmax, s_max=args.smax)
         for d in GRADED_POINTS
     ]
+    for config in configs:
+        config.validate()
+    # one process, fixed emission order: the points share the memoized rows
+    tables = [compute_table(config) for config in configs]
 
     if args.format == "json":
-        bundle = {format_rational(t.delta): t.as_dict() for t in tables}
+        bundle = {format_rational(t.delta): json_doc(t) for t in tables}
         text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"
         if args.out is None:
             sys.stdout.write(text)

@@ -150,8 +150,8 @@ class DimTable:
     ``totals[n]`` their sums.  For alpha != 0 the complex is not graded;
     only ``totals`` is filled (from the truncated complex) together with
     ``stable[n]`` comparing the cutoffs S and S + 1.  ``classes[n]``, when
-    asked for, lists the chains carrying the classes of degree n; it is not
-    serialized.
+    asked for, lists the chains carrying the classes of degree n.  The text,
+    CSV and JSON forms are ``cli``'s.
     """
 
     delta: Rational
@@ -163,56 +163,23 @@ class DimTable:
     stable: dict[int, bool] | None = None
     classes: dict[int, list[Chain]] | None = None
 
-    def csv_rows(self) -> list[str]:
-        out = []
-        d, a = format_rational(self.delta), format_rational(self.alpha)
-        if self.by_grade:
-            for (n, s), dim in sorted(self.by_grade.items()):
-                out.append(f"{d},{a},{n},{s},{dim}")
-        else:
-            for n in sorted(self.totals):
-                out.append(f"{d},{a},{n},,{self.totals[n]}")
-        return out
-
-    def as_dict(self) -> dict:
-        doc = {
-            "delta": format_rational(self.delta),
-            "alpha": format_rational(self.alpha),
-            "n_max": self.n_max,
-            "s_max": self.s_max,
-            "totals": {str(n): self.totals[n] for n in sorted(self.totals)},
-        }
-        if self.by_grade:
-            doc["by_grade"] = {
-                f"{n},{s}": dim for (n, s), dim in sorted(self.by_grade.items())
-            }
-        if self.stable is not None:
-            doc["stable"] = {str(n): self.stable[n] for n in sorted(self.stable)}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DimTable":
-        from .scalars import parse_rational
-
-        table = cls(
-            delta=parse_rational(doc["delta"]),
-            alpha=parse_rational(doc["alpha"]),
-            n_max=int(doc["n_max"]),
-            s_max=int(doc["s_max"]),
-            totals={int(n): int(v) for n, v in doc["totals"].items()},
-        )
-        for key, dim in doc.get("by_grade", {}).items():
-            n, s = key.split(",")
-            table.by_grade[(int(n), int(s))] = int(dim)
-        if "stable" in doc:
-            table.stable = {int(n): bool(v) for n, v in doc["stable"].items()}
-        return table
-
 
 def _grade_range(n: int, s_max: int) -> range:
     # minimal grade in degree n: -1 for single letters, n - 3 beyond
     lo = 0 if n == 0 else (-1 if n == 1 else n - 3)
     return range(lo, s_max + 1)
+
+
+def _dimension(size: int, rank_out: int, rank_in: int, where: str) -> int:
+    """size - rank_out - rank_in: the dimension of one piece of cohomology.
+
+    Exact ranks never make it negative, so a negative one is an
+    ``InvariantError`` whose message names the piece (``where``).
+    """
+    dim = size - rank_out - rank_in
+    if dim < 0:
+        raise InvariantError(f"negative dimension {dim} in {where}")
+    return dim
 
 
 def _windows(
@@ -278,10 +245,15 @@ def cohomology_dims(
     fills ``classes``, and the number of classes in each degree must equal
     its total.
     """
+    grades = _grade_range(1, s_max)  # grade -1 is the lowest of any chain
+    if not grades:
+        raise ValueError(
+            f"grade bound s_max={s_max} is below the minimal grade {grades.start} of any chain"
+        )
     delta = Fraction(delta)
     table = DimTable(delta=delta, alpha=Fraction(0), n_max=n_max, s_max=s_max)
-    grades = list(_grade_range(1, s_max))  # grade -1 is the lowest of any chain
-    sizes, ranks, classes = _windows(delta, Fraction(0), n_max, grades, locate)
+    sizes, ranks, classes = _windows(delta, Fraction(0), n_max, list(grades), locate)
+    at = f"at delta={format_rational(delta)}, alpha=0"
 
     def piece(cumulative: list[int], i: int) -> int:
         return cumulative[i] - (cumulative[i - 1] if i else 0)
@@ -289,20 +261,17 @@ def cohomology_dims(
     for n in range(1, n_max + 1):
         total = 0
         for s in _grade_range(n, s_max):
-            i = s - grades[0]
-            dim = piece(sizes[n], i) - piece(ranks[n], i) - piece(ranks[n - 1], i)
-            if dim < 0:
-                raise InvariantError(
-                    f"negative dimension {dim} in degree {n}, grade {s}, "
-                    f"at delta={format_rational(delta)}, alpha=0"
-                )
+            i = s - grades.start
+            dim = _dimension(
+                piece(sizes[n], i), piece(ranks[n], i), piece(ranks[n - 1], i),
+                f"degree {n}, grade {s}, {at}",
+            )
             table.by_grade[(n, s)] = dim
             total += dim
         table.totals[n] = total
         if classes is not None and len(classes[n]) != total:
             raise InvariantError(
-                f"{len(classes[n])} classes located in degree {n} for dimension "
-                f"{total}, at delta={format_rational(delta)}, alpha=0"
+                f"{len(classes[n])} classes located in degree {n} for dimension {total}, {at}"
             )
     table.classes = classes
     return table
@@ -326,18 +295,15 @@ def truncated_cohomology(
         raise ValueError("the truncated route is for a nonzero shift")
     delta, alpha = Fraction(delta), Fraction(alpha)
     sizes, ranks, _ = _windows(delta, alpha, n_max, [S, S + 1])
+    at = f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
 
     def dims(i: int, cutoff: str) -> dict[int, int]:
-        out = {}
-        for n in range(1, n_max + 1):
-            dim = sizes[n][i] - ranks[n][i] - ranks[n - 1][i]
-            if dim < 0:
-                raise InvariantError(
-                    f"negative dimension {dim} in degree {n}, cutoff {cutoff}, "
-                    f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
-                )
-            out[n] = dim
-        return out
+        return {
+            n: _dimension(
+                sizes[n][i], ranks[n][i], ranks[n - 1][i], f"degree {n}, cutoff {cutoff}, {at}"
+            )
+            for n in range(1, n_max + 1)
+        }
 
     at_S, at_S1 = dims(0, f"S={S}"), dims(1, f"S+1={S + 1}")
     return DimTable(

@@ -63,9 +63,6 @@ class ModElem:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash(self._coeffs)
-
     def __str__(self) -> str:
         if not self._coeffs:
             return "0 | u"

@@ -40,11 +40,6 @@ Scalar = Union[Fraction, "ParamPoly"]
 Monomial = tuple[int, int]
 
 
-def rat(p, q: int = 1) -> Fraction:
-    """Shorthand constructor, also accepts strings like ``"-5/2"``."""
-    return Fraction(p, q) if q != 1 else Fraction(p)
-
-
 def format_rational(x: Fraction) -> str:
     """Canonical text form ``p/q`` (or ``p`` when the denominator is 1)."""
     return str(x)
@@ -109,7 +104,9 @@ class ParamPoly:
     """Polynomial in the module parameters D and a with rational coefficients.
 
     Immutable value object.  The internal map never stores zero coefficients,
-    so equality of maps is equality of polynomials.
+    so equality of maps is equality of polynomials.  A constant compares
+    equal to the int or ``Fraction`` of its value; no hash agrees with that
+    equality, so the class is unhashable.
     """
 
     __slots__ = ("_terms",)
@@ -175,9 +172,6 @@ class ParamPoly:
     def __sub__(self, other) -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
 
-    def __rsub__(self, other) -> "ParamPoly":
-        return ParamPoly.coerce(other) + (-self)
-
     def __mul__(self, other) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -202,17 +196,11 @@ class ParamPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     # -- queries -----------------------------------------------------------
 
     def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
         """Monomials in descending (D-degree, a-degree) order."""
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def coeff(self, dd: int, da: int) -> Fraction:
-        return self._terms.get((dd, da), Fraction(0))
 
     def a_degrees(self) -> set[int]:
         """The powers of a that occur."""
@@ -257,25 +245,3 @@ ONE = ParamPoly.const(1)
 D = ParamPoly({(1, 0): Fraction(1)})
 #: the module shift parameter
 A = ParamPoly({(0, 1): Fraction(1)})
-
-
-def parse_param_poly(text: str) -> ParamPoly:
-    """Inverse of ``str(ParamPoly)`` for well-formed input."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    terms: dict[Monomial, Fraction] = {}
-    for chunk in text.split(" + "):
-        bits = chunk.split("*")
-        coeff = Fraction(bits[0])
-        dd = da = 0
-        for bit in bits[1:]:
-            name, _, exp = bit.partition("^")
-            if name == "D":
-                dd = int(exp)
-            elif name == "a":
-                da = int(exp)
-            else:
-                raise ValueError(f"unknown variable {name!r} in {chunk!r}")
-        terms[(dd, da)] = terms.get((dd, da), Fraction(0)) + coeff
-    return ParamPoly(terms)

@@ -24,7 +24,7 @@ from virhoch.cohom import (
     truncated_cohomology,
     verify_contraction,
 )
-from virhoch.scalars import A, D, ParamPoly, rat
+from virhoch.scalars import A, D, ParamPoly
 
 F = Fraction
 S_MAX = 8
@@ -54,7 +54,7 @@ class Budget:
 
 def test_accept_1_rewriting_system():
     with Budget("defining relations and overlap ambiguities", 10):
-        wide = verify_defining_relations(12, with_overlaps=False)
+        wide = verify_defining_relations(12)
         assert wide.ok, wide.summary()
         assert wide.locality_checked + wide.commutator_checked >= 100
 
@@ -105,7 +105,7 @@ def test_accept_4_closed_reduced_rows_match_generic():
         for n in (3, 5):
             assert reduced_row((n, 2, 0)) == {
                 (n, 2): A,
-                (n + 1, 0): -rat(2 * n, n + 1) * D
+                (n + 1, 0): -Fraction(2 * n, n + 1) * D
                 - ParamPoly.const(F(n * (n - 1), n + 1) + (n - 2)),
                 (n + 2, 0): A * F(n - 1, n + 1),
             }

@@ -18,7 +18,6 @@ from virhoch.algebra import (
     normal_form,
     rule_rhs,
     verify_defining_relations,
-    word_from_text,
     word_to_text,
 )
 from virhoch.scalars import add_term
@@ -232,5 +231,3 @@ def test_relations_bound_8():
 
 def test_word_text_forms():
     assert word_to_text((2, 0)) == "v2.v0"
-    assert word_from_text("v2.v0") == (2, 0)
-    assert word_from_text("[2|0]") == (2, 0)

@@ -21,7 +21,6 @@ from virhoch.cli import main
 from virhoch.anick import (
     InvariantError,
     IterationOverflow,
-    chain_from_text,
     chain_to_text,
     compose_delta,
     delta_closed,
@@ -82,10 +81,6 @@ def test_every_prefix_of_a_chain_is_a_chain():
 
 def test_chain_text_round_trip():
     assert chain_to_text((2, 1, 0)) == "[2|1|0]"
-    assert chain_from_text("[2|1|0]") == (2, 1, 0)
-    assert chain_from_text("[]") == ()
-    with pytest.raises(ValueError):
-        chain_from_text("[2|1|1]")
 
 
 @given(st.integers(1, 5), st.integers(-1, 8))

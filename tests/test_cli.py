@@ -353,6 +353,16 @@ def test_locate_on_truncated_route_is_rejected_before_work(capsys, monkeypatch):
     assert "--locate" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_locate_outside_the_table_format_is_rejected_before_work(capsys, monkeypatch, fmt):
+    # the classes are text lines, which would break a CSV or JSON document
+    monkeypatch.setattr(cli, "compute_table", _no_work)
+    code, out, err = run(capsys, "cohomology", "--delta", "0", "--locate", "--format", fmt)
+    assert code == 64
+    assert out == ""
+    assert "--locate" in err and "table format" in err
+
+
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):
     real = cli.cohom.rank
     monkeypatch.setattr(cli.cohom, "rank", lambda m, cuts: [r + 1 for r in real(m, cuts)])

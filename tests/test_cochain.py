@@ -16,7 +16,7 @@ from virhoch import cochain
 from virhoch.anick import InvariantError, enumerate_chains, grade, is_chain
 from virhoch.cochain import action_row, closed_reduced_row, reduced_row
 from virhoch.confmod import ModElem
-from virhoch.scalars import A, D, ParamPoly, rat
+from virhoch.scalars import A, D, ParamPoly
 
 ZERO = ParamPoly.const(0)
 ONE = ParamPoly.const(1)
@@ -55,7 +55,7 @@ def test_raw_degree_zero():
 def test_raw_on_10():
     # raw (d phi)(1,0) = (D - 1) a0 u - a1 (a + ∂) u; no decrement is a chain
     phi = lookup({(0,): Fraction(2), (1,): Fraction(1, 3)})
-    assert evaluate(action_row((1, 0)), phi) == 2 * D - poly(2) - A * rat(1, 3)
+    assert evaluate(action_row((1, 0)), phi) == 2 * D - poly(2) - A * Fraction(1, 3)
 
 
 def test_raw_on_410():
@@ -98,11 +98,15 @@ FROZEN_ROWS = {
     (3, 0): {(3,): -A},
     (2, 1): {(2,): -D},
     (5, 1): {(5,): -D - poly(3)},
-    (3, 2): {(4,): rat(-3, 2) * D - poly(rat(5, 2)), (5,): A * rat(1, 2)},
+    (3, 2): {(4,): Fraction(-3, 2) * D - poly(Fraction(5, 2)), (5,): A * Fraction(1, 2)},
     (2, 1, 0): {(2, 0): -D, (2, 1): A},
     (4, 1, 0): {(4, 0): -D - poly(2), (4, 1): A},
-    (2, 2, 0): {(2, 2): A, (3, 0): rat(-4, 3) * D - poly(rat(2, 3)), (4, 0): A * rat(1, 3)},
-    (3, 2, 0): {(3, 2): A, (4, 0): rat(-3, 2) * D - poly(rat(5, 2)), (5, 0): A * rat(1, 2)},
+    (2, 2, 0): {
+        (2, 2): A, (3, 0): Fraction(-4, 3) * D - poly(Fraction(2, 3)), (4, 0): A * Fraction(1, 3)
+    },
+    (3, 2, 0): {
+        (3, 2): A, (4, 0): Fraction(-3, 2) * D - poly(Fraction(5, 2)), (5, 0): A * Fraction(1, 2)
+    },
 }
 
 

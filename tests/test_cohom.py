@@ -307,6 +307,13 @@ def test_truncated_accepts_lowest_cutoff():
     assert sorted(table.stable) == [1, 2, 3, 4]
 
 
+def test_graded_rejects_bound_below_lowest_grade():
+    # grade -1 ([0], [1|0]) is the lowest of any chain; the bound names it
+    with pytest.raises(ValueError, match="s_max=-2 is below the minimal grade -1"):
+        cohomology_dims(F(1), n_max=2, s_max=-2)
+    assert cohomology_dims(F(1), n_max=2, s_max=-1).by_grade == {(1, -1): 1, (2, -1): 1}
+
+
 def _overcount(monkeypatch, last_only=False):
     # one rank too many at every cut, or at the last cut (S + 1) only
     real = cohom.rank
@@ -514,15 +521,7 @@ def test_contraction_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# table serialization
-
-
-def test_dimtable_round_trip():
-    for table in (cohomology_dims(F(0), n_max=2, s_max=4),
-                  truncated_cohomology(F(1), F(1), n_max=2, S=4)):
-        doc = table.as_dict()
-        back = DimTable.from_dict(doc)
-        assert back == table
+# table rendering
 
 
 def test_csv_rows_format():
@@ -530,10 +529,10 @@ def test_csv_rows_format():
         delta=F(5, 2), alpha=F(0), n_max=1, s_max=2,
         by_grade={(1, -1): 0, (1, 0): 2}, totals={1: 2},
     )
-    assert table.csv_rows() == ["5/2,0,1,-1,0", "5/2,0,1,0,2"]
+    assert cli.render_csv(table) == ["delta,alpha,n,s,dim", "5/2,0,1,-1,0", "5/2,0,1,0,2"]
 
     trunc = DimTable(
         delta=F(1), alpha=F(1), n_max=1, s_max=2,
         totals={0: 0, 1: 3}, stable={0: True, 1: False},
     )
-    assert trunc.csv_rows() == ["1,1,0,,0", "1,1,1,,3"]
+    assert cli.render_csv(trunc) == ["delta,alpha,n,s,dim", "1,1,0,,0", "1,1,1,,3"]

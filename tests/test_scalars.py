@@ -1,7 +1,8 @@
-"""Ring laws and text round-trips for the parameter polynomials."""
+"""Ring laws and text forms for the parameter polynomials."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from virhoch.scalars import (
@@ -13,9 +14,7 @@ from virhoch.scalars import (
     RationalSum,
     add_term,
     format_rational,
-    parse_param_poly,
     parse_rational,
-    rat,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -74,9 +73,14 @@ def test_arithmetic_stores_clean_maps(x, y, q, parts):
     assert ParamPoly.affine(*parts) == ParamPoly.const(parts[0]) + parts[1] * D + parts[2] * A
 
 
-@given(polys)
-def test_text_round_trip(x):
-    assert parse_param_poly(str(x)) == x
+def test_text_round_trip():
+    # ddzero --symbolic prints failing entries in this form: terms by
+    # descending (D, a) exponents, the constant term bare
+    poly = ParamPoly({(2, 1): Fraction(-3, 4), (0, 0): 5, (1, 0): 1})
+    assert str(poly) == "-3/4*D^2*a^1 + 1*D^1*a^0 + 5"
+    assert str(ParamPoly.affine(Fraction(1, 2), Fraction(0), Fraction(-2))) == "-2*D^0*a^1 + 1/2"
+    assert str(A * A * D) == "1*D^1*a^2"
+    assert repr(ONE) == "ParamPoly(1)"
 
 
 def test_generators_and_str():
@@ -92,10 +96,17 @@ def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
-def test_rat_shorthand():
-    assert rat(5, 2) == Fraction(5, 2)
-    assert rat("-5/2") == Fraction(-5, 2)
-    assert rat(7) == 7
+def test_equal_to_rationals_and_unhashable():
+    # a constant equals the int and the Fraction of its value, so a hash of
+    # its own would break the hash/eq contract: the class has none
+    three = ParamPoly.const(3)
+    assert three == 3 and 3 == three
+    assert three == Fraction(3) and Fraction(3) == three
+    assert ParamPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert three != 4 and D != 1 and ZERO == 0
+    for x in (three, D, ZERO):
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 def test_specialize_values():
