@@ -6,7 +6,11 @@ Hashes, in insertion order, the items of
 * ``delta_generic`` for every chain with n <= 6 letters and grade <= 10;
 * ``compose_delta`` under the planted rule defect, n <= 5 and grade <= 6
   (under the true rule every value is zero);
-* ``reduced_row`` for n <= 5 and grade <= 8;
+* ``reduced_row`` for n <= 5 and grade <= 8, and the ``specialize`` of
+  each of its entries at the nine bundled parameter points;
+* the symbolic d∘d accumulators of ``ddzero --symbolic`` (the sum over
+  middle chains of products of ``reduced_row`` entries) under the planted
+  rule defect, cochain degrees <= 4 and grade <= 6;
 * ``normal_form`` of both expansions of every overlap ambiguity with
   indices <= 10.
 
@@ -18,7 +22,8 @@ value, type and order prints identical lines.  Stdlib only:
 
 import hashlib
 
-from virhoch import algebra, anick, cochain
+from virhoch import algebra, anick, cli, cochain
+from virhoch.scalars import add_term, parse_rational
 
 
 def chains(n_max: int, s_max: int, n_min: int = 1):
@@ -32,6 +37,31 @@ def overlaps(bound: int):
             for p in range(bound + 1):
                 yield (n, m, p)
         yield (n, 1, 0)
+
+
+def bundled_points():
+    expected = cli.load_expected()
+    return [
+        (parse_rational(e["delta"]), parse_rational(e["alpha"]))
+        for e in expected["graded"] + expected["truncated"]
+    ]
+
+
+def specialized_rows(s_max: int, points):
+    for c in chains(5, s_max):
+        row = cochain.reduced_row(c)
+        for point in points:
+            yield (c, point), {cp: val.specialize(*point) for cp, val in row.items()}
+
+
+def dd_accumulators(degrees: int, s_max: int):
+    for n in range(degrees + 1):
+        for c in anick.enumerate_chains(n + 2, s_max):
+            acc = {}
+            for mid, v1 in cochain.reduced_row(c).items():
+                for src, v2 in cochain.reduced_row(mid).items():
+                    add_term(acc, src, v1 * v2)
+            yield c, acc
 
 
 def line(name: str, values) -> str:
@@ -54,11 +84,19 @@ def main() -> None:
             "compose_delta (defect) n<=5 grade<=6",
             ((c, anick.compose_delta(c)) for c in chains(5, 6, n_min=2)),
         ))
+        print(line(
+            "d.d (defect) degrees<=4 grade<=6",
+            dd_accumulators(4, 6),
+        ))
     finally:
         algebra.set_rule_defect(False)
     print(line(
         "reduced_row n<=5 grade<=8",
         ((c, cochain.reduced_row(c)) for c in chains(5, 8)),
+    ))
+    print(line(
+        "specialize reduced_row n<=5 grade<=8 x9",
+        specialized_rows(8, bundled_points()),
     ))
     print(line(
         "normal_form overlaps bound<=10",

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
-from .scalars import A, D, ParamPoly, add_term
+from .scalars import A, D, ParamPoly, RationalSum, add_term
 
 
 def _decrements(c: Chain):
@@ -52,7 +52,6 @@ def _decrements(c: Chain):
 Row = dict[Chain, ParamPoly]
 
 _RED_ROWS: dict[Chain, Row] = {}
-_ZERO = Fraction(0)
 
 
 def clear_caches() -> None:
@@ -63,40 +62,45 @@ def reduced_row(c: Chain) -> Row:
     """Row of the reduced differential at chain c over the source basis.
 
     One pass over ``delta_generic(c)`` and the chains ``down`` with one
-    letter decremented fills three rational maps: the constant part (the
-    raw c0 terms, whose word is empty, and -letter times the psi terms of
-    each ``down``, the v(0) terms of ``delta_generic(down)``), the D part
-    (the v(1) terms of c) and the a part (the v(0) terms of c).  Letters
-    >= 2 annihilate the generator.
+    letter decremented sums three rational parts in one ``RationalSum``
+    keyed by (source chain, part): the constant part 0 (the raw c0 terms,
+    whose word is empty, and -letter times the psi terms of each ``down``,
+    the v(0) terms of ``delta_generic(down)``), the D part 1 (the v(1)
+    terms of c) and the a part 2 (the v(0) terms of c).  Letters >= 2
+    annihilate the generator.
 
-    The grade split is checked on the maps: the constant and D parts sit
-    where source and target grades agree, the a part where the source
+    The grade split is checked on the int parts: the constant and D parts
+    sit where source and target grades agree, the a part where the source
     grade exceeds the target's by one; that decomposition is what makes
     the a = 0 complex split by grade.  A violation raises
     ``InvariantError`` naming the chain and the entry.  Each entry is then
-    emitted once, as ``ParamPoly.affine``.
+    emitted once, as ``ParamPoly.affine`` over the sum's denominator, in
+    the order of the constant, D and a parts.
     """
     cached = _RED_ROWS.get(c)
     if cached is not None:
         return cached
-    r0: dict[Chain, Fraction] = {}
-    rd: dict[Chain, Fraction] = {}
-    ra: dict[Chain, Fraction] = {}
+    acc = RationalSum()
     for (cp, lam), q in delta_generic(c).items():
         if lam == ():
-            add_term(r0, cp, q)
+            acc.add((cp, 0), q.numerator, q.denominator)
         elif lam == (0,):
-            add_term(ra, cp, q)
+            acc.add((cp, 2), q.numerator, q.denominator)
         elif lam == (1,):
-            add_term(rd, cp, q)
+            acc.add((cp, 1), q.numerator, q.denominator)
     for mult, down in _decrements(c):
         if is_chain(down):
             for (cp, lam), q in delta_generic(down).items():
                 if lam == (0,):
-                    add_term(r0, cp, -mult * q)
+                    acc.add((cp, 0), -mult * q.numerator, q.denominator)
+    parts: tuple[dict[Chain, int], ...] = ({}, {}, {})
+    for (cp, part), n in acc.nums.items():
+        parts[part][cp] = n
+    r0, rd, ra = parts
+    den = acc.den
 
     def entry(cp: Chain) -> ParamPoly:
-        return ParamPoly.affine(r0.get(cp, _ZERO), rd.get(cp, _ZERO), ra.get(cp, _ZERO))
+        return ParamPoly.affine(r0.get(cp, 0), rd.get(cp, 0), ra.get(cp, 0), den)
 
     s = grade(c)
     for part, at in ((r0, s), (rd, s), (ra, s + 1)):

@@ -10,28 +10,32 @@ the polynomial ring in the two module parameters:
 
 Rationals are ``fractions.Fraction`` throughout: exact, arbitrary precision,
 always in lowest terms with positive denominator.  ``ParamPoly`` is a thin
-commutative-polynomial layer over ``Fraction`` in the two parameters; it
-exists so that differentials can be assembled once, symbolically, and then
-specialized at many parameter points.
+commutative-polynomial layer with rational coefficients in the two
+parameters; it exists so that differentials can be assembled once,
+symbolically, and then specialized at many parameter points.
 
-Sums of many rational products (normal forms, the resolution differential
-and its square) are accumulated over ints: ``RationalSum`` keeps int
-numerators over one common denominator and makes one ``Fraction`` per key
-at the end.
+Sums of many rational products (normal forms, the resolution differential,
+its square and the reduced rows) are accumulated over ints: ``RationalSum``
+keeps int numerators over one common denominator and makes one ``Fraction``
+per key at the end.
 
-Its term map (monomial -> nonzero Fraction) is private to this module.  The
-public constructor ``ParamPoly(terms)`` validates what it is given: it
-coerces every coefficient to ``Fraction``, drops zeros and rejects negative
-exponents.  Results of the module's own arithmetic (``+``, ``-``, ``*``,
-``const``) are built with ``add_term`` from maps that already hold, and are
-stored as they are.  ``ParamPoly.affine(c0, cd, ca)`` builds the row-entry
-shape ``c0 + cd*D + ca*a`` straight from three Fractions.
+``ParamPoly`` works over ints the same way.  Its storage, private to this
+module, is a map monomial -> int numerator over one denominator, in
+canonical form: the denominator is >= 1 and coprime to the numerators as a
+whole, no numerator is zero, and zero is ``{}`` over 1.  Equal polynomials
+therefore have equal stored forms.  ``+``, ``-`` and ``*`` are int
+arithmetic with one gcd per result, and ``specialize`` builds one
+``Fraction`` from ints.  The public constructor ``ParamPoly(terms)``
+validates what it is given: it coerces every coefficient to ``Fraction``,
+drops zeros and rejects negative exponents.  ``terms()`` hands the
+coefficients back as ``Fraction``s.  ``ParamPoly.affine(n0, nd, na, den)``
+builds the row-entry shape ``(n0 + nd*D + na*a) / den`` straight from ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[Fraction, "ParamPoly"]
@@ -46,7 +50,15 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """The rational ``p/q`` (or an int or decimal) written in text.
+
+    Malformed text and a zero denominator both raise ``ValueError`` naming
+    the text, which the CLI reports as a usage error.
+    """
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def add_term(acc: dict, key, val) -> None:
@@ -103,13 +115,15 @@ class RationalSum:
 class ParamPoly:
     """Polynomial in the module parameters D and a with rational coefficients.
 
-    Immutable value object.  The internal map never stores zero coefficients,
-    so equality of maps is equality of polynomials.  A constant compares
-    equal to the int or ``Fraction`` of its value; no hash agrees with that
+    Immutable value object, stored as int numerators over one denominator in
+    canonical form: the denominator is >= 1 and coprime to the numerators as
+    a whole, no numerator is zero, and zero is ``{}`` over 1.  So equality of
+    the stored forms is equality of polynomials.  A constant compares equal
+    to the int or ``Fraction`` of its value; no hash agrees with that
     equality, so the class is unhashable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -121,13 +135,29 @@ class ParamPoly:
                     if dd < 0 or da < 0:
                         raise ValueError(f"negative exponent in {key}")
                     add_term(clean, (dd, da), coeff)
-        self._terms = clean
+        # already canonical over the lcm of the denominators: the full power
+        # of a prime p in the lcm divides some coefficient's denominator, and
+        # p misses that coefficient's numerator, scaled by a p-free factor
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _trusted(cls, terms: dict[Monomial, Fraction]) -> "ParamPoly":
-        """Wrap a map of nonzero Fractions at nonnegative exponents, as is."""
+    def _reduced(cls, nums: dict[Monomial, int], den: int) -> "ParamPoly":
+        """Wrap int numerators over den >= 1 in canonical form.
+
+        Zero numerators are dropped and the common gcd is divided out, so
+        the arithmetic may hand in its raw sums.
+        """
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
         poly = object.__new__(cls)
-        poly._terms = terms
+        poly._nums = nums
+        poly._den = den
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -135,19 +165,19 @@ class ParamPoly:
     @staticmethod
     def const(x) -> "ParamPoly":
         x = Fraction(x)
-        return ParamPoly._trusted({(0, 0): x} if x else {})
+        return ParamPoly._reduced({(0, 0): x.numerator}, x.denominator)
 
     @staticmethod
-    def affine(c0: Fraction, cd: Fraction, ca: Fraction) -> "ParamPoly":
-        """c0 + cd*D + ca*a from three Fractions; zero parts are not stored."""
-        terms: dict[Monomial, Fraction] = {}
-        if c0:
-            terms[(0, 0)] = c0
-        if cd:
-            terms[(1, 0)] = cd
-        if ca:
-            terms[(0, 1)] = ca
-        return ParamPoly._trusted(terms)
+    def affine(n0: int, nd: int, na: int, den: int) -> "ParamPoly":
+        """(n0 + nd*D + na*a) / den from ints, den >= 1; zero parts are not stored."""
+        nums: dict[Monomial, int] = {}
+        if n0:
+            nums[(0, 0)] = n0
+        if nd:
+            nums[(1, 0)] = nd
+        if na:
+            nums[(0, 1)] = na
+        return ParamPoly._reduced(nums, den)
 
     @staticmethod
     def coerce(x: Scalar) -> "ParamPoly":
@@ -159,73 +189,96 @@ class ParamPoly:
 
     def __add__(self, other) -> "ParamPoly":
         other = ParamPoly.coerce(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            add_term(out, key, coeff)
-        return ParamPoly._trusted(out)
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        out = {k: n * m1 for k, n in self._nums.items()} if m1 != 1 else dict(self._nums)
+        get = out.get
+        for key, n in other._nums.items():
+            out[key] = get(key, 0) + n * m2
+        return ParamPoly._reduced(out, d1 * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly._trusted({k: -c for k, c in self._terms.items()})
+        return ParamPoly._reduced({k: -n for k, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
 
     def __mul__(self, other) -> "ParamPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ParamPoly._trusted({})
-            return ParamPoly._trusted({k: c * other for k, c in self._terms.items()})
-        other = ParamPoly.coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for (d1, a1), c1 in self._terms.items():
-            for (d2, a2), c2 in other._terms.items():
-                add_term(out, (d1 + d2, a1 + a2), c1 * c2)
-        return ParamPoly._trusted(out)
+        if not isinstance(other, ParamPoly):
+            if isinstance(other, (int, Fraction)):
+                p = other.numerator
+                return ParamPoly._reduced(
+                    {k: n * p for k, n in self._nums.items()}, self._den * other.denominator
+                )
+            other = ParamPoly.const(other)
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for (d1, a1), n1 in self._nums.items():
+            for (d2, a2), n2 in other._nums.items():
+                key = (d1 + d2, a1 + a2)
+                out[key] = get(key, 0) + n1 * n2
+        return ParamPoly._reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     # -- queries -----------------------------------------------------------
 
     def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
-        """Monomials in descending (D-degree, a-degree) order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        """(monomial, Fraction) pairs in descending (D-degree, a-degree) order."""
+        den = self._den
+        return sorted(
+            ((key, Fraction(n, den)) for key, n in self._nums.items()),
+            key=lambda kv: kv[0],
+            reverse=True,
+        )
 
     def a_degrees(self) -> set[int]:
         """The powers of a that occur."""
-        return {da for (_, da) in self._terms}
+        return {da for (_, da) in self._nums}
 
     def specialize(self, weight: Fraction, shift: Fraction) -> Fraction:
-        """Evaluate at D = weight, a = shift.
+        """Evaluate at D = weight, a = shift, as one ``Fraction`` built from ints.
 
         Ring homomorphism onto Fraction; the property suite checks that it
-        commutes with + and *.  Row entries are affine, so exponents 0 and 1
-        are the hot case: they cost no power and no product with one.
+        commutes with + and *.  Row entries are affine, and for them the
+        numerator is (n0*wd + nd*w)*sd + na*s*wd over den*wd*sd, with
+        weight = w/wd and shift = s/sd.  Other polynomials clear the powers
+        of wd and sd up to their largest exponents.
         """
-        total = None
-        for (dd, da), c in self._terms.items():
-            if dd:
-                c = c * (weight if dd == 1 else weight**dd)
-            if da:
-                c = c * (shift if da == 1 else shift**da)
-            total = c if total is None else total + c
-        return Fraction(0) if total is None else total
+        nums = self._nums
+        w, wd = weight.as_integer_ratio()
+        s, sd = shift.as_integer_ratio()
+        if nums.keys() <= _AFFINE:
+            get = nums.get
+            return Fraction(
+                (get((0, 0), 0) * wd + get((1, 0), 0) * w) * sd + get((0, 1), 0) * s * wd,
+                self._den * wd * sd,
+            )
+        dmax = max(dd for dd, _ in nums)
+        amax = max(da for _, da in nums)
+        total = sum(
+            n * w**dd * wd ** (dmax - dd) * s**da * sd ** (amax - da)
+            for (dd, da), n in nums.items()
+        )
+        return Fraction(total, self._den * wd**dmax * sd**amax)
 
     # -- text --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
         for (dd, da), c in self.terms():
@@ -238,6 +291,9 @@ class ParamPoly:
     def __repr__(self) -> str:
         return f"ParamPoly({self!s})"
 
+
+#: the monomials of c0 + cd*D + ca*a, the shape of every reduced-row entry
+_AFFINE = frozenset({(0, 0), (1, 0), (0, 1)})
 
 ZERO = ParamPoly()
 ONE = ParamPoly.const(1)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -227,10 +228,11 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-# Mutation-style negative controls: a flipped sign in one reduced row and a
-# dropped pivot must each fail the gate that covers them.  Each mutant is
-# the source of a replacement for ``module.name``, evaluated with the
-# original bound to ``real``.
+# Mutation-style negative controls: a flipped sign in one reduced row, a
+# product that drops its denominators and a dropped pivot must each fail
+# the gate that covers them.  Each mutant is the source of a replacement for
+# ``path.name``, evaluated with the original bound to ``real``; ``path`` is
+# a dotted attribute path from ``cli``, a module or a class in one.
 MUTANTS = {
     "row_sign": (
         "cochain", "reduced_row",
@@ -238,6 +240,12 @@ MUTANTS = {
         "for i, (k, v) in enumerate(real(c).items())}",
         ["ddzero", "--symbolic", "--degrees", "2", "--smax", "3"],
         1, "FAIL d.d at [2|1|0]",
+    ),
+    "dropped_denominator": (
+        "cochain.ParamPoly", "__mul__",
+        "lambda self, other: type(self)({k: c.numerator for k, c in real(self, other).terms()})",
+        ["ddzero", "--symbolic", "--degrees", "2", "--smax", "3"],
+        1, "FAIL d.d at [2|2|2] -> [4]: 10*D^1*a^0 + 6",
     ),
     "dropped_pivot": (
         "cohom", "pivot_columns",
@@ -251,8 +259,8 @@ MUTANTS = {
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_mutant_fails_its_gate(capsys, monkeypatch, mutant):
-    module, name, source, argv, code, message = MUTANTS[mutant]
-    target = getattr(cli, module)
+    path, name, source, argv, code, message = MUTANTS[mutant]
+    target = reduce(getattr, path.split("."), cli)
     monkeypatch.setattr(target, name, eval(source, {"real": getattr(target, name)}))
     got, out, err = run(capsys, *argv)
     assert got == code
@@ -261,9 +269,10 @@ def test_mutant_fails_its_gate(capsys, monkeypatch, mutant):
 
 def test_mutants_fail_under_optimization():
     script = (
+        "from functools import reduce\n"
         "from virhoch import cli\n"
-        f"for module, name, source, argv, _, _ in {list(MUTANTS.values())!r}:\n"
-        "    target = getattr(cli, module)\n"
+        f"for path, name, source, argv, _, _ in {list(MUTANTS.values())!r}:\n"
+        "    target = reduce(getattr, path.split('.'), cli)\n"
         "    real = getattr(target, name)\n"
         "    setattr(target, name, eval(source))\n"
         "    print('exit', cli.main(argv), flush=True)\n"
@@ -375,6 +384,14 @@ def test_bad_rational_is_usage_error(capsys):
     code, _, err = run(capsys, "cohomology", "--delta", "1//2")
     assert code == 64
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--alpha"])
+def test_zero_denominator_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "cohomology", "--delta", "1", flag, "1/0")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error:") and "'1/0'" in err
 
 
 def test_csv_format(capsys):

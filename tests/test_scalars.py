@@ -1,6 +1,8 @@
 """Ring laws and text forms for the parameter polynomials."""
 
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,11 +21,12 @@ from virhoch.scalars import (
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
-polys = st.dictionaries(
+term_maps = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2)),
     rationals,
     max_size=5,
-).map(ParamPoly)
+)
+polys = term_maps.map(ParamPoly)
 
 
 @given(polys, polys, polys)
@@ -46,20 +49,36 @@ def test_specialize_is_a_homomorphism(x, y, w, s):
 
 
 scalars = st.one_of(st.just(Fraction(0)), rationals)
+affine_parts = st.tuples(
+    st.integers(-12, 12), st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12)
+)
 
 
 def stored_cleanly(p: ParamPoly) -> bool:
-    # the arithmetic stores its results unvalidated, so each stored map must
-    # already be what the validating constructor makes of it
-    terms = p._terms
+    # the arithmetic stores its results unvalidated, so each stored form must
+    # already be canonical: int numerators over a denominator >= 1, coprime
+    # as a whole, no zero numerator, zero as {} over 1; a form such as 2/4
+    # would make ``==`` on stored forms wrong
+    nums, den = p._nums, p._den
+    validated = ParamPoly(dict(p.terms()))
     return (
-        all(type(c) is Fraction and c for c in terms.values())
-        and all(dd >= 0 and da >= 0 for dd, da in terms)
-        and ParamPoly(terms)._terms == terms
+        type(den) is int
+        and den >= 1
+        and all(type(n) is int and n for n in nums.values())
+        and all(dd >= 0 and da >= 0 for dd, da in nums)
+        and gcd(den, *nums.values()) == 1
+        and (validated._nums, validated._den) == (nums, den)
     )
 
 
-@given(polys, polys, scalars, st.tuples(scalars, scalars, scalars))
+def test_stored_cleanly_rejects_unreduced_forms():
+    for nums, den in (({(0, 0): 2}, 4), ({}, 3), ({(1, 0): 0}, 1), ({(0, 0): 1}, -1)):
+        bad = object.__new__(ParamPoly)
+        bad._nums, bad._den = nums, den
+        assert not stored_cleanly(bad), (nums, den)
+
+
+@given(polys, polys, scalars, affine_parts)
 def test_arithmetic_stores_clean_maps(x, y, q, parts):
     results = [
         x + y, x - y, x * y, x * q, q * x, x * q.numerator, q.numerator * x, -x,
@@ -67,10 +86,70 @@ def test_arithmetic_stores_clean_maps(x, y, q, parts):
     ]
     for p in results:
         assert stored_cleanly(p), p
-    # map equality is polynomial equality only while zero stores nothing
-    assert (x + (-x))._terms == {}
-    assert (x * 0)._terms == {} and (x * Fraction(0))._terms == {}
-    assert ParamPoly.affine(*parts) == ParamPoly.const(parts[0]) + parts[1] * D + parts[2] * A
+    # stored-form equality is polynomial equality only while zero is {} over 1
+    for zero in (x + (-x), x * 0, x * Fraction(0), ParamPoly.affine(0, 0, 0, parts[3])):
+        assert (zero._nums, zero._den) == ({}, 1)
+    n0, nd, na, den = parts
+    assert ParamPoly.affine(*parts) == (ParamPoly.const(n0) + nd * D + na * A) * Fraction(1, den)
+
+
+# --- an oracle over plain {monomial: Fraction} maps ----------------------------
+
+def ref_clean(t: dict) -> dict:
+    return {k: Fraction(c) for k, c in t.items() if c}
+
+
+def ref_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for (d1, a1), c1 in x.items():
+        for (d2, a2), c2 in y.items():
+            k = (d1 + d2, a1 + a2)
+            out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_str(t: dict) -> str:
+    if not t:
+        return "0"
+    return " + ".join(
+        str(c) if k == (0, 0) else f"{c}*D^{k[0]}*a^{k[1]}"
+        for k, c in sorted(t.items(), reverse=True)
+    )
+
+
+def agrees(p: ParamPoly, t: dict) -> bool:
+    got = p.terms()
+    return (
+        dict(got) == t
+        and [k for k, _ in got] == sorted(t, reverse=True)
+        and all(type(c) is Fraction for _, c in got)
+        and str(p) == ref_str(t)
+    )
+
+
+@given(term_maps, term_maps, rationals, rationals, rationals)
+def test_arithmetic_matches_fraction_maps(tx, ty, q, w, s):
+    x, y = ParamPoly(tx), ParamPoly(ty)
+    tx, ty = ref_clean(tx), ref_clean(ty)
+    assert agrees(x, tx) and agrees(y, ty)
+    assert agrees(x + y, ref_add(tx, ty))
+    assert agrees(x - y, ref_add(tx, {k: -c for k, c in ty.items()}))
+    assert agrees(-x, {k: -c for k, c in tx.items()})
+    assert agrees(x * y, ref_mul(tx, ty))
+    scaled = ref_clean({k: c * q for k, c in tx.items()})
+    assert agrees(x * q, scaled) and agrees(q * x, scaled)
+    assert agrees(x * q.numerator, ref_clean({k: c * q.numerator for k, c in tx.items()}))
+    for p, t in ((x, tx), (y, ty), (x * y, ref_mul(tx, ty))):
+        got = p.specialize(w, s)
+        assert type(got) is Fraction
+        assert got == sum((c * w**dd * s**da for (dd, da), c in t.items()), Fraction(0))
 
 
 def test_text_round_trip():
@@ -78,7 +157,7 @@ def test_text_round_trip():
     # descending (D, a) exponents, the constant term bare
     poly = ParamPoly({(2, 1): Fraction(-3, 4), (0, 0): 5, (1, 0): 1})
     assert str(poly) == "-3/4*D^2*a^1 + 1*D^1*a^0 + 5"
-    assert str(ParamPoly.affine(Fraction(1, 2), Fraction(0), Fraction(-2))) == "-2*D^0*a^1 + 1/2"
+    assert str(ParamPoly.affine(1, 0, -4, 2)) == "-2*D^0*a^1 + 1/2"
     assert str(A * A * D) == "1*D^1*a^2"
     assert repr(ONE) == "ParamPoly(1)"
 
@@ -94,6 +173,14 @@ def test_generators_and_str():
 @given(rationals)
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "abc", "1//2", ""])
+def test_parse_rational_rejects_bad_text(text):
+    # a zero denominator is a ValueError like any malformed text, never a
+    # ZeroDivisionError, and the message names the text
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_rational(text)
 
 
 def test_equal_to_rationals_and_unhashable():
