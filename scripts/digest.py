@@ -4,6 +4,8 @@
 Hashes, in insertion order, the items of
 
 * ``delta_generic`` for every chain with n <= 6 letters and grade <= 10;
+* ``reduce_bracket`` (terms and passes) of every bracket of up to five
+  slots with letters 0..4 and one normal two-letter word over 0..4;
 * ``compose_delta`` under the planted rule defect, n <= 5 and grade <= 6
   (under the true rule every value is zero);
 * ``reduced_row`` for n <= 5 and grade <= 8, and the ``specialize`` of
@@ -21,6 +23,7 @@ value, type and order prints identical lines.  Stdlib only:
 """
 
 import hashlib
+from itertools import product
 
 from virhoch import algebra, anick, cli, cochain
 from virhoch.scalars import add_term, parse_rational
@@ -29,6 +32,23 @@ from virhoch.scalars import add_term, parse_rational
 def chains(n_max: int, s_max: int, n_min: int = 1):
     for n in range(n_min, n_max + 1):
         yield from anick.enumerate_chains(n, s_max)
+
+
+def one_pair_brackets(max_slots: int):
+    pairs = [w for w in product(range(5), repeat=2) if algebra.is_normal_word(w)]
+    for n in range(1, max_slots + 1):
+        for pos in range(n):
+            for pair in pairs:
+                for rest in product(range(5), repeat=n - 1):
+                    letters = [(m,) for m in rest]
+                    yield tuple(letters[:pos]) + (pair,) + tuple(letters[pos:])
+
+
+def reduced_brackets(max_slots: int):
+    for slots in one_pair_brackets(max_slots):
+        t = sum(slots, ())
+        terms, passes = anick.reduce_bracket(slots, 8 * (len(t) + sum(t)))
+        yield (slots, passes), dict(terms)
 
 
 def overlaps(bound: int):
@@ -78,6 +98,7 @@ def main() -> None:
         "delta_generic n<=6 grade<=10",
         ((c, anick.delta_generic(c)) for c in chains(6, 10)),
     ))
+    print(line("reduce_bracket one-pair slots<=5", reduced_brackets(5)))
     algebra.set_rule_defect(True)
     try:
         print(line(

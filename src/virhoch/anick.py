@@ -1,8 +1,8 @@
 """Chains and the free-resolution differential.
 
 Degree-n chains index a basis of the n-th term of a free resolution of the
-trivial module over the coefficient algebra.  A letter tuple (m_1, ..., m_n)
-is a chain when
+trivial module over the coefficient algebra.  A tuple (m_1, ..., m_n) of
+letters m_i >= 0 is a chain when
 
     m_1, ..., m_{n-2} >= 2   and   (m_{n-1} >= 2  or  (m_{n-1}, m_n) == (1, 0));
 
@@ -19,13 +19,13 @@ The differential is computed two ways:
   Iteration stops when every bracket is a chain of single letters.  This is
   the authority: it only uses the rewriting system.  The iteration is linear
   in the bracket, so ``reduce_bracket`` reduces each bracket once, depth
-  first, and memoizes the value of every bracket that needs rewriting while
-  the rule table stays the same; a chain's differential is ``delta_prime``
-  of its letters with each resulting bracket replaced by that value.
-  Brackets that are final or vanish after one pass are recomputed, not
-  stored.  Every bracket the iteration meets is single letters with at most
-  one two-letter slot.  Written out as letters t, with t[f] the first
-  letter below 2, such a bracket reduces to zero unless t[f+1:] is a chain
+  first, and memoizes the value of every bracket it settles, final, dead or
+  rewritten, while the rule table stays the same, so ``delta_dprime`` runs
+  once per distinct bracket; a chain's differential is ``delta_prime`` of
+  its letters with each resulting bracket replaced by that value.  Every
+  bracket the iteration meets is single letters with at most one
+  two-letter slot.  Written out as letters t, with t[f] the first letter
+  below 2, such a bracket reduces to zero unless t[f+1:] is a chain
   or t[f:] = (1, 0, 0); ``delta_dprime`` maps every other one to zero at
   once.  The rewrite of one that is not dead is the peel term and the
   merges into slots f - 1 and f (and into f + 1 when t[f:] = (1, 1, 0)):
@@ -63,14 +63,12 @@ Slots = tuple[Word, ...]
 
 
 def is_chain(c: Chain) -> bool:
-    n = len(c)
-    if any(m < 0 for m in c):
+    if len(c) < 2:
+        return not c or c[0] >= 0
+    x, y = c[-2], c[-1]
+    if not (x >= 2 and y >= 0 or x == 1 and y == 0):
         return False
-    if n <= 1:
-        return True
-    if any(m < 2 for m in c[: n - 2]):
-        return False
-    return c[n - 2] >= 2 or (c[n - 2], c[n - 1]) == (1, 0)
+    return len(c) == 2 or min(c[:-2]) >= 2
 
 
 def grade(c: Chain) -> int:
@@ -84,10 +82,10 @@ def chain_to_text(c: Chain) -> str:
 
 def enumerate_chains(n: int, s_max: int) -> list[Chain]:
     """All n-letter chains of grade <= s_max, in lexicographic order."""
+    if n == 0:
+        return [()] if s_max >= 0 else []  # the empty chain has grade 0
     if n < 0 or (n >= 2 and s_max < n - 3):
         return []
-    if n == 0:
-        return [()]
     if n == 1:
         return [(k,) for k in range(0, s_max + 2)]
     budget = n + s_max  # max weight
@@ -269,15 +267,13 @@ class IterationOverflow(InvariantError):
 Terms = tuple[tuple[tuple[Chain, Word], int], ...]
 
 _ZERO: tuple[Terms, int] = ((), 1)  # value of every bracket that maps to zero at once
-# reduced values of the brackets that need rewriting, and interned targets
+# reduced value and passes of every bracket settled: final, dead or rewritten
 _BRACKETS: dict[Slots, tuple[Terms, int]] = {}
-_CHAINS: dict[Chain, Chain] = {}
 _DELTA_CACHE: dict[Chain, ResElem] = {}
 
 
 def clear_caches() -> None:
     _BRACKETS.clear()
-    _CHAINS.clear()
     _DELTA_CACHE.clear()
 
 
@@ -325,17 +321,23 @@ def _rational_times(
 
 
 def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
-    """The known value of a bracket (cached, final or zero), else its rewrite."""
+    """The known value of a bracket (cached, final or zero), else its rewrite.
+
+    A final or dead bracket is stored here; a rewritten one is stored by
+    ``reduce_bracket`` once its children are reduced.
+    """
     known = _BRACKETS.get(slots)
     if known is not None:
         return known, None
     res = delta_dprime(slots)
     if res is None:
-        cp = tuple(w[0] for w in slots)
-        return ((((_CHAINS.setdefault(cp, cp), ()), 1),), 1), None
-    if not res:
-        return _ZERO, None
-    return None, res
+        known = ((((tuple(w[0] for w in slots), ()), 1),), 1)
+    elif not res:
+        known = _ZERO
+    else:
+        return None, res
+    _BRACKETS[slots] = known
+    return known, None
 
 
 def _within(passes: int, budget: int) -> None:
@@ -350,11 +352,14 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
     ``delta_dprime`` maps to zero is zero, each after one pass.  Otherwise
     the value is the sum of q * lam * reduce_bracket(child) over the terms
     q lam [child] of ``delta_dprime(slots)``, and the passes are one more
-    than the children's deepest.  Only brackets that need rewriting are
-    cached, while the rule table stays the same.  A descent that would take
-    more than ``budget`` passes raises ``IterationOverflow``; it runs on an
-    explicit stack, so a rewrite that never stabilizes reaches the budget
-    and not the interpreter's recursion limit.
+    than the children's deepest.  Every bracket settled, final, dead or
+    rewritten, is cached with its value and passes while the rule table
+    stays the same, so ``delta_dprime`` runs once per distinct bracket; a
+    cached value's passes are still checked against the budget left.  A
+    descent that would take more than ``budget`` passes raises
+    ``IterationOverflow``; it runs on an explicit stack, so a rewrite that
+    never stabilizes reaches the budget and not the interpreter's recursion
+    limit.
     """
     known, res = _settle(slots)
     if known is not None:

@@ -47,8 +47,6 @@ Rational = Fraction
 
 def window_basis(n: int, s_max: int) -> list[Chain]:
     """Degree-n chains of grade <= s_max, sorted by grade, lexicographic within one."""
-    if n == 0:
-        return [()] if s_max >= 0 else []  # the empty chain has grade 0
     return sorted(enumerate_chains(n, s_max), key=grade)
 
 

@@ -61,9 +61,32 @@ def test_enumerate_examples():
     assert enumerate_chains(3, 0) == [(2, 1, 0)]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(0, 6))
 def test_enumerate_matches_brute_force(n):
-    assert enumerate_chains(n, CHECK_SMAX) == brute_force_chains(n, CHECK_SMAX)
+    for s_max in (-2, -1, CHECK_SMAX):
+        assert enumerate_chains(n, s_max) == brute_force_chains(n, s_max), s_max
+
+
+def docstring_chain(c):
+    """The module docstring's definition of a chain, written out literally."""
+    n = len(c)
+    if not all(m >= 0 for m in c):
+        return False
+    if n <= 1:
+        return True
+    return all(m >= 2 for m in c[: n - 2]) and (
+        c[n - 2] >= 2 or (c[n - 2], c[n - 1]) == (1, 0)
+    )
+
+
+def test_is_chain_matches_docstring_definition():
+    # brute_force_chains, the enumeration oracle, calls is_chain itself
+    count = 0
+    for n in range(6):
+        for c in product(range(-1, 5), repeat=n):
+            assert is_chain(c) == docstring_chain(c), c
+            count += 1
+    assert count == sum(6**n for n in range(6))
 
 
 def test_chain_counts_in_window():
@@ -413,6 +436,25 @@ def test_rule_defect_round_trip_restores_values():
         algebra.set_rule_defect(False)
     assert {c: delta_generic(c) for c in chains} == before
     assert {c: cochain.reduced_row(c) for c in chains} == rows
+
+
+def test_each_bracket_is_settled_once(fresh_caches, monkeypatch):
+    # final, dead and rewritten brackets are all memoized, so delta_dprime
+    # runs once per distinct bracket, and a second pass runs it not at all
+    calls = []
+    real = anick.delta_dprime
+
+    def counted(slots):
+        calls.append(slots)
+        return real(slots)
+
+    monkeypatch.setattr(anick, "delta_dprime", counted)
+    chains = [c for n in range(1, 6) for c in enumerate_chains(n, 8)]
+    first = {c: delta_generic(c) for c in chains}
+    assert len(calls) == len(set(calls)) == len(anick._BRACKETS) == 4_263
+    anick._DELTA_CACHE.clear()
+    assert {c: delta_generic(c) for c in chains} == first
+    assert len(calls) == 4_263
 
 
 def test_bar_reduction_is_integral(fresh_caches):
