@@ -14,7 +14,10 @@ Hashes, in insertion order, the items of
   middle chains of products of ``reduced_row`` entries) under the planted
   rule defect, cochain degrees <= 4 and grade <= 6;
 * ``normal_form`` of both expansions of every overlap ambiguity with
-  indices <= 10.
+  indices <= 10;
+* the ``matrix_d`` windows that the nine bundled points build for
+  n <= 4, graded over grades <= 7 and truncated over grades <= 8 (S = 7),
+  each row written as its sorted (column, value) items.
 
 Run it in two checkouts and compare the output; a change that keeps every
 value, type and order prints identical lines.  Stdlib only:
@@ -25,7 +28,7 @@ value, type and order prints identical lines.  Stdlib only:
 import hashlib
 from itertools import product
 
-from virhoch import algebra, anick, cli, cochain
+from virhoch import algebra, anick, cli, cochain, cohom
 from virhoch.scalars import add_term, parse_rational
 
 
@@ -72,6 +75,15 @@ def specialized_rows(s_max: int, points):
         row = cochain.reduced_row(c)
         for point in points:
             yield (c, point), {cp: val.specialize(*point) for cp, val in row.items()}
+
+
+def windows(points):
+    for delta, alpha in points:
+        top = 8 if alpha else 7  # the truncated route at S = 7 reads the S + 1 window
+        bases = [cohom.window_basis(n, top) for n in range(6)]
+        for n in range(5):
+            m = cohom.matrix_d(n, bases[n], bases[n + 1], delta, alpha)
+            yield (delta, alpha, n), {i: sorted(row.items()) for i, row in enumerate(m.entries)}
 
 
 def dd_accumulators(degrees: int, s_max: int):
@@ -127,6 +139,7 @@ def main() -> None:
             for k in (0, 1)
         ),
     ))
+    print(line("matrix_d windows n<=4 x9", windows(bundled_points())))
 
 
 if __name__ == "__main__":

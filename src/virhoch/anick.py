@@ -9,7 +9,7 @@ letters m_i >= 0 is a chain when
 every 1-letter tuple is a chain and so is the empty tuple (degree 0).  Each
 adjacent pair of a chain is then a rewriting-rule left-hand side, and the
 minimal weight in degree n is 2n - 3 (letters n >= 2), so the grade
-``weight - letters`` is bounded below by n - 3.
+``weight - letters`` is bounded below by n - 3 (``lowest_grade``).
 
 The differential is computed two ways:
 
@@ -80,12 +80,17 @@ def chain_to_text(c: Chain) -> str:
     return "[" + "|".join(str(m) for m in c) + "]"
 
 
+def lowest_grade(n: int) -> int:
+    """Lowest grade of an n-letter chain: 0 for (), -1 for [0] and [1|0], n - 3 beyond."""
+    return max(n - 3, -1) if n else 0
+
+
 def enumerate_chains(n: int, s_max: int) -> list[Chain]:
     """All n-letter chains of grade <= s_max, in lexicographic order."""
-    if n == 0:
-        return [()] if s_max >= 0 else []  # the empty chain has grade 0
-    if n < 0 or (n >= 2 and s_max < n - 3):
+    if n < 0 or s_max < lowest_grade(n):
         return []
+    if n == 0:
+        return [()]
     if n == 1:
         return [(k,) for k in range(0, s_max + 2)]
     budget = n + s_max  # max weight
@@ -487,7 +492,7 @@ def delta_closed(c: Chain) -> ResElem:
 # ---------------------------------------------------------------------------
 # composition check
 
-def compose_delta(c: Chain, delta=delta_generic) -> dict[tuple[Chain, Word], Fraction]:
+def compose_delta(c: Chain) -> dict[tuple[Chain, Word], Fraction]:
     """Apply the differential twice; the result must vanish identically.
 
     Leading words multiply through the rewriting system, so the value lives
@@ -496,6 +501,6 @@ def compose_delta(c: Chain, delta=delta_generic) -> dict[tuple[Chain, Word], Fra
     if len(c) < 2:
         raise ValueError("need a chain of degree >= 2")
     acc = RationalSum()
-    for (c1, lam1), q1 in delta(c).items():
-        _rational_times(acc, lam1, q1, delta(c1).items())
+    for (c1, lam1), q1 in delta_generic(c).items():
+        _rational_times(acc, lam1, q1, delta_generic(c1).items())
     return acc.fractions()

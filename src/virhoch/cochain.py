@@ -19,7 +19,8 @@ and all three agree on every chain:
 * ``reduced_row`` is the production path, the one the rank computations
   consume.  It reads c0 and psi straight off the memoized ``delta_generic``
   and caches the reduced rows.  An entry that breaks the grade split raises
-  ``anick.InvariantError`` naming the chain.
+  ``anick.InvariantError`` naming the chain; this is the one check of the
+  split, once per row, and ``cohom.matrix_d`` relies on it.
 
 * ``action_row`` is the module-action oracle: it applies
   ``confmod.act_word`` to the generator for every term and takes the u and

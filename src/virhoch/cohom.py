@@ -8,15 +8,16 @@ supported on grades <= S is finite and closed under d.  Its cohomology is
 compared at S and S + 1 (stabilization).
 
 Both routes assemble each degree once, over the window of chains of grade
-<= T, sorted by grade.  ``matrix_d`` is the one row assembler; it checks
-that every entry is a-free at its target's grade or a multiple of a one
-grade up.  With that shape the rows of grade > s vanish on the columns of
-grade <= s, so the rank of the window of grades <= s is the rank of a
-column prefix, and ``rank`` reads every prefix off one elimination.  The
-truncated route reads the S + 1 window at the prefixes ending at grades S
-and S + 1.  At a = 0 the a-linear entries vanish, so d is block-diagonal by
-grade and the rank of the block at grade s is the prefix rank at s minus
-the prefix rank at s - 1.
+<= T, sorted by grade.  ``matrix_d`` is the one row assembler.  It relies
+on ``cochain.reduced_row``, which checks once per row that every entry is
+a-free at its target's grade or a multiple of a one grade up.  With that
+shape the rows of grade > s vanish on the columns of grade <= s, so the
+rank of the window of grades <= s is the rank of a column prefix, and
+``rank`` reads every prefix off one elimination.  The truncated route
+reads the S + 1 window at the prefixes ending at grades S and S + 1.  At
+a = 0 the a-linear entries vanish, so d is block-diagonal by grade and the
+rank of the block at grade s is the prefix rank at s minus the prefix rank
+at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra.  Rows are kept primitive over Z, so no Fraction enters the inner
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .anick import Chain, InvariantError, chain_to_text, enumerate_chains, grade, is_chain
+from .anick import Chain, InvariantError, enumerate_chains, grade, is_chain, lowest_grade
 from .cochain import reduced_row
 from .scalars import add_term, format_rational
 
@@ -65,12 +66,13 @@ def matrix_d(
 ) -> DiffMatrix:
     """Differential from degree n to n + 1 between explicit bases.
 
-    Every entry of a row, inside the bases or not, must be a-free where the
-    source grade equals the target's, or a multiple of a where it is one
-    higher; ``rank`` reads grade windows and graded blocks off one
-    elimination because of that shape.  Each entry inside the bases is
-    specialized once, except that at a = 0 the a-linear ones are skipped:
-    they vanish there.
+    Every row comes from ``reduced_row``, which raises ``InvariantError``,
+    also under ``python -O``, unless its entries are a-free where the
+    source grade equals the target's and multiples of a where it is one
+    higher.  ``matrix_d`` relies on that check, and ``rank`` reads grade
+    windows and graded blocks off one elimination because of that shape.
+    Each entry inside the bases is specialized once, except that at a = 0
+    the a-linear ones, one grade up, are skipped: they vanish there.
     """
     col_of = {c: j for j, c in enumerate(source)}
     rows = []
@@ -78,15 +80,8 @@ def matrix_d(
         s = grade(tgt)
         row = {}
         for src, val in reduced_row(tgt).items():
-            step = grade(src) - s
-            if step not in (0, 1) or val.a_degrees() != {step}:
-                raise InvariantError(
-                    f"row of {chain_to_text(tgt)} has the entry {val} at "
-                    f"{chain_to_text(src)}, {step} grades up; only a-free entries "
-                    f"at the same grade and a-linear ones one grade up are allowed"
-                )
             j = col_of.get(src)
-            if j is not None and (alpha or not step):
+            if j is not None and (alpha or grade(src) == s):
                 x = val.specialize(delta, alpha)
                 if x:
                     row[j] = x
@@ -160,12 +155,6 @@ class DimTable:
     totals: dict[int, int] = field(default_factory=dict)
     stable: dict[int, bool] | None = None
     classes: dict[int, list[Chain]] | None = None
-
-
-def _grade_range(n: int, s_max: int) -> range:
-    # minimal grade in degree n: -1 for single letters, n - 3 beyond
-    lo = 0 if n == 0 else (-1 if n == 1 else n - 3)
-    return range(lo, s_max + 1)
 
 
 def _dimension(size: int, rank_out: int, rank_in: int, where: str) -> int:
@@ -243,14 +232,15 @@ def cohomology_dims(
     fills ``classes``, and the number of classes in each degree must equal
     its total.
     """
-    grades = _grade_range(1, s_max)  # grade -1 is the lowest of any chain
-    if not grades:
+    lowest = lowest_grade(1)  # grade -1 is the lowest of any chain
+    if s_max < lowest:
         raise ValueError(
-            f"grade bound s_max={s_max} is below the minimal grade {grades.start} of any chain"
+            f"grade bound s_max={s_max} is below the minimal grade {lowest} of any chain"
         )
     delta = Fraction(delta)
     table = DimTable(delta=delta, alpha=Fraction(0), n_max=n_max, s_max=s_max)
-    sizes, ranks, classes = _windows(delta, Fraction(0), n_max, list(grades), locate)
+    grades = list(range(lowest, s_max + 1))
+    sizes, ranks, classes = _windows(delta, Fraction(0), n_max, grades, locate)
     at = f"at delta={format_rational(delta)}, alpha=0"
 
     def piece(cumulative: list[int], i: int) -> int:
@@ -258,8 +248,8 @@ def cohomology_dims(
 
     for n in range(1, n_max + 1):
         total = 0
-        for s in _grade_range(n, s_max):
-            i = s - grades.start
+        for s in range(lowest_grade(n), s_max + 1):
+            i = s - lowest
             dim = _dimension(
                 piece(sizes[n], i), piece(ranks[n], i), piece(ranks[n - 1], i),
                 f"degree {n}, grade {s}, {at}",
@@ -284,7 +274,7 @@ def truncated_cohomology(
     window empty, so its "stable" zero would check nothing; it is rejected.
     Both cutoffs come from one elimination per degree of the S + 1 window.
     """
-    lowest = _grade_range(n_max, S).start
+    lowest = lowest_grade(n_max)
     if S < lowest:
         raise ValueError(
             f"cutoff S={S} is below the minimal grade {lowest} of degree {n_max}"

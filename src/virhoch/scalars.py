@@ -245,10 +245,6 @@ class ParamPoly:
             reverse=True,
         )
 
-    def a_degrees(self) -> set[int]:
-        """The powers of a that occur."""
-        return {da for (_, da) in self._nums}
-
     def specialize(self, weight: Fraction, shift: Fraction) -> Fraction:
         """Evaluate at D = weight, a = shift, as one ``Fraction`` built from ints.
 

@@ -30,6 +30,7 @@ from virhoch.anick import (
     enumerate_chains,
     grade,
     is_chain,
+    lowest_grade,
 )
 from virhoch.scalars import add_term
 
@@ -64,7 +65,12 @@ def test_enumerate_examples():
 @pytest.mark.parametrize("n", range(0, 6))
 def test_enumerate_matches_brute_force(n):
     for s_max in (-2, -1, CHECK_SMAX):
-        assert enumerate_chains(n, s_max) == brute_force_chains(n, s_max), s_max
+        chains = brute_force_chains(n, s_max)
+        assert enumerate_chains(n, s_max) == chains, s_max
+    # lowest_grade(n) is the lowest grade of an n-letter chain: none lies below it
+    lowest = lowest_grade(n)
+    assert min(grade(c) for c in chains) == lowest
+    assert brute_force_chains(n, lowest - 1) == enumerate_chains(n, lowest - 1) == []
 
 
 def docstring_chain(c):

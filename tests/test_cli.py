@@ -295,10 +295,16 @@ def test_mutants_fail_under_optimization():
 
 
 def test_cohomology_expect_match(capsys):
-    code, out, _ = run(capsys, "cohomology", "--delta", "1", "--expect", "paper")
-    assert code == 0
-    assert "totals: 2,1,0,0" in out
-    assert "expectation (paper): match" in out
+    # the claims cover degrees 1..4; only the degrees both sides have are compared
+    for bounds, totals in [
+        ([], "2,1,0,0"),
+        (["--nmax", "2", "--smax", "4"], "2,1"),
+        (["--nmax", "5", "--smax", "6"], "2,1,0,0,0"),
+    ]:
+        code, out, _ = run(capsys, "cohomology", "--delta", "1", *bounds, "--expect", "paper")
+        assert code == 0, bounds
+        assert f"totals: {totals}\n" in out
+        assert "expectation (paper): match" in out
 
 
 def test_cohomology_locate(capsys):
@@ -443,6 +449,22 @@ def test_report_csv_without_out_is_rejected_before_work(capsys, monkeypatch):
     assert "--out" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("below", [False, True])
+def test_report_out_that_is_a_file_is_rejected_before_work(capsys, monkeypatch, tmp_path,
+                                                            fmt, below):
+    # an existing file, or a path below one, cannot be the report directory
+    monkeypatch.setattr(cli, "compute_table", _no_work)
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    out_arg = path / "tables" if below else path
+    code, out, err = run(capsys, "report", "--out", str(out_arg), "--format", fmt)
+    assert code == 64
+    assert out == ""
+    assert "--out" in err
+    assert path.read_text() == "kept\n"
+
+
 def test_report_deterministic(capsys, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run(capsys, "report", "--out", str(out_a), "--nmax", "2", "--smax", "3")[0] == 0
@@ -469,13 +491,13 @@ def test_report_parallel_matches_serial(capsys, tmp_path):
     # matches its point computed alone in a fresh interpreter, as a separate
     # worker process would
     assert run(capsys, "report", "--out", str(tmp_path), "--nmax", "1", "--smax", "2")[0] == 0
-    for delta in cli.GRADED_POINTS:
-        d = cli.format_rational(delta)
+    for entry in cli.load_expected()["graded"]:
+        d = entry["delta"]
         code, out, err = fresh_run(
             ["cohomology", "--delta", d, "--nmax", "1", "--smax", "2", "--format", "csv"]
         )
         assert (code, err) == (0, "")
-        path = tmp_path / cli._point_filename(delta, Fraction(0))
+        path = tmp_path / cli._point_filename(cli.parse_rational(d), Fraction(0))
         assert path.read_text() == out
 
 

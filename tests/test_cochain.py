@@ -151,11 +151,9 @@ def test_row_grade_split():
             s = grade(c)
             for cp, val in reduced_row(c).items():
                 assert is_chain(cp) and len(cp) == n
-                assert val.a_degrees() <= {0, 1}
-                if 0 in val.a_degrees():
-                    assert grade(cp) == s
-                if 1 in val.a_degrees():
-                    assert grade(cp) == s + 1
+                a_degrees = {da for (_, da), _ in val.terms()}
+                assert a_degrees in ({0}, {1})
+                assert grade(cp) == s + a_degrees.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from virhoch import cli, cohom
-from virhoch.anick import grade
+from virhoch import cli, cochain, cohom
+from virhoch.anick import chain_to_text, grade
 from virhoch.cochain import reduced_row
 from virhoch.cohom import (
     DiffMatrix,
@@ -25,7 +26,7 @@ from virhoch.cohom import (
     verify_contraction,
     window_basis,
 )
-from virhoch.scalars import A, ONE, ParamPoly
+from virhoch.scalars import ParamPoly
 
 F = Fraction
 
@@ -222,7 +223,8 @@ SMALL_PIECES = {
 @pytest.mark.parametrize("delta", sorted(SMALL_PIECES))
 def test_graded_route_specializes_no_entry_one_grade_up(monkeypatch, delta):
     # At a = 0 the a-linear entries, whose source sits one grade above the
-    # target, vanish: the grade-split check reads them, nothing evaluates them.
+    # target, vanish: ``reduced_row`` checks their grade once per row, and
+    # ``matrix_d`` evaluates none of them.
     real_row, real_specialize = cohom.reduced_row, ParamPoly.specialize
     step = {}  # id of a row entry -> source grade minus target grade
 
@@ -345,16 +347,18 @@ def test_negative_dimension_at_next_cutoff_is_reported(monkeypatch):
         truncated_cohomology(F(1), F(1, 2), 2, 2)
 
 
-# target [3|0] has grade 1; [2] has grade 1, [3] grade 2, [5] grade 4
+# Terms (source chain, leading word) planted in the differential of the
+# target [3|0], grade 1: the empty word feeds the a-free part of its row,
+# v(0) the a part.  [2] has grade 1, [3] grade 2, [5] grade 4.
 OFF_GRADE = {
-    "two_grades_up": ((5,), A),
-    "a_free_one_up": ((3,), ONE),
-    "a_linear_same_grade": ((2,), A),
+    "two_grades_up": ((5,), ()),
+    "a_free_one_up": ((3,), ()),
+    "a_linear_same_grade": ((2,), (0,)),
 }
 
 
-# every route assembles its rows in ``matrix_d``, which checks the split;
-# each window of grades <= 2 holds the target [3|0]
+# every route reads its rows from ``reduced_row``, which checks the split
+# once per row; each window of grades <= 2 holds the target [3|0]
 ROUTES = [
     ("truncated_cohomology", (F(1), F(1), 3, 2)),
     ("cohomology_dims", (F(1), 3, 2)),
@@ -362,30 +366,43 @@ ROUTES = [
 ]
 
 
+# ``cochain.delta_generic`` with ``term`` planted in the value at [3|0]
+PLANTED = "lambda c: {**real(c), term: Fraction(1)} if c == (3, 0) else real(c)"
+
+
+@pytest.fixture
+def fresh_rows():
+    # the row of [3|0] must be rebuilt from the planted term, and no row
+    # built from it may outlive the test
+    cochain.clear_caches()
+    yield
+    cochain.clear_caches()
+
+
 @pytest.mark.parametrize("case", list(OFF_GRADE))
-def test_window_rejects_entry_off_the_grade_split(monkeypatch, case):
-    src, val = OFF_GRADE[case]
-    real = cohom.reduced_row
-    monkeypatch.setattr(
-        cohom, "reduced_row", lambda c: {**real(c), src: val} if c == (3, 0) else real(c)
-    )
+def test_window_rejects_entry_off_the_grade_split(monkeypatch, fresh_rows, case):
+    term = OFF_GRADE[case]
+    planted = eval(PLANTED, {"real": cochain.delta_generic, "term": term, "Fraction": F})
+    monkeypatch.setattr(cochain, "delta_generic", planted)
+    message = f"row of [3|0] breaks the grade split at {chain_to_text(term[0])}: "
     for name, args in ROUTES:
-        with pytest.raises(InvariantError, match=r"row of \[3\|0\] has the entry"):
+        with pytest.raises(InvariantError, match=re.escape(message)):
             getattr(cohom, name)(*args)
 
 
 def test_window_grade_check_survives_optimization():
     script = (
         "from fractions import Fraction\n"
-        "from virhoch import cohom\n"
-        "from virhoch.scalars import ONE\n"
-        "real = cohom.reduced_row\n"
-        "cohom.reduced_row = lambda c: {**real(c), (5,): ONE} if c == (3, 0) else real(c)\n"
-        f"for name, args in {ROUTES!r}:\n"
-        "    try:\n"
-        "        getattr(cohom, name)(*args)\n"
-        "    except cohom.InvariantError as exc:\n"
-        "        print(name, exc)\n"
+        "from virhoch import cochain, cohom\n"
+        "real = cochain.delta_generic\n"
+        f"for term in {list(OFF_GRADE.values())!r}:\n"
+        f"    cochain.delta_generic = {PLANTED}\n"
+        f"    for name, args in {ROUTES!r}:\n"
+        "        cochain.clear_caches()\n"
+        "        try:\n"
+        "            getattr(cohom, name)(*args)\n"
+        "        except cohom.InvariantError as exc:\n"
+        "            print(name, exc)\n"
     )
     src = str(Path(cohom.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -393,8 +410,12 @@ def test_window_grade_check_survives_optimization():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    for name, _ in ROUTES:
-        assert f"{name} row of [3|0] has the entry 1 at [5]" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(OFF_GRADE) * len(ROUTES)
+    for term in OFF_GRADE.values():
+        for name, _ in ROUTES:
+            at = f"{name} row of [3|0] breaks the grade split at {chain_to_text(term[0])}: "
+            assert any(line.startswith(at) for line in lines), at
 
 
 def test_negative_dimension_check_survives_optimization():
