@@ -26,7 +26,6 @@ pairs to the normal form of their sum in that shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -174,15 +173,26 @@ def check_overlap(n: int, m: int, p: int) -> bool:
     return normal_form(_expand_at(w, 0)) == normal_form(_expand_at(w, 1))
 
 
-@dataclass
 class RelationReport:
     """Outcome of re-checking the defining relations below a bound."""
 
-    bound: int
-    locality_checked: int = 0
-    commutator_checked: int = 0
-    overlaps_checked: int = 0
-    violations: list[str] = field(default_factory=list)
+    __slots__ = (
+        "bound", "locality_checked", "commutator_checked", "overlaps_checked", "violations"
+    )
+
+    def __init__(
+        self,
+        bound: int,
+        locality_checked: int = 0,
+        commutator_checked: int = 0,
+        overlaps_checked: int = 0,
+        violations: list[str] | None = None,
+    ):
+        self.bound = bound
+        self.locality_checked = locality_checked
+        self.commutator_checked = commutator_checked
+        self.overlaps_checked = overlaps_checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

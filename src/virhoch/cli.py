@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -41,22 +40,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Resolved options for one dimension table: how to compute and print it."""
 
-    delta: Fraction
-    alpha: Fraction
-    n_max: int = 4
-    s_max: int = 8
-    truncated: int | None = None  # grade cutoff S, or None for the graded route
-    locate: bool = False  # also list the chains carrying the classes
-    format: str = "table"  # the output format: table, csv or json
+    __slots__ = ("delta", "alpha", "n_max", "s_max", "truncated", "locate", "format")
+
+    def __init__(
+        self,
+        delta: Fraction,
+        alpha: Fraction,
+        n_max: int = 4,
+        s_max: int = 8,
+        truncated: int | None = None,
+        locate: bool = False,
+        format: str = "table",
+    ):
+        self.delta = delta
+        self.alpha = alpha
+        self.n_max = n_max
+        self.s_max = s_max
+        self.truncated = truncated  # grade cutoff S, or None for the graded route
+        self.locate = locate  # also list the chains carrying the classes
+        self.format = format  # the output format: table, csv or json
 
     def validate(self) -> None:
-        """Reject inconsistent options; each command calls it once, before any work."""
-        if self.n_max < 1 or self.s_max < 0:
-            raise UsageError("bounds must be positive")
+        """Reject inconsistent options; each command calls it once, before any work.
+
+        Only the bounds the chosen route reads are checked: the truncated
+        route reads its cutoff S instead of ``s_max``.
+        """
+        if self.n_max < 1:
+            raise UsageError("--nmax must be >= 1")
+        if self.truncated is None and self.s_max < 0:
+            raise UsageError("--smax must be >= 0")
         if self.truncated is None and self.alpha:
             raise UsageError(
                 "a nonzero shift mixes grades; use --truncated S for the bounded subcomplex"
@@ -234,8 +250,13 @@ def _ddzero_symbolic(degrees: int, s_max: int) -> int:
 
 
 def cmd_ddzero(args) -> int:
-    if args.smax < 0 or args.letters < 2 or args.degrees < 0:
-        raise UsageError("bounds out of range")
+    # each suite checks only the bounds it reads
+    if args.smax < 0:
+        raise UsageError("--smax must be >= 0")
+    if args.symbolic and args.degrees < 0:
+        raise UsageError("--degrees must be >= 0")
+    if not args.symbolic and args.letters < 2:
+        raise UsageError("--letters must be >= 2")
     algebra.set_rule_defect(args.inject_defect)
     try:
         if args.symbolic:

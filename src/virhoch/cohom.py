@@ -34,7 +34,6 @@ once.  ``locate_classes`` reads the classes off this pass.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
@@ -51,14 +50,18 @@ def window_basis(n: int, s_max: int) -> list[Chain]:
     return sorted(enumerate_chains(n, s_max), key=grade)
 
 
-@dataclass
 class DiffMatrix:
     """Sparse rows indexed by target chains, columns by source chains."""
 
-    source: list[Chain]
-    target: list[Chain]
-    # entries[i][j] = coefficient of source[j] in d(·)(target[i]); zeros are not stored
-    entries: list[dict[int, Rational]]
+    __slots__ = ("source", "target", "entries")
+
+    def __init__(
+        self, source: list[Chain], target: list[Chain], entries: list[dict[int, Rational]]
+    ):
+        self.source = source
+        self.target = target
+        # entries[i][j] = coefficient of source[j] in d(·)(target[i]); zeros are not stored
+        self.entries = entries
 
 
 def matrix_d(
@@ -135,7 +138,6 @@ def rank(m: DiffMatrix, cuts: Iterable[int]) -> list[int]:
     return [bisect_left(pivots, k) for k in cuts]
 
 
-@dataclass
 class DimTable:
     """Cohomology dimensions at one parameter point.
 
@@ -147,14 +149,28 @@ class DimTable:
     CSV and JSON forms are ``cli``'s.
     """
 
-    delta: Rational
-    alpha: Rational
-    n_max: int
-    s_max: int
-    by_grade: dict[tuple[int, int], int] = field(default_factory=dict)
-    totals: dict[int, int] = field(default_factory=dict)
-    stable: dict[int, bool] | None = None
-    classes: dict[int, list[Chain]] | None = None
+    __slots__ = ("delta", "alpha", "n_max", "s_max", "by_grade", "totals", "stable", "classes")
+
+    def __init__(
+        self,
+        delta: Rational,
+        alpha: Rational,
+        n_max: int,
+        s_max: int,
+        by_grade: dict[tuple[int, int], int] | None = None,
+        totals: dict[int, int] | None = None,
+        stable: dict[int, bool] | None = None,
+        classes: dict[int, list[Chain]] | None = None,
+    ):
+        self.delta = delta
+        self.alpha = alpha
+        self.n_max = n_max
+        self.s_max = s_max
+        # each table owns its maps: cohomology_dims fills them in place
+        self.by_grade = {} if by_grade is None else by_grade
+        self.totals = {} if totals is None else totals
+        self.stable = stable
+        self.classes = classes
 
 
 def _dimension(size: int, rank_out: int, rank_in: int, where: str) -> int:
@@ -314,13 +330,24 @@ def locate_classes(
     return cohomology_dims(delta, n_max, s_max, locate=True).classes
 
 
-@dataclass
 class ContractionReport:
-    degree: int
-    delta: Rational
-    alpha: Rational
-    samples: list[Chain]
-    failures: list[tuple[Chain, Fraction, Fraction]]
+    """Outcome of ``verify_contraction``: the sampled chains and the mismatches."""
+
+    __slots__ = ("degree", "delta", "alpha", "samples", "failures")
+
+    def __init__(
+        self,
+        degree: int,
+        delta: Rational,
+        alpha: Rational,
+        samples: list[Chain],
+        failures: list[tuple[Chain, Fraction, Fraction]],
+    ):
+        self.degree = degree
+        self.delta = delta
+        self.alpha = alpha
+        self.samples = samples
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

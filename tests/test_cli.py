@@ -85,7 +85,8 @@ def test_cli_import_leaves_out_process_pools_and_openssl():
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout.split()
     assert "virhoch.cli" in added
-    assert {"hashlib", "multiprocessing", "concurrent.futures"}.isdisjoint(added)
+    left_out = {"hashlib", "multiprocessing", "concurrent.futures", "dataclasses", "inspect"}
+    assert left_out.isdisjoint(added)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +377,48 @@ def test_locate_outside_the_table_format_is_rejected_before_work(capsys, monkeyp
     assert code == 64
     assert out == ""
     assert "--locate" in err and "table format" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cohomology", "--delta", "1", "--nmax", "0"], "--nmax must be >= 1"),
+        (["cohomology", "--delta", "1", "--smax", "-1"], "--smax must be >= 0"),
+        (["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--nmax", "0"],
+         "--nmax must be >= 1"),
+        (["report", "--format", "json", "--nmax", "0"], "--nmax must be >= 1"),
+        (["report", "--format", "json", "--smax", "-1"], "--smax must be >= 0"),
+        (["ddzero", "--smax", "-1"], "--smax must be >= 0"),
+        (["ddzero", "--letters", "1"], "--letters must be >= 2"),
+        (["ddzero", "--symbolic", "--smax", "-1"], "--smax must be >= 0"),
+        (["ddzero", "--symbolic", "--degrees", "-1"], "--degrees must be >= 0"),
+    ],
+    ids=["cohomology_nmax", "cohomology_smax", "truncated_nmax", "report_nmax", "report_smax",
+         "ddzero_smax", "ddzero_letters", "symbolic_smax", "symbolic_degrees"],
+)
+def test_bound_messages_name_the_flag_before_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "compute_table", _no_work)
+    monkeypatch.setattr(cli.anick, "enumerate_chains", _no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        (["ddzero", "--symbolic", "--letters", "1"], "d.d = 0 symbolically on"),
+        (["ddzero", "--letters", "3", "--degrees", "-1"], "delta.delta = 0 on"),
+        (["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--smax", "-1"],
+         "truncated cohomology at delta=1, alpha=1"),
+    ],
+    ids=["symbolic_letters", "resolution_degrees", "truncated_smax"],
+)
+def test_bounds_a_route_does_not_read_are_not_checked(capsys, argv, head):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(head)
 
 
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):

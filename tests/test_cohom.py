@@ -557,3 +557,9 @@ def test_csv_rows_format():
         totals={0: 0, 1: 3}, stable={0: True, 1: False},
     )
     assert cli.render_csv(trunc) == ["delta,alpha,n,s,dim", "1,1,0,,0", "1,1,1,,3"]
+
+    # tables built without by_grade or totals own fresh maps, never shared ones
+    blank, other = (DimTable(delta=F(0), alpha=F(0), n_max=1, s_max=2) for _ in range(2))
+    assert blank.by_grade == {} and blank.totals == {}
+    assert blank.by_grade is not other.by_grade and blank.totals is not other.totals
+    assert trunc.by_grade is not blank.by_grade
