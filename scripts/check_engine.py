@@ -9,7 +9,8 @@ that the square-zero gates can fail at all.  A clean square-zero run after
 them must pass again: memos survive between runs only while the rule table
 stays the same, so the defect's values are gone once the true rule is back.
 Square-zero runs on 6- and 7-letter chains, beyond the range of the test
-suite, follow.
+suite, follow, and the located tables at D = 1 and 0 up to degree 6 and
+grade 10 close the battery.
 Nonzero exit on the first step whose exit code differs from the one it
 expects.
 """
@@ -37,6 +38,10 @@ STEPS = [
     (0, ["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--expect", "paper"]),
     (0, ["cohomology", "--delta", "0", "--alpha", "2", "--truncated", "8", "--expect", "paper"]),
     (0, ["cohomology", "--delta", "3", "--alpha", "-1", "--truncated", "8", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "1", "--nmax", "6", "--smax", "10", "--locate",
+         "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "0", "--nmax", "6", "--smax", "10", "--locate",
+         "--expect", "paper"]),
 ]
 
 

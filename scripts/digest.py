@@ -17,7 +17,9 @@ Hashes, in insertion order, the items of
   indices <= 10;
 * the ``matrix_d`` windows that the nine bundled points build for
   n <= 4, graded over grades <= 7 and truncated over grades <= 8 (S = 7),
-  each row written as its sorted (column, value) items.
+  each row written as its sorted (column, value) items;
+* ``by_grade`` and ``classes`` of ``cohomology_dims(locate=True)`` at the
+  six bundled weights, n <= 5 and grade <= 8.
 
 Run it in two checkouts and compare the output; a change that keeps every
 value, type and order prints identical lines.  Stdlib only:
@@ -86,6 +88,14 @@ def windows(points):
             yield (delta, alpha, n), {i: sorted(row.items()) for i, row in enumerate(m.entries)}
 
 
+def located_tables(points):
+    for delta, alpha in points:
+        if not alpha:
+            table = cohom.cohomology_dims(delta, 5, 8, locate=True)
+            yield (delta, "by_grade"), table.by_grade
+            yield (delta, "classes"), table.classes
+
+
 def dd_accumulators(degrees: int, s_max: int):
     for n in range(degrees + 1):
         for c in anick.enumerate_chains(n + 2, s_max):
@@ -140,6 +150,7 @@ def main() -> None:
         ),
     ))
     print(line("matrix_d windows n<=4 x9", windows(bundled_points())))
+    print(line("located tables n<=5 grade<=8 x6", located_tables(bundled_points())))
 
 
 if __name__ == "__main__":

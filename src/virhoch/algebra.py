@@ -26,8 +26,8 @@ pairs to the normal form of their sum in that shape.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .scalars import RationalSum
 

@@ -52,8 +52,8 @@ so it also runs under ``python -O``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import InvariantError, Word, nf_word, weight, word_to_text
 from .scalars import RationalSum, add_term

@@ -17,8 +17,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from . import __version__, algebra, anick, cochain, cohom
 from .scalars import add_term, format_rational, parse_rational
@@ -162,6 +160,7 @@ def json_doc(table: cohom.DimTable) -> dict:
 
 
 def load_expected() -> dict:
+    from importlib import resources  # pulls in tempfile and shutil: import on use
     with resources.files("virhoch").joinpath("expected_dims.json").open() as fh:
         return json.load(fh)
 
@@ -315,6 +314,8 @@ def cmd_report(args) -> int:
     for config in configs:
         config.validate()
     if args.out is not None:
+        from pathlib import Path  # only a report written to files needs it
+        args.out = Path(args.out)
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("report", help="write the reproduction bundle for the standard points")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--smax", type=int, default=8)

@@ -23,20 +23,20 @@ One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra.  Rows are kept primitive over Z, so no Fraction enters the inner
 loop; the tests check the pivots against a naive rational Gaussian oracle.
 The graded table and, when asked for, the chains carrying its classes come
-from one pass.  A class of degree n sits at a pivot column of ker d_out
-that is not a pivot column of im d_in.  The former are the non-pivots of
-d_out eliminated with its columns mirrored.  Each block of a block-diagonal
-matrix keeps its pivot count under any column order, so that same
-elimination, mapped back, also gives the prefix ranks; d_out is eliminated
-once.  ``locate_classes`` reads the classes off this pass.
+from one pass whose ranks all come from ``rank``.  A class of degree n sits
+at a pivot column of ker d_out that is not a pivot column of im d_in.  At
+a = 0 both are direct sums of their grade blocks, so their pivots are the
+union of the blocks' pivots, and a block of dimension 0 has ker = im: the
+classes are searched block by block, only where the dimension is nonzero.
+``locate_classes`` reads the classes off this pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from .anick import Chain, InvariantError, enumerate_chains, grade, is_chain, lowest_grade
 from .cochain import reduced_row
@@ -185,56 +185,38 @@ def _dimension(size: int, rank_out: int, rank_in: int, where: str) -> int:
     return dim
 
 
-def _windows(
-    delta: Rational, alpha: Rational, n_max: int, grades: list[int], locate: bool = False
-) -> tuple[list[list[int]], list[list[int]], dict[int, list[Chain]] | None]:
-    """Sizes and ranks of the windows of grade <= each of ``grades``.
+def _windows(n_max: int, grades: list[int]) -> tuple[list[list[Chain]], list[list[int]]]:
+    """bases[n]: degree-n chains of grade <= grades[-1]; sizes[n][i]: those of grade <= grades[i].
 
-    ``sizes[n][i]`` counts the degree-n chains of grade <= grades[i] (n <=
-    n_max + 1), and ``ranks[n][i]`` is the rank of d from degree n to n + 1
-    on that window (n <= n_max): one assembly and one elimination per
-    degree, over the window of the last grade.  With ``locate`` (a = 0
-    only) the third result maps each degree 1..n_max to the chains
-    carrying its classes; it is None otherwise.
+    Both routes assemble d once per degree, as ``matrix_d(n, bases[n],
+    bases[n + 1], ...)``, and read its windows with ``rank(m, sizes[n])``.
     """
     bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
     sizes = [[bisect_right(g, s) for s in grades] for g in ([grade(c) for c in b] for b in bases)]
-    if not locate:
-        ranks = [
-            rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n])
-            for n in range(n_max + 1)
-        ]
-        return sizes, ranks, None
-    ranks, classes, d_in = [], {}, []
-    for n in range(n_max + 1):
-        d_out = matrix_d(n, bases[n], bases[n + 1], delta, alpha).entries
-        m = len(bases[n])
-        # The pivot columns (leftmost nonzeros of an echelon basis) of a
-        # subspace depend only on the subspace, and im d_in lies in
-        # ker d_out, so the classes sit at pivots(ker) - pivots(im).
-        # Solving an echelon form of d_out for each free column gives a
-        # kernel basis whose vectors end (rightmost nonzero) exactly at
-        # the free columns.  Eliminating with the columns mirrored
-        # (j -> m - 1 - j) turns "end" into "start": pivots(ker) are the
-        # columns that are not pivots of the mirrored d_out.  At a = 0
-        # each grade block keeps its pivot count under the mirror, so the
-        # mirrored pivots, mapped back, count every prefix rank as well.
-        # Rows fed by their leading mirrored column keep the fill-in low.
-        mirrored = sorted(
-            ({m - 1 - j: v for j, v in row.items()} for row in d_out if row), key=min
-        )
-        pivots = [m - 1 - j for j in reversed(pivot_columns(mirrored))]
-        ranks.append([bisect_left(pivots, k) for k in sizes[n]])
-        if n:
-            # im d_in is spanned by the columns of d_in
-            columns: list[dict[int, Rational]] = [{} for _ in bases[n - 1]]
-            for i, row in enumerate(d_in):
-                for j, v in row.items():
-                    columns[j][i] = v
-            kernel = set(range(m)).difference(pivots)
-            classes[n] = sorted(bases[n][j] for j in kernel.difference(pivot_columns(columns)))
-        d_in = d_out
-    return sizes, ranks, classes
+    return bases, sizes
+
+
+def _block_classes(
+    d_out: list[dict[int, Rational]], d_in: list[dict[int, Rational]], lo: int, hi: int
+) -> list[int]:
+    """The columns lo..hi - 1 of one graded block that carry its classes.
+
+    ``d_out`` holds d_out's rows at the block's grade, ``d_in`` d_in's rows
+    lo..hi - 1.  Pivot columns (leftmost nonzeros of an echelon basis) depend
+    only on the subspace, and im d_in lies in ker d_out, so the classes sit
+    at pivots(ker) - pivots(im).  A kernel basis solved from an echelon form
+    of d_out ends (rightmost nonzero) exactly at the free columns, so with
+    the columns mirrored, j -> hi - 1 - j, pivots(ker) are the columns that
+    are not pivots of d_out.  The columns of d_in span im d_in.
+    """
+    # rows fed by their leading mirrored column keep the fill-in low
+    mirrored = sorted(({hi - 1 - j: v for j, v in row.items()} for row in d_out if row), key=min)
+    kernel = set(range(lo, hi)).difference(hi - 1 - j for j in pivot_columns(mirrored))
+    columns: dict[int, dict[int, Rational]] = {}
+    for i, row in enumerate(d_in, lo):
+        for j, v in row.items():
+            columns.setdefault(j, {})[i] = v
+    return sorted(kernel.difference(pivot_columns(columns.values())))
 
 
 def cohomology_dims(
@@ -245,39 +227,54 @@ def cohomology_dims(
     The window sizes and ranks are cumulative over grades; d is
     block-diagonal by grade at alpha = 0, so each graded piece is the
     difference of two consecutive ones.  With ``locate`` the same pass
-    fills ``classes``, and the number of classes in each degree must equal
-    its total.
+    fills ``classes``: ``_block_classes`` searches each block of nonzero
+    dimension, and the number it finds must equal that dimension.
     """
     lowest = lowest_grade(1)  # grade -1 is the lowest of any chain
     if s_max < lowest:
         raise ValueError(
             f"grade bound s_max={s_max} is below the minimal grade {lowest} of any chain"
         )
-    delta = Fraction(delta)
-    table = DimTable(delta=delta, alpha=Fraction(0), n_max=n_max, s_max=s_max)
-    grades = list(range(lowest, s_max + 1))
-    sizes, ranks, classes = _windows(delta, Fraction(0), n_max, grades, locate)
+    delta, alpha = Fraction(delta), Fraction(0)
+    table = DimTable(delta, alpha, n_max, s_max, classes={} if locate else None)
+    bases, sizes = _windows(n_max, list(range(lowest, s_max + 1)))
     at = f"at delta={format_rational(delta)}, alpha=0"
 
-    def piece(cumulative: list[int], i: int) -> int:
-        return cumulative[i] - (cumulative[i - 1] if i else 0)
+    def degree(n: int) -> tuple[list[dict[int, Rational]] | None, list[int]]:
+        # rows are kept only to locate classes, and only those of d_in and d_out
+        m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
+        return (m.entries if locate else None), rank(m, sizes[n])
 
+    def below(cumulative: list[int], i: int) -> int:
+        # the part of cumulative[i] below grade lowest + i
+        return cumulative[i - 1] if i else 0
+
+    d_in, ranks_in = degree(0)
     for n in range(1, n_max + 1):
-        total = 0
+        d_out, ranks_out = degree(n)
+        total, found = 0, []
         for s in range(lowest_grade(n), s_max + 1):
             i = s - lowest
+            lo, hi = below(sizes[n], i), sizes[n][i]
             dim = _dimension(
-                piece(sizes[n], i), piece(ranks[n], i), piece(ranks[n - 1], i),
+                hi - lo, ranks_out[i] - below(ranks_out, i), ranks_in[i] - below(ranks_in, i),
                 f"degree {n}, grade {s}, {at}",
             )
             table.by_grade[(n, s)] = dim
             total += dim
+            if locate and dim:
+                rows = d_out[below(sizes[n + 1], i) : sizes[n + 1][i]]
+                cols = _block_classes(rows, d_in[lo:hi], lo, hi)
+                if len(cols) != dim:
+                    raise InvariantError(
+                        f"{len(cols)} classes located in degree {n}, grade {s} "
+                        f"for dimension {dim}, {at}"
+                    )
+                found += cols
         table.totals[n] = total
-        if classes is not None and len(classes[n]) != total:
-            raise InvariantError(
-                f"{len(classes[n])} classes located in degree {n} for dimension {total}, {at}"
-            )
-    table.classes = classes
+        if locate:
+            table.classes[n] = sorted(bases[n][j] for j in found)
+        d_in, ranks_in = d_out, ranks_out
     return table
 
 
@@ -290,6 +287,7 @@ def truncated_cohomology(
     window empty, so its "stable" zero would check nothing; it is rejected.
     Both cutoffs come from one elimination per degree of the S + 1 window.
     """
+    delta, alpha = Fraction(delta), Fraction(alpha)
     lowest = lowest_grade(n_max)
     if S < lowest:
         raise ValueError(
@@ -297,8 +295,9 @@ def truncated_cohomology(
         )
     if not alpha:
         raise ValueError("the truncated route is for a nonzero shift")
-    delta, alpha = Fraction(delta), Fraction(alpha)
-    sizes, ranks, _ = _windows(delta, alpha, n_max, [S, S + 1])
+    bases, sizes = _windows(n_max, [S, S + 1])
+    ranks = [rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n])
+             for n in range(n_max + 1)]
     at = f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
 
     def dims(i: int, cutoff: str) -> dict[int, int]:
@@ -325,7 +324,8 @@ def locate_classes(
     full reduction) of ker d_out that are not pivot columns of im d_in;
     each marks the chain whose dual coordinate carries one cohomology
     class.  They are read off the graded pass of ``cohomology_dims``,
-    which assembles each matrix once and eliminates d_out once.
+    which assembles each matrix once, ranks it with ``rank``, and searches
+    only the graded blocks of nonzero dimension.
     """
     return cohomology_dims(delta, n_max, s_max, locate=True).classes
 

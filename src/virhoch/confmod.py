@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Word
-from .scalars import ParamPoly, Scalar, A, D
+from .scalars import ParamPoly, A, D
 
 
 class ModElem:
@@ -35,7 +35,7 @@ class ModElem:
         self._coeffs = tuple(cs)
 
     @staticmethod
-    def unit(scale: Scalar = Fraction(1)) -> "ModElem":
+    def unit(scale: Fraction | ParamPoly = Fraction(1)) -> "ModElem":
         return ModElem([scale])
 
     def coeff(self, k: int) -> ParamPoly:

@@ -34,11 +34,9 @@ builds the row-entry shape ``(n0 + nd*D + na*a) / den`` straight from ints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
-
-Scalar = Union[Fraction, "ParamPoly"]
 
 #: exponent key: (power of D, power of a)
 Monomial = tuple[int, int]
@@ -180,7 +178,7 @@ class ParamPoly:
         return ParamPoly._reduced(nums, den)
 
     @staticmethod
-    def coerce(x: Scalar) -> "ParamPoly":
+    def coerce(x: Fraction | ParamPoly) -> ParamPoly:
         if isinstance(x, ParamPoly):
             return x
         return ParamPoly.const(x)

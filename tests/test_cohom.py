@@ -253,6 +253,12 @@ def test_truncated_requires_shift():
         truncated_cohomology(F(1), F(0), 3, 6)
 
 
+def test_truncated_converts_the_shift_before_checking_it():
+    # "0" is a true string, but the shift it names is zero
+    with pytest.raises(ValueError, match="nonzero shift"):
+        truncated_cohomology("1", "0", 2, 2)
+
+
 SHIFTED_POINTS = [
     (F(1), F(1)), (F(0), F(2)), (F(3), F(-1)),  # the bundled points
     (F(1), F(-1, 2)), (F(5, 2), F(2, 3)), (F(-2), F(3, 4)), (F(0), F(-7, 5)),
@@ -438,17 +444,18 @@ def test_negative_dimension_check_survives_optimization():
     assert "negative dimension" in proc.stdout
 
 
-# The located pass reads its ranks off ``pivot_columns`` of the mirrored
-# d_out, not off ``rank``.  A pivot past every column, mirrored back,
-# precedes every column, so it counts in every prefix rank.
-EXTRA_PIVOT = "lambda rows: real(rows) + [10**9]"
+# The located pass ranks with ``rank`` and searches each block of nonzero
+# dimension with ``_block_classes``; a search that loses a class in every
+# block must fail the per-block count check.
+LOST_CLASS = "lambda *block: real(*block)[1:]"
+LOST_MESSAGE = "0 classes located in degree 1, grade -1 for dimension 1, at delta=1, alpha=0"
 
 
 def test_negative_located_dimension_is_reported(monkeypatch):
     monkeypatch.setattr(
-        cohom, "pivot_columns", eval(EXTRA_PIVOT, {"real": cohom.pivot_columns})
+        cohom, "_block_classes", eval(LOST_CLASS, {"real": cohom._block_classes})
     )
-    with pytest.raises(InvariantError, match=r"degree 1, grade -1, at delta=1, alpha=0"):
+    with pytest.raises(InvariantError, match=f"^{re.escape(LOST_MESSAGE)}$"):
         locate_classes(F(1), 2, 2)
 
 
@@ -456,8 +463,8 @@ def test_negative_located_dimension_survives_optimization():
     script = (
         "from fractions import Fraction\n"
         "from virhoch import cohom\n"
-        "real = cohom.pivot_columns\n"
-        f"cohom.pivot_columns = {EXTRA_PIVOT}\n"
+        "real = cohom._block_classes\n"
+        f"cohom._block_classes = {LOST_CLASS}\n"
         "try:\n"
         "    cohom.locate_classes(Fraction(1), 2, 2)\n"
         "except cohom.InvariantError as exc:\n"
@@ -469,7 +476,7 @@ def test_negative_located_dimension_survives_optimization():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert "negative dimension -1 in degree 1, grade -1" in proc.stdout
+    assert proc.stdout == LOST_MESSAGE + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +491,8 @@ def test_locate_classes():
 
 @pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
 def test_locate_counts_match_totals(delta):
-    # the located pass reads its ranks off the mirrored elimination of d_out,
-    # the plain route off ``rank``: both readings give the same table
+    # the located pass ranks with ``rank`` like the plain one, so both give
+    # the same table, and each block's classes number its dimension
     plain = cohomology_dims(delta, s_max=7)
     located = cohomology_dims(delta, s_max=7, locate=True)
     assert plain.classes is None
@@ -510,6 +517,25 @@ def test_locate_assembles_each_matrix_once(capsys, monkeypatch):
     assert cli.main(["cohomology", "--delta", "0", "--smax", "6", "--locate"]) == 0
     assert "classes at n=3: [2|1|0]" in capsys.readouterr().out
     assert len(seen) == 5 and len(set(seen)) == 5
+
+
+def test_locate_searches_only_nonzero_blocks(monkeypatch):
+    # at D = 0 the classes [2], [2|0], [2|1] and [2|1|0] fill four blocks
+    real = cohom._block_classes
+    spans = []
+
+    def recording(d_out, d_in, lo, hi):
+        spans.append((lo, hi))
+        return real(d_out, d_in, lo, hi)
+
+    monkeypatch.setattr(cohom, "_block_classes", recording)
+    table = cohomology_dims(F(0), n_max=4, s_max=6, locate=True)
+    nonzero = sorted(k for k, dim in table.by_grade.items() if dim)
+    assert nonzero == [(1, 1), (2, 0), (2, 1), (3, 0)]
+    assert len(spans) == len(nonzero)
+    assert [hi - lo for lo, hi in spans] == [
+        sum(1 for c in window_basis(n, s) if grade(c) == s) for n, s in nonzero
+    ]
 
 
 # ---------------------------------------------------------------------------
