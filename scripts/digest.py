@@ -19,7 +19,10 @@ Hashes, in insertion order, the items of
   n <= 4, graded over grades <= 7 and truncated over grades <= 8 (S = 7),
   each row written as its sorted (column, value) items;
 * ``by_grade`` and ``classes`` of ``cohomology_dims(locate=True)`` at the
-  six bundled weights, n <= 5 and grade <= 8.
+  six bundled weights, n <= 5 and grade <= 8;
+* the verdicts of ``verify_defining_relations`` (``gsb``) at bound 10: the
+  checked counts and ordered violations under the planted rule defect, and
+  the same for the true rule.
 
 Run it in two checkouts and compare the output; a change that keeps every
 value, type and order prints identical lines.  Stdlib only:
@@ -96,6 +99,17 @@ def located_tables(points):
             yield (delta, "classes"), table.classes
 
 
+def relation_verdicts(bound: int):
+    for defect in (True, False):
+        algebra.set_rule_defect(defect)
+        try:
+            report = algebra.verify_defining_relations(bound)
+        finally:
+            algebra.set_rule_defect(False)
+        checked = (report.locality_checked, report.commutator_checked, report.overlaps_checked)
+        yield defect, {"checked": checked, "violations": report.violations}
+
+
 def dd_accumulators(degrees: int, s_max: int):
     for n in range(degrees + 1):
         for c in anick.enumerate_chains(n + 2, s_max):
@@ -151,6 +165,7 @@ def main() -> None:
     ))
     print(line("matrix_d windows n<=4 x9", windows(bundled_points())))
     print(line("located tables n<=5 grade<=8 x6", located_tables(bundled_points())))
+    print(line("gsb verdicts (defect, clean) bound 10", relation_verdicts(10)))
 
 
 if __name__ == "__main__":

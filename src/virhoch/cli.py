@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, algebra, anick, cochain, cohom
-from .scalars import add_term, format_rational, parse_rational
+from .scalars import ParamPoly, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -192,8 +192,8 @@ def check_expectation(table: cohom.DimTable, entry: dict) -> tuple[bool, str]:
 
 
 def cmd_gsb(args) -> int:
-    if args.bound < 1:
-        raise UsageError("--bound must be >= 1")
+    if args.bound < 2:
+        raise UsageError("--bound must be >= 2")  # below 2 no overlap is resolved
     report = algebra.verify_defining_relations(args.bound)
     if not report.ok:
         print(f"FAIL: {report.violations[0]}", file=sys.stderr)
@@ -228,10 +228,13 @@ def _ddzero_symbolic(degrees: int, s_max: int) -> int:
     checked = 0
     for n in range(0, degrees + 1):
         for c in anick.enumerate_chains(n + 2, s_max):
-            acc = {}
+            # the products of each source chain, summed once
+            products: dict[anick.Chain, list[ParamPoly]] = {}
             for mid, v1 in cochain.reduced_row(c).items():
                 for src, v2 in cochain.reduced_row(mid).items():
-                    add_term(acc, src, v1 * v2)
+                    products.setdefault(src, []).append(v1 * v2)
+            sums = ((src, ParamPoly.sum_of(terms)) for src, terms in products.items())
+            acc = {src: total for src, total in sums if total}
             if acc:
                 src = min(acc)
                 print(

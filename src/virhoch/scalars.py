@@ -24,7 +24,8 @@ module, is a map monomial -> int numerator over one denominator, in
 canonical form: the denominator is >= 1 and coprime to the numerators as a
 whole, no numerator is zero, and zero is ``{}`` over 1.  Equal polynomials
 therefore have equal stored forms.  ``+``, ``-`` and ``*`` are int
-arithmetic with one gcd per result, and ``specialize`` builds one
+arithmetic with one gcd per result, ``ParamPoly.sum_of`` adds a whole
+sequence with one gcd for the sum, and ``specialize`` builds one
 ``Fraction`` from ints.  The public constructor ``ParamPoly(terms)``
 validates what it is given: it coerces every coefficient to ``Fraction``,
 drops zeros and rejects negative exponents.  ``terms()`` hands the
@@ -34,7 +35,7 @@ builds the row-entry shape ``(n0 + nd*D + na*a) / den`` straight from ints.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -185,16 +186,23 @@ class ParamPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other) -> "ParamPoly":
-        other = ParamPoly.coerce(other)
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        out = {k: n * m1 for k, n in self._nums.items()} if m1 != 1 else dict(self._nums)
+    @staticmethod
+    def sum_of(polys: Sequence[ParamPoly]) -> ParamPoly:
+        """Sum of the polynomials, put in canonical form once; ``+`` is the two-term case.
+
+        The numerators are added over the lcm of the denominators.
+        """
+        den = lcm(*(p._den for p in polys))
+        out: dict[Monomial, int] = {}
         get = out.get
-        for key, n in other._nums.items():
-            out[key] = get(key, 0) + n * m2
-        return ParamPoly._reduced(out, d1 * m1)
+        for p in polys:
+            scale = den // p._den
+            for key, n in p._nums.items():
+                out[key] = get(key, 0) + n * scale
+        return ParamPoly._reduced(out, den)
+
+    def __add__(self, other) -> "ParamPoly":
+        return ParamPoly.sum_of((self, ParamPoly.coerce(other)))
 
     __radd__ = __add__
 

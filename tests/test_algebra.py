@@ -191,10 +191,13 @@ def test_normal_form_matches_fraction_sum(x, defect):
     try:
         got = normal_form(x)
         want = _reference_normal_form(x)
+        vanishes = algebra._vanishes(x)
     finally:
         algebra.set_rule_defect(False)
     assert list(got.items()) == list(want.items())
     assert all(type(q) is Fraction for q in got.values())
+    # the vanishing checks of ``gsb`` read the same sum without its Fractions
+    assert vanishes == (not got)
 
 
 # --- confluence and defining relations ---------------------------------------
@@ -227,6 +230,28 @@ def test_relations_bound_8():
     report = verify_defining_relations(8)
     assert report.ok
     assert report.overlaps_checked >= 100
+
+
+def _family_counts(violations):
+    families = ("locality", "commutator", "overlap")
+    return [sum(v.startswith(f + "(") for v in violations) for f in families]
+
+
+def test_relations_fail_under_the_planted_defect():
+    # the negative control for ``gsb``: the perturbed second rule family
+    # breaks every family of checks, and the verdicts are pinned
+    algebra.set_rule_defect(True)
+    try:
+        report = verify_defining_relations(10)
+    finally:
+        algebra.set_rule_defect(False)
+    checked = (report.locality_checked, report.commutator_checked, report.overlaps_checked)
+    assert checked == (88, 55, 900)
+    assert _family_counts(report.violations) == [22, 18, 892]
+    assert len(report.violations) == 932
+    assert report.violations[:2] == ["locality(3,0)", "locality(3,1)"]
+    # the rule table is dropped with the defect: a clean run passes again
+    assert verify_defining_relations(10).ok
 
 
 def test_word_text_forms():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from virhoch import anick, cli
+from virhoch import algebra, anick, cli
 from virhoch.cli import main
 
 
@@ -104,9 +104,14 @@ def test_gsb_small(capsys):
 
 
 def test_gsb_bad_bound(capsys):
-    code, _, err = run(capsys, "gsb", "--bound", "0")
-    assert code == 64
-    assert "usage error" in err
+    # below bound 2 no overlap ambiguity exists, so "overlaps: 0 ok" would be vacuous
+    for bound in ("0", "1"):
+        code, out, err = run(capsys, "gsb", "--bound", bound)
+        assert code == 64
+        assert out == ""
+        assert "usage error: --bound must be >= 2" in err
+    with pytest.raises(ValueError, match="bound must be >= 2"):
+        algebra.verify_defining_relations(1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +199,28 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
             "rewrite v1.v0 -> v1.v0 does not decrease deg-lex",
         ),
         (
+            "algebra.rule_rhs = algebra._defective_rule_rhs",
+            ["gsb", "--bound", "3"],
+            "FAIL: locality(3,0)\n",
+        ),
+        (
+            # one out-of-order rule, met at bound 2 only inside v1.v3.v0: the
+            # failure names the rule, which is checked once, not the word
+            "real = algebra.rule_rhs\n"
+            "algebra.rule_rhs = lambda i, j: "
+            "[((0, 0, 3), Fraction(1))] if (i, j) == (3, 0) else real(i, j)",
+            ["gsb", "--bound", "2"],
+            "rewrite v3.v0 -> v0.v0.v3 raises the (weight, length) filtration",
+        ),
+        (
+            # ``ddzero`` switches back to the true table, so that is planted too
+            "real = algebra.rule_rhs\n"
+            "algebra.rule_rhs = algebra._true_rule_rhs = lambda i, j: "
+            "[((0, 0, 3), Fraction(1))] if (i, j) == (3, 0) else real(i, j)",
+            ["ddzero", "--letters", "2", "--smax", "1"],
+            "rewrite v3.v0 -> v0.v0.v3 raises the (weight, length) filtration",
+        ),
+        (
             # the halved table is also the one ``ddzero`` switches back to
             "real = algebra.rule_rhs\n"
             "algebra.rule_rhs = algebra._true_rule_rhs = lambda i, j: "
@@ -202,7 +229,10 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
             "bar reduction of [v3|v0.v1] meets the non-integral coefficient 3/2",
         ),
     ],
-    ids=["delta_generic", "reduced_row", "reduced_row_d_part", "rule_order", "integral_bar"],
+    ids=[
+        "delta_generic", "reduced_row", "reduced_row_d_part", "rule_order",
+        "gsb_defect", "rule_order_gsb_3_0", "rule_order_ddzero_3_0", "integral_bar",
+    ],
 )
 def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
     script = (

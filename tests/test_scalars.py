@@ -152,6 +152,17 @@ def test_arithmetic_matches_fraction_maps(tx, ty, q, w, s):
         assert got == sum((c * w**dd * s**da for (dd, da), c in t.items()), Fraction(0))
 
 
+@given(st.lists(term_maps, max_size=6))
+def test_sum_of_matches_fraction_maps(tms):
+    # the n-ary sum of ``ddzero --symbolic``: one canonical form for the sum
+    total = ParamPoly.sum_of([ParamPoly(t) for t in tms])
+    want: dict = {}
+    for t in tms:
+        want = ref_add(want, ref_clean(t))
+    assert agrees(total, want)
+    assert stored_cleanly(total)
+
+
 def test_text_round_trip():
     # ddzero --symbolic prints failing entries in this form: terms by
     # descending (D, a) exponents, the constant term bare
