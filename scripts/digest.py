@@ -10,9 +10,10 @@ Hashes, in insertion order, the items of
   (under the true rule every value is zero);
 * ``reduced_row`` for n <= 5 and grade <= 8, and the ``specialize`` of
   each of its entries at the nine bundled parameter points;
-* the symbolic d∘d accumulators of ``ddzero --symbolic`` (the sum over
-  middle chains of products of ``reduced_row`` entries) under the planted
-  rule defect, cochain degrees <= 4 and grade <= 6;
+* the symbolic d∘d accumulators (the sum over middle chains of products
+  of ``reduced_row`` entries, added one product at a time) under the
+  planted rule defect, cochain degrees <= 4 and grade <= 6, and the same
+  sums as ``ddzero --symbolic`` builds them, ``cochain.square_row``;
 * ``normal_form`` of both expansions of every overlap ambiguity with
   indices <= 10;
 * the ``matrix_d`` windows that the nine bundled points build for
@@ -24,8 +25,9 @@ Hashes, in insertion order, the items of
   checked counts and ordered violations under the planted rule defect, and
   the same for the true rule.
 
-Run it in two checkouts and compare the output; a change that keeps every
-value, type and order prints identical lines.  Stdlib only:
+A change that keeps every value, type and order prints identical lines;
+``tests/test_digest.py`` compares them with ``tests/digest_expected.txt``.
+Stdlib only:
 
     PYTHONPATH=src python3 scripts/digest.py
 """
@@ -111,13 +113,12 @@ def relation_verdicts(bound: int):
 
 
 def dd_accumulators(degrees: int, s_max: int):
-    for n in range(degrees + 1):
-        for c in anick.enumerate_chains(n + 2, s_max):
-            acc = {}
-            for mid, v1 in cochain.reduced_row(c).items():
-                for src, v2 in cochain.reduced_row(mid).items():
-                    add_term(acc, src, v1 * v2)
-            yield c, acc
+    for c in chains(degrees + 2, s_max, n_min=2):
+        acc = {}
+        for mid, v1 in cochain.reduced_row(c).items():
+            for src, v2 in cochain.reduced_row(mid).items():
+                add_term(acc, src, v1 * v2)
+        yield c, acc
 
 
 def line(name: str, values) -> str:
@@ -144,6 +145,10 @@ def main() -> None:
         print(line(
             "d.d (defect) degrees<=4 grade<=6",
             dd_accumulators(4, 6),
+        ))
+        print(line(
+            "square_row (defect) degrees<=4 grade<=6",
+            ((c, cochain.square_row(c)) for c in chains(6, 6, n_min=2)),
         ))
     finally:
         algebra.set_rule_defect(False)

@@ -32,12 +32,15 @@ The differential is computed two ways:
   every other child is dead at once, and every coefficient is an integer.
   So rewrites, memoized values and their products are Python ``int``s; a
   non-integral coefficient read off ``nf_word``, or a bracket of any other
-  shape, raises ``InvariantError`` naming the bracket.  The top-level
-  products, of ``delta_prime``'s rational coefficients in ``delta_generic``
-  and of two differentials in ``compose_delta``, sum int numerators over
-  one common denominator (``scalars.RationalSum``) and make one
-  ``Fraction`` per surviving term.  ``delta_dprime``'s docstring has the
-  proofs.
+  shape, raises ``InvariantError`` naming the bracket.  Only a peel term
+  carries a leading word, and its child is single letters, settled at
+  once, so neither the reduction nor ``delta_generic`` multiplies two words
+  (``_times``); ``compose_delta`` alone does, through ``nf_word``.  The
+  top-level products, of ``delta_prime``'s rational coefficients in
+  ``delta_generic`` and of two differentials in ``compose_delta``, sum int
+  numerators over one common denominator (``scalars.RationalSum``) and make
+  one ``Fraction`` per surviving term.  ``delta_dprime``'s docstring has
+  the proofs.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
@@ -52,7 +55,6 @@ so it also runs under ``python -O``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .algebra import InvariantError, Word, nf_word, weight, word_to_text
@@ -282,47 +284,16 @@ def clear_caches() -> None:
     _DELTA_CACHE.clear()
 
 
-def _times(acc: dict, lam: Word, q: int, terms: Terms, bracket: Slots) -> None:
-    """acc += q * lam * terms in ``int``, leading words multiplied through ``nf_word``.
+def _times(acc: dict, lam: Word, q: int, terms: Terms) -> None:
+    """acc += q * lam * terms in ``int``; lam or every word of terms is empty.
 
-    ``bracket`` is the bracket whose value ``acc`` holds: the coefficients
-    read off ``nf_word`` must be integers, and a fraction raises
-    ``InvariantError`` naming it.
+    The words need no ``nf_word``: only the peel term of a rewrite carries a
+    word, and its child is single letters, which ``_settle`` resolves at
+    once to its chain with the empty word, or to zero.  The merge terms,
+    whose children the reduction reduces, carry the empty word.
     """
     for (cp, mu), r in terms:
-        if not mu:
-            add_term(acc, (cp, lam), q * r)
-        elif not lam:
-            add_term(acc, (cp, mu), q * r)
-        else:
-            for word, t in nf_word(lam + mu).items():
-                if t.denominator != 1:
-                    raise _non_integral(bracket, t)
-                add_term(acc, (cp, word), q * r * t.numerator)
-
-
-def _rational_times(
-    acc: RationalSum,
-    lam: Word,
-    q: int | Fraction,
-    terms: Iterable[tuple[tuple[Chain, Word], int | Fraction]],
-) -> None:
-    """acc += q * lam * terms over the rationals, in int numerators and denominators.
-
-    The top-level products of ``delta_generic`` and ``compose_delta``;
-    leading words are multiplied through ``nf_word``.
-    """
-    qn, qd = q.numerator, q.denominator
-    add = acc.add
-    for (cp, mu), r in terms:
-        n, d = qn * r.numerator, qd * r.denominator
-        if not mu:
-            add((cp, lam), n, d)
-        elif not lam:
-            add((cp, mu), n, d)
-        else:
-            for word, t in nf_word(lam + mu).items():
-                add((cp, word), n * t.numerator, d * t.denominator)
+        add_term(acc, (cp, lam + mu), q * r)
 
 
 def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
@@ -371,8 +342,8 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
         _within(known[1], budget)
         return known
     # frame: bracket, pending rewrite terms, value so far, deepest child, and
-    # the (lam, q) by which the parent takes the value
-    stack = [[slots, iter(res.items()), {}, 0, (), 1]]
+    # the q by which the parent takes the value (a pushed child is a merge's)
+    stack = [[slots, iter(res.items()), {}, 0, 1]]
     while True:
         frame = stack[-1]
         depth = len(stack)
@@ -380,11 +351,11 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
             known, res = _settle(child)
             if known is None:
                 _within(depth + 2, budget)  # the child needs at least two passes
-                stack.append([child, iter(res.items()), {}, 0, lam, q])
+                stack.append([child, iter(res.items()), {}, 0, q])
                 break
             _within(depth + known[1], budget)
             frame[3] = max(frame[3], known[1])
-            _times(frame[2], lam, q, known[0], frame[0])
+            _times(frame[2], lam, q, known[0])
         else:
             stack.pop()
             known = (tuple(frame[2].items()), frame[3] + 1)
@@ -393,14 +364,15 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
                 return known
             parent = stack[-1]
             parent[3] = max(parent[3], known[1])
-            _times(parent[2], frame[4], frame[5], known[0], parent[0])
+            _times(parent[2], (), frame[4], known[0])
 
 
 def delta_generic(c: Chain) -> ResElem:
     """Differential of the basis element indexed by chain c, by iteration.
 
     ``delta_prime`` of the letter brackets, each resulting bracket reduced
-    by ``reduce_bracket`` and multiplied by its leading word.  The reduced
+    by ``reduce_bracket`` and given its leading word: only the peel has one,
+    and its child is a chain with the empty word, or zero.  The reduced
     values are integral; the products by the rational coefficients of
     ``delta_prime`` are summed in ``RationalSum``, so every value of the
     differential is a ``Fraction``.
@@ -413,7 +385,9 @@ def delta_generic(c: Chain) -> ResElem:
     budget = 8 * (len(c) + sum(c))
     acc = RationalSum()
     for (lam, slots), q in delta_prime(tuple((m,) for m in c)).items():
-        _rational_times(acc, lam, q, reduce_bracket(slots, budget)[0])
+        n, d = q.numerator, q.denominator
+        for (cp, mu), r in reduce_bracket(slots, budget)[0]:
+            acc.add((cp, lam + mu), n * r, d)
     out: ResElem = acc.fractions()
     wt = sum(c)
     for (cp, lam) in out:
@@ -434,10 +408,6 @@ def delta_generic(c: Chain) -> ResElem:
 
 # ---------------------------------------------------------------------------
 # closed-form differential
-
-def _drop_non_chains(elem: ResElem) -> ResElem:
-    return {key: q for key, q in elem.items() if is_chain(key[0])}
-
 
 def delta_closed(c: Chain) -> ResElem:
     """Explicit formula for the differential; cross-check for the iteration.
@@ -486,7 +456,7 @@ def delta_closed(c: Chain) -> ResElem:
         for j, letter in enumerate(body):
             dec = body[:j] + (letter - 1,) + body[j + 1 :]
             add_term(out, (dec + (1,), ()), sn * letter)
-    return _drop_non_chains(out)
+    return {key: q for key, q in out.items() if is_chain(key[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +471,12 @@ def compose_delta(c: Chain) -> dict[tuple[Chain, Word], Fraction]:
     if len(c) < 2:
         raise ValueError("need a chain of degree >= 2")
     acc = RationalSum()
-    for (c1, lam1), q1 in delta_generic(c).items():
-        _rational_times(acc, lam1, q1, delta_generic(c1).items())
+    for (c1, lam), q in delta_generic(c).items():
+        for (cp, mu), r in delta_generic(c1).items():
+            n, d = q.numerator * r.numerator, q.denominator * r.denominator
+            if lam and mu:
+                for word, t in nf_word(lam + mu).items():
+                    acc.add((cp, word), n * t.numerator, d * t.denominator)
+            else:
+                acc.add((cp, lam + mu), n, d)
     return acc.fractions()

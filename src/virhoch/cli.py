@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, algebra, anick, cochain, cohom
-from .scalars import ParamPoly, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,64 +38,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class RunConfig:
-    """Resolved options for one dimension table: how to compute and print it."""
+def validate(n_max: int, s_max: int, alpha: Fraction, truncated: int | None,
+             locate: bool, fmt: str) -> None:
+    """Reject inconsistent table options; each command calls it once, before any work.
 
-    __slots__ = ("delta", "alpha", "n_max", "s_max", "truncated", "locate", "format")
-
-    def __init__(
-        self,
-        delta: Fraction,
-        alpha: Fraction,
-        n_max: int = 4,
-        s_max: int = 8,
-        truncated: int | None = None,
-        locate: bool = False,
-        format: str = "table",
-    ):
-        self.delta = delta
-        self.alpha = alpha
-        self.n_max = n_max
-        self.s_max = s_max
-        self.truncated = truncated  # grade cutoff S, or None for the graded route
-        self.locate = locate  # also list the chains carrying the classes
-        self.format = format  # the output format: table, csv or json
-
-    def validate(self) -> None:
-        """Reject inconsistent options; each command calls it once, before any work.
-
-        Only the bounds the chosen route reads are checked: the truncated
-        route reads its cutoff S instead of ``s_max``.
-        """
-        if self.n_max < 1:
-            raise UsageError("--nmax must be >= 1")
-        if self.truncated is None and self.s_max < 0:
-            raise UsageError("--smax must be >= 0")
-        if self.truncated is None and self.alpha:
-            raise UsageError(
-                "a nonzero shift mixes grades; use --truncated S for the bounded subcomplex"
-            )
-        if self.truncated is not None and not self.alpha:
-            raise UsageError("the truncated route needs a nonzero --alpha")
-        if self.locate and self.truncated is not None:
-            raise UsageError("--locate applies to the graded route (alpha = 0)")
-        if self.locate and self.format != "table":
-            raise UsageError("--locate prints its classes in the table format only")
+    ``truncated`` is the grade cutoff S, or None for the graded route.  Only
+    the bounds the chosen route reads are checked: the truncated route reads
+    S instead of ``s_max``.
+    """
+    if n_max < 1:
+        raise UsageError("--nmax must be >= 1")
+    if truncated is None and s_max < 0:
+        raise UsageError("--smax must be >= 0")
+    if truncated is None and alpha:
+        raise UsageError(
+            "a nonzero shift mixes grades; use --truncated S for the bounded subcomplex"
+        )
+    if truncated is not None and not alpha:
+        raise UsageError("the truncated route needs a nonzero --alpha")
+    if locate and truncated is not None:
+        raise UsageError("--locate applies to the graded route (alpha = 0)")
+    if locate and fmt != "table":
+        raise UsageError("--locate prints its classes in the table format only")
 
 
 # ---------------------------------------------------------------------------
 # table computation
 
 
-def compute_table(config: RunConfig) -> cohom.DimTable:
-    """The table for a validated configuration."""
-    if config.truncated is not None:
-        return cohom.truncated_cohomology(
-            config.delta, config.alpha, n_max=config.n_max, S=config.truncated
-        )
-    return cohom.cohomology_dims(
-        config.delta, n_max=config.n_max, s_max=config.s_max, locate=config.locate
-    )
+def compute_table(delta: Fraction, alpha: Fraction, n_max: int, s_max: int,
+                  truncated: int | None, locate: bool) -> cohom.DimTable:
+    """The table for validated options."""
+    if truncated is not None:
+        return cohom.truncated_cohomology(delta, alpha, n_max=n_max, S=truncated)
+    return cohom.cohomology_dims(delta, n_max=n_max, s_max=s_max, locate=locate)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +141,10 @@ def load_expected() -> dict:
         return json.load(fh)
 
 
-def find_expectation(config: RunConfig) -> dict:
+def find_expectation(delta: Fraction, alpha: Fraction, truncated: int | None) -> dict:
     """The bundled claim for this parameter point, or a usage error."""
-    family = "graded" if config.truncated is None else "truncated"
-    d, a = format_rational(config.delta), format_rational(config.alpha)
+    family = "graded" if truncated is None else "truncated"
+    d, a = format_rational(delta), format_rational(alpha)
     for entry in load_expected()[family]:
         if entry["delta"] == d and entry["alpha"] == a:
             return entry
@@ -210,8 +186,8 @@ def _ddzero_resolution(letters: int, s_max: int) -> int:
     for n in range(2, letters + 1):
         for c in anick.enumerate_chains(n, s_max):
             residual = anick.compose_delta(c)
-            if any(residual.values()):
-                (cp, lam), q = next((t, q) for t, q in residual.items() if q)
+            if residual:
+                (cp, lam), q = next(iter(residual.items()))
                 head = algebra.word_to_text(lam) if lam else "1"
                 print(
                     f"FAIL delta.delta at {anick.chain_to_text(c)}: "
@@ -228,18 +204,12 @@ def _ddzero_symbolic(degrees: int, s_max: int) -> int:
     checked = 0
     for n in range(0, degrees + 1):
         for c in anick.enumerate_chains(n + 2, s_max):
-            # the products of each source chain, summed once
-            products: dict[anick.Chain, list[ParamPoly]] = {}
-            for mid, v1 in cochain.reduced_row(c).items():
-                for src, v2 in cochain.reduced_row(mid).items():
-                    products.setdefault(src, []).append(v1 * v2)
-            sums = ((src, ParamPoly.sum_of(terms)) for src, terms in products.items())
-            acc = {src: total for src, total in sums if total}
-            if acc:
-                src = min(acc)
+            square = cochain.square_row(c)
+            if square:
+                src = min(square)
                 print(
                     f"FAIL d.d at {anick.chain_to_text(c)} -> "
-                    f"{anick.chain_to_text(src)}: {acc[src]}",
+                    f"{anick.chain_to_text(src)}: {square[src]}",
                     file=sys.stderr,
                 )
                 return EXIT_CHECK_FAILED
@@ -273,21 +243,13 @@ def cmd_ddzero(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    config = RunConfig(
-        delta=parse_rational(args.delta),
-        alpha=parse_rational(args.alpha),
-        n_max=args.nmax,
-        s_max=args.smax,
-        truncated=args.truncated,
-        locate=args.locate,
-        format=args.format,
-    )
-    config.validate()
-    expected = find_expectation(config) if args.expect else None
-    table = compute_table(config)
-    if config.format == "json":
+    delta, alpha = parse_rational(args.delta), parse_rational(args.alpha)
+    validate(args.nmax, args.smax, alpha, args.truncated, args.locate, args.format)
+    expected = find_expectation(delta, alpha, args.truncated) if args.expect else None
+    table = compute_table(delta, alpha, args.nmax, args.smax, args.truncated, args.locate)
+    if args.format == "json":
         print(json.dumps(json_doc(table), sort_keys=True, indent=2))
-    elif config.format == "csv":
+    elif args.format == "csv":
         print("\n".join(render_csv(table)))
     else:
         print("\n".join(render_table(table)))
@@ -309,13 +271,9 @@ def _point_filename(delta: Fraction, alpha: Fraction) -> str:
 def cmd_report(args) -> int:
     if args.format == "csv" and args.out is None:
         raise UsageError("csv reports need --out DIR")
+    validate(args.nmax, args.smax, Fraction(0), None, False, args.format)
     # the standard points: the weights of the bundled graded claims, at shift 0
-    configs = [
-        RunConfig(delta=d, alpha=Fraction(0), n_max=args.nmax, s_max=args.smax)
-        for d in (parse_rational(e["delta"]) for e in load_expected()["graded"])
-    ]
-    for config in configs:
-        config.validate()
+    weights = [parse_rational(e["delta"]) for e in load_expected()["graded"]]
     if args.out is not None:
         from pathlib import Path  # only a report written to files needs it
         args.out = Path(args.out)
@@ -324,7 +282,7 @@ def cmd_report(args) -> int:
         except OSError as exc:
             raise UsageError(f"--out {args.out} is not a usable directory: {exc.strerror}")
     # one process, fixed emission order: the points share the memoized rows
-    tables = [compute_table(config) for config in configs]
+    tables = [compute_table(d, Fraction(0), args.nmax, args.smax, None, False) for d in weights]
 
     if args.format == "json":
         bundle = {format_rational(t.delta): json_doc(t) for t in tables}

@@ -20,7 +20,8 @@ and all three agree on every chain:
   consume.  It reads c0 and psi straight off the memoized ``delta_generic``
   and caches the reduced rows.  An entry that breaks the grade split raises
   ``anick.InvariantError`` naming the chain; this is the one check of the
-  split, once per row, and ``cohom.matrix_d`` relies on it.
+  split, once per row, and ``cohom.matrix_d`` relies on it.  ``square_row``
+  composes two of its rows, the check ``ddzero --symbolic`` runs.
 
 * ``action_row`` is the module-action oracle: it applies
   ``confmod.act_word`` to the generator for every term and takes the u and
@@ -114,6 +115,21 @@ def reduced_row(c: Chain) -> Row:
     row: Row = {cp: entry(cp) for cp in {**r0, **rd, **ra}}
     _RED_ROWS[c] = row
     return row
+
+
+def square_row(c: Chain) -> Row:
+    """Row of the square of the reduced differential at chain c; empty when d∘d = 0.
+
+    The entry at each source chain is the sum over middle chains of
+    reduced_row(c)[mid] * reduced_row(mid)[src], added once with
+    ``ParamPoly.sum_of``; zero sums are dropped.
+    """
+    products: dict[Chain, list[ParamPoly]] = {}
+    for mid, v1 in reduced_row(c).items():
+        for src, v2 in reduced_row(mid).items():
+            products.setdefault(src, []).append(v1 * v2)
+    sums = ((src, ParamPoly.sum_of(terms)) for src, terms in products.items())
+    return {src: total for src, total in sums if total}
 
 
 def action_row(c: Chain) -> Row:

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virhoch import cochain
+from virhoch import algebra, cochain
 from virhoch.anick import InvariantError, enumerate_chains, grade, is_chain
-from virhoch.cochain import action_row, closed_reduced_row, reduced_row
+from virhoch.cochain import action_row, closed_reduced_row, reduced_row, square_row
 from virhoch.confmod import ModElem
-from virhoch.scalars import A, D, ParamPoly
+from virhoch.scalars import A, D, ParamPoly, add_term
 
 ZERO = ParamPoly.const(0)
 ONE = ParamPoly.const(1)
@@ -188,6 +188,36 @@ def test_reduced_square_is_zero_small():
                     elif src in acc:
                         del acc[src]
             assert acc == {}, f"d.d nonzero at {c}: {acc}"
+
+
+# the chains of cochain degree <= 4 and grade <= 6, the range of ``ddzero
+# --symbolic`` in the square-zero benchmark and of its digest lines
+SQUARE_CHAINS = [c for n in range(2, 7) for c in enumerate_chains(n, 6)]
+
+
+def test_square_row_matches_one_product_at_a_time():
+    # under the planted defect d.d is nonzero; square_row sums each source
+    # chain once, the accumulator adds one product at a time: equal values,
+    # in whatever key order
+    algebra.set_rule_defect(True)
+    try:
+        nonzero = 0
+        for c in SQUARE_CHAINS:
+            acc: dict = {}
+            for mid, outer in reduced_row(c).items():
+                for src, inner in reduced_row(mid).items():
+                    add_term(acc, src, outer * inner)
+            assert square_row(c) == acc, c
+            nonzero += bool(acc)
+    finally:
+        algebra.set_rule_defect(False)
+    assert len(SQUARE_CHAINS) == 337
+    assert nonzero > 0
+
+
+def test_square_row_is_empty_under_the_true_rule():
+    for c in SQUARE_CHAINS:
+        assert square_row(c) == {}, c
 
 
 @settings(max_examples=40, deadline=None)
