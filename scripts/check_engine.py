@@ -3,11 +3,13 @@
 
 Runs the same checks the test suite automates: rewriting soundness,
 both square-zero suites, and the dimension tables at all nine bundled
-parameter points against the bundled expectations.  Two negative controls
-plant a defect in the rule table; they must fail (exit 1), which shows
-that the square-zero gates can fail at all.  A clean square-zero run after
-them must pass again: memos survive between runs only while the rule table
-stays the same, so the defect's values are gone once the true rule is back.
+parameter points against the bundled expectations.  ``gsb --bound 2``, at
+which no locality relation would be checked, must be refused as a usage
+error (exit 64).  Two negative controls plant a defect in the rule table;
+they must fail (exit 1), which shows that the square-zero gates can fail
+at all.  A clean square-zero run after them must pass again: memos survive
+between runs only while the rule table stays the same, so the defect's
+values are gone once the true rule is back.
 Square-zero runs on 6- and 7-letter chains, beyond the range of the test
 suite, follow, and the located tables at D = 1 and 0 up to degree 6 and
 grade 10 close the battery.
@@ -22,6 +24,7 @@ from virhoch.cli import main
 
 STEPS = [
     (0, ["gsb", "--bound", "10"]),
+    (64, ["gsb", "--bound", "2"]),
     (0, ["ddzero", "--letters", "5", "--smax", "8"]),
     (0, ["ddzero", "--symbolic", "--degrees", "4", "--smax", "8"]),
     (1, ["ddzero", "--letters", "5", "--smax", "8", "--inject-defect"]),

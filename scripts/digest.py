@@ -3,17 +3,17 @@
 
 Hashes, in insertion order, the items of
 
-* ``delta_generic`` for every chain with n <= 6 letters and grade <= 10;
+* ``delta_generic`` (as ``fractions()``) for every chain with n <= 6
+  letters and grade <= 10;
 * ``reduce_bracket`` (terms and passes) of every bracket of up to five
   slots with letters 0..4 and one normal two-letter word over 0..4;
 * ``compose_delta`` under the planted rule defect, n <= 5 and grade <= 6
   (under the true rule every value is zero);
 * ``reduced_row`` for n <= 5 and grade <= 8, and the ``specialize`` of
   each of its entries at the nine bundled parameter points;
-* the symbolic d∘d accumulators (the sum over middle chains of products
-  of ``reduced_row`` entries, added one product at a time) under the
-  planted rule defect, cochain degrees <= 4 and grade <= 6, and the same
-  sums as ``ddzero --symbolic`` builds them, ``cochain.square_row``;
+* the symbolic d∘d rows as ``ddzero --symbolic`` builds them,
+  ``cochain.square_row``, under the planted rule defect, cochain degrees
+  <= 4 and grade <= 6;
 * ``normal_form`` of both expansions of every overlap ambiguity with
   indices <= 10;
 * the ``matrix_d`` windows that the nine bundled points build for
@@ -36,7 +36,7 @@ import hashlib
 from itertools import product
 
 from virhoch import algebra, anick, cli, cochain, cohom
-from virhoch.scalars import add_term, parse_rational
+from virhoch.scalars import parse_rational
 
 
 def chains(n_max: int, s_max: int, n_min: int = 1):
@@ -112,15 +112,6 @@ def relation_verdicts(bound: int):
         yield defect, {"checked": checked, "violations": report.violations}
 
 
-def dd_accumulators(degrees: int, s_max: int):
-    for c in chains(degrees + 2, s_max, n_min=2):
-        acc = {}
-        for mid, v1 in cochain.reduced_row(c).items():
-            for src, v2 in cochain.reduced_row(mid).items():
-                add_term(acc, src, v1 * v2)
-        yield c, acc
-
-
 def line(name: str, values) -> str:
     h = hashlib.sha256()
     count = 0
@@ -133,7 +124,7 @@ def line(name: str, values) -> str:
 def main() -> None:
     print(line(
         "delta_generic n<=6 grade<=10",
-        ((c, anick.delta_generic(c)) for c in chains(6, 10)),
+        ((c, anick.delta_generic(c).fractions()) for c in chains(6, 10)),
     ))
     print(line("reduce_bracket one-pair slots<=5", reduced_brackets(5)))
     algebra.set_rule_defect(True)
@@ -141,10 +132,6 @@ def main() -> None:
         print(line(
             "compose_delta (defect) n<=5 grade<=6",
             ((c, anick.compose_delta(c)) for c in chains(5, 6, n_min=2)),
-        ))
-        print(line(
-            "d.d (defect) degrees<=4 grade<=6",
-            dd_accumulators(4, 6),
         ))
         print(line(
             "square_row (defect) degrees<=4 grade<=6",

@@ -19,9 +19,12 @@ all inclusion-free critical pairs and soundness by
     v(n)v(m) - 3 v(n-1)v(m+1) + 3 v(n-2)v(m+2) - v(n-3)v(m+3) = 0   (n >= 3)
     v(n)v(m) - v(m)v(n) = (n-m) v(n+m-1)                            (n > m)
 
-Words are plain int tuples.  A linear combination of words is a dict
-{word: Fraction} with no zero values; ``normal_form`` takes (word, coeff)
-pairs to the normal form of their sum in that shape.
+Words are plain int tuples.  ``nf_word`` gives the normal form of one word
+as a ``scalars.RationalSum``: int numerators keyed by normal word over one
+denominator, in canonical form (the denominator is >= 1 and coprime to the
+numerators as a whole, and no numerator is zero), so every reader sums
+ints.  ``normal_form`` takes (word, coeff) pairs to the normal form of
+their sum as a dict {word: Fraction} with no zero values.
 
 Every rewrite must respect the (weight, length) filtration and strictly
 decrease deg-lex; a rewrite that does not means a broken rule table.  The
@@ -38,8 +41,8 @@ rewrite passes exactly when its rule does.
 
 The two checks that a sum vanishes (a defining relation, and the two
 expansions of an overlap, one of them negated) each build one normal-form
-sum and test it for emptiness; ``normal_form`` reads the same sum out as
-Fractions.
+sum over ints and test it for emptiness; ``normal_form`` reads the same sum
+out as Fractions.
 """
 
 from __future__ import annotations
@@ -114,11 +117,11 @@ def _check_rule(pair: Word, word: Word) -> None:
 
 
 # The active rule's right-hand sides, each order-checked against its pair
-# once (see the module docstring), and the single-word normal forms.  Both
-# are pure rational data shared by every scalar type, so they are memoized
-# globally while the rule stays the same.
+# once (see the module docstring), and the single-word normal forms in
+# canonical int form.  Both are pure rational data shared by every scalar
+# type, so they are memoized globally while the rule stays the same.
 _RULES: dict[Word, list[tuple[Word, Fraction]]] = {}
-_NF_CACHE: dict[Word, dict[Word, Fraction]] = {}
+_NF_CACHE: dict[Word, RationalSum] = {}
 
 
 def _checked_rule(i: int, j: int) -> list[tuple[Word, Fraction]]:
@@ -137,8 +140,11 @@ def _expand_at(w: Word, k: int) -> list[tuple[Word, Fraction]]:
     return [(head + rhs + tail, coeff) for rhs, coeff in _checked_rule(w[k], w[k + 1])]
 
 
-def nf_word(w: Word) -> dict[Word, Fraction]:
-    """Normal form of one word, as a map {normal word: rational coeff}."""
+def nf_word(w: Word) -> RationalSum:
+    """Normal form of one word: int numerators keyed by normal word, over one denominator.
+
+    The value is canonical and memoized; callers must not change it.
+    """
     cached = _NF_CACHE.get(w)
     if cached is not None:
         return cached
@@ -150,7 +156,7 @@ def nf_word(w: Word) -> dict[Word, Fraction]:
             continue
         k = leftmost_obstruction(cur)
         if k is None:
-            _NF_CACHE[cur] = {cur: Fraction(1)}
+            _NF_CACHE[cur] = RationalSum({cur: 1})
             stack.pop()
             continue
         children = _expand_at(cur, k)
@@ -160,10 +166,11 @@ def nf_word(w: Word) -> dict[Word, Fraction]:
             continue
         total = RationalSum()
         for child, coeff in children:
-            n, d = coeff.numerator, coeff.denominator
-            for word, inner in _NF_CACHE[child].items():
-                total.add(word, n * inner.numerator, d * inner.denominator)
-        _NF_CACHE[cur] = total.fractions()
+            inner = _NF_CACHE[child]
+            n, d = coeff.numerator, coeff.denominator * inner.den
+            for word, m in inner.nums.items():
+                total.add(word, n * m, d)
+        _NF_CACHE[cur] = total.canonical()
         stack.pop()
     return _NF_CACHE[w]
 
@@ -177,9 +184,10 @@ def clear_caches() -> None:
 def _nf_sum(terms: Iterable[tuple[Word, Fraction]]) -> RationalSum:
     out = RationalSum()
     for word, coeff in terms:
-        n, d = coeff.numerator, coeff.denominator
-        for nw, q in nf_word(word).items():
-            out.add(nw, n * q.numerator, d * q.denominator)
+        nf = nf_word(word)
+        n, d = coeff.numerator, coeff.denominator * nf.den
+        for nw, m in nf.nums.items():
+            out.add(nw, n * m, d)
     return out
 
 
@@ -246,11 +254,13 @@ class RelationReport:
 def verify_defining_relations(bound: int) -> RelationReport:
     """Reduce both defining families with all indices <= bound to zero.
 
-    Also resolves every overlap ambiguity with n, m, p <= bound.  The least
-    overlap is v(2)v(1)v(0), so a bound below 2 would resolve none of them.
+    Also resolves every overlap ambiguity with n, m, p <= bound.  The
+    locality family starts at n = 3, so a bound below 3 would check none of
+    it (and the least overlap is v(2)v(1)v(0)); such a bound raises
+    ``ValueError``.
     """
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    if bound < 3:
+        raise ValueError("bound must be >= 3")
     report = RelationReport(bound=bound)
     for n in range(3, bound + 1):
         for m in range(0, bound + 1):

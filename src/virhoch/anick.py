@@ -31,26 +31,28 @@ The differential is computed two ways:
   merges into slots f - 1 and f (and into f + 1 when t[f:] = (1, 1, 0)):
   every other child is dead at once, and every coefficient is an integer.
   So rewrites, memoized values and their products are Python ``int``s; a
-  non-integral coefficient read off ``nf_word``, or a bracket of any other
-  shape, raises ``InvariantError`` naming the bracket.  Only a peel term
-  carries a leading word, and its child is single letters, settled at
-  once, so neither the reduction nor ``delta_generic`` multiplies two words
-  (``_times``); ``compose_delta`` alone does, through ``nf_word``.  The
-  top-level products, of ``delta_prime``'s rational coefficients in
-  ``delta_generic`` and of two differentials in ``compose_delta``, sum int
-  numerators over one common denominator (``scalars.RationalSum``) and make
-  one ``Fraction`` per surviving term.  ``delta_dprime``'s docstring has
-  the proofs.
+  normal form read off ``nf_word`` whose denominator is not 1, or a bracket
+  of any other shape, raises ``InvariantError`` naming the bracket.  Only a
+  peel term carries a leading word, and its child is single letters,
+  settled at once, so neither the reduction nor ``delta_generic``
+  multiplies two words (``_times``); ``compose_delta`` alone does, through
+  ``nf_word``.  ``delta_prime`` of the letters is int numerators over one
+  denominator, and so is every memoized differential: a
+  ``scalars.RationalSum`` in canonical form, whose readers (``reduced_row``
+  and ``compose_delta``) sum ints.  ``compose_delta`` makes one
+  ``Fraction`` per surviving term of its value, and ``fractions()`` makes
+  them for a differential.  ``delta_dprime``'s docstring has the proofs.
 
 * ``delta_closed`` evaluates an explicit formula for the same map, with
   separate shapes for chains ending in (1, 0).  It must agree with the
   generic computation term by term; the test suite enforces that on every
   chain in range.
 
-Output elements are ``ResElem``: maps {(target chain, leading word): coeff}
-with the leading word of length at most one.  A term that breaks this shape
-raises ``InvariantError`` naming the chain; the check is not an ``assert``,
-so it also runs under ``python -O``.
+Output elements are keyed by (target chain, leading word), with the
+leading word of length at most one: a ``RationalSum`` for ``delta_generic``
+and a ``ResElem`` {key: Fraction} for ``delta_closed``.  A term that breaks
+this shape raises ``InvariantError`` naming the chain; the check is not an
+``assert``, so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -125,33 +127,38 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
 BarElem = dict[tuple[Word, Slots], int]
 ResElem = dict[tuple[Chain, Word], Fraction]
 
-_ONE = Fraction(1)
-
 
 def _bracket_text(slots: Slots) -> str:
     return "[" + "|".join(word_to_text(w) for w in slots) + "]"
 
 
-def _non_integral(slots: Slots, q: Fraction) -> InvariantError:
+def _non_integral(slots: Slots, nf: RationalSum) -> InvariantError:
+    """The error for a normal form with den > 1, naming its first non-integral coefficient."""
+    den = nf.den
+    q = next(Fraction(n, den) for n in nf.nums.values() if n % den)
     return InvariantError(
         f"bar reduction of {_bracket_text(slots)} meets the non-integral "
         f"coefficient {q}"
     )
 
 
-def delta_prime(slots: Slots) -> dict[tuple[Word, Slots], Fraction]:
+def delta_prime(slots: Slots) -> RationalSum:
     """Peel the first slot out front and merge each adjacent pair.
 
     [w1|...|wk] maps to w1 [w2|...|wk] plus sum over j of (-1)^j
     [w1|...|NF(w_j w_{j+1})|...|wk], the merged slot expanded multilinearly.
+    The value is int numerators keyed by (leading word, bracket) over one
+    denominator, in canonical form.
     """
-    out: BarElem = {}
-    add_term(out, (slots[0], slots[1:]), _ONE)
+    out = RationalSum()
+    out.add((slots[0], slots[1:]), 1, 1)
     for j in range(1, len(slots)):
-        for word, q in nf_word(slots[j - 1] + slots[j]).items():
+        nf = nf_word(slots[j - 1] + slots[j])
+        den = nf.den
+        for word, n in nf.nums.items():
             merged = slots[: j - 1] + (word,) + slots[j + 1 :]
-            add_term(out, ((), merged), -q if j % 2 else q)
-    return out
+            out.add(((), merged), -n if j % 2 else n, den)
+    return out.canonical()
 
 
 def delta_dprime(slots: Slots) -> BarElem | None:
@@ -233,9 +240,11 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     Every kept merge has integer coefficients.  At f - 1 the pair is
     (i >= 2, 0), which gives v(0)v(i) + i v(i-1), or (i >= 2, 1), which
     gives v(1)v(i) + (i-1) v(i); at f and f + 1 it is (1, 0), which gives
-    v(0)v(1) + v(0).  The coefficients read off ``nf_word`` are checked
-    and kept as ``int``; a fraction raises ``InvariantError`` naming the
-    bracket.
+    v(0)v(1) + v(0).  The normal forms read off ``nf_word`` are canonical,
+    so denominator 1 is exactly "every coefficient is an integer": their
+    numerators are kept as ``int``, and any other denominator raises
+    ``InvariantError`` naming the bracket and the first non-integral
+    coefficient.
     """
     n = len(slots)
     t = sum(slots, ())  # the letters
@@ -260,10 +269,11 @@ def delta_dprime(slots: Slots) -> BarElem | None:
         if k == p:
             continue
         s = sign if k % 2 else -sign  # (-1)^(p + k + 1)
-        for word, q in nf_word(split[k] + split[k + 1]).items():
-            if q.denominator != 1:
-                raise _non_integral(slots, q)
-            add_term(out, ((), split[:k] + (word,) + split[k + 2 :]), s * q.numerator)
+        nf = nf_word(split[k] + split[k + 1])
+        if nf.den != 1:
+            raise _non_integral(slots, nf)
+        for word, n in nf.nums.items():
+            add_term(out, ((), split[:k] + (word,) + split[k + 2 :]), s * n)
     return out
 
 
@@ -276,7 +286,7 @@ Terms = tuple[tuple[tuple[Chain, Word], int], ...]
 _ZERO: tuple[Terms, int] = ((), 1)  # value of every bracket that maps to zero at once
 # reduced value and passes of every bracket settled: final, dead or rewritten
 _BRACKETS: dict[Slots, tuple[Terms, int]] = {}
-_DELTA_CACHE: dict[Chain, ResElem] = {}
+_DELTA_CACHE: dict[Chain, RationalSum] = {}
 
 
 def clear_caches() -> None:
@@ -367,15 +377,16 @@ def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
             _times(parent[2], (), frame[4], known[0])
 
 
-def delta_generic(c: Chain) -> ResElem:
+def delta_generic(c: Chain) -> RationalSum:
     """Differential of the basis element indexed by chain c, by iteration.
 
     ``delta_prime`` of the letter brackets, each resulting bracket reduced
     by ``reduce_bracket`` and given its leading word: only the peel has one,
     and its child is a chain with the empty word, or zero.  The reduced
-    values are integral; the products by the rational coefficients of
-    ``delta_prime`` are summed in ``RationalSum``, so every value of the
-    differential is a ``Fraction``.
+    values are integral, so the products by the numerators of
+    ``delta_prime`` are ints over its one denominator.  The value is int
+    numerators keyed by (target chain, leading word) over one denominator,
+    in canonical form; it is memoized, and callers must not change it.
     """
     cached = _DELTA_CACHE.get(c)
     if cached is not None:
@@ -383,14 +394,14 @@ def delta_generic(c: Chain) -> ResElem:
     if not is_chain(c) or not c:
         raise ValueError(f"{c} is not a nonempty chain")
     budget = 8 * (len(c) + sum(c))
-    acc = RationalSum()
-    for (lam, slots), q in delta_prime(tuple((m,) for m in c)).items():
-        n, d = q.numerator, q.denominator
+    bar = delta_prime(tuple((m,) for m in c))
+    nums: dict[tuple[Chain, Word], int] = {}
+    for (lam, slots), n in bar.nums.items():
         for (cp, mu), r in reduce_bracket(slots, budget)[0]:
-            acc.add((cp, lam + mu), n * r, d)
-    out: ResElem = acc.fractions()
+            add_term(nums, (cp, lam + mu), n * r)
+    out = RationalSum(nums, bar.den).canonical()
     wt = sum(c)
-    for (cp, lam) in out:
+    for (cp, lam) in nums:
         # structural invariants of the computed differential
         if not (
             len(lam) <= 1
@@ -466,17 +477,23 @@ def compose_delta(c: Chain) -> dict[tuple[Chain, Word], Fraction]:
     """Apply the differential twice; the result must vanish identically.
 
     Leading words multiply through the rewriting system, so the value lives
-    in brackets with arbitrary normal leading words.
+    in brackets with arbitrary normal leading words.  The products of the
+    two differentials' int numerators are summed over one denominator, and
+    each surviving term is returned as one ``Fraction``.
     """
     if len(c) < 2:
         raise ValueError("need a chain of degree >= 2")
     acc = RationalSum()
-    for (c1, lam), q in delta_generic(c).items():
-        for (cp, mu), r in delta_generic(c1).items():
-            n, d = q.numerator * r.numerator, q.denominator * r.denominator
+    outer = delta_generic(c)
+    for (c1, lam), q in outer.nums.items():
+        inner = delta_generic(c1)
+        d = outer.den * inner.den
+        for (cp, mu), r in inner.nums.items():
             if lam and mu:
-                for word, t in nf_word(lam + mu).items():
-                    acc.add((cp, word), n * t.numerator, d * t.denominator)
+                nf = nf_word(lam + mu)
+                n, e = q * r, d * nf.den
+                for word, t in nf.nums.items():
+                    acc.add((cp, word), n * t, e)
             else:
-                acc.add((cp, lam + mu), n, d)
+                acc.add((cp, lam + mu), q * r, d)
     return acc.fractions()

@@ -168,8 +168,8 @@ def check_expectation(table: cohom.DimTable, entry: dict) -> tuple[bool, str]:
 
 
 def cmd_gsb(args) -> int:
-    if args.bound < 2:
-        raise UsageError("--bound must be >= 2")  # below 2 no overlap is resolved
+    if args.bound < 3:
+        raise UsageError("--bound must be >= 3")  # below 3 no locality relation is checked
     report = algebra.verify_defining_relations(args.bound)
     if not report.ok:
         print(f"FAIL: {report.violations[0]}", file=sys.stderr)

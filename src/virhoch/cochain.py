@@ -17,11 +17,12 @@ here returns that map as a ``Row``, sigma(c) = sum over c' of row[c'] phi(c'),
 and all three agree on every chain:
 
 * ``reduced_row`` is the production path, the one the rank computations
-  consume.  It reads c0 and psi straight off the memoized ``delta_generic``
-  and caches the reduced rows.  An entry that breaks the grade split raises
-  ``anick.InvariantError`` naming the chain; this is the one check of the
-  split, once per row, and ``cohom.matrix_d`` relies on it.  ``square_row``
-  composes two of its rows, the check ``ddzero --symbolic`` runs.
+  consume.  It reads c0 and psi straight off the int numerators of the
+  memoized ``delta_generic`` and caches the reduced rows.  An entry that
+  breaks the grade split raises ``anick.InvariantError`` naming the chain;
+  this is the one check of the split, once per row, and ``cohom.matrix_d``
+  relies on it.  ``square_row`` composes two of its rows, the check
+  ``ddzero --symbolic`` runs.
 
 * ``action_row`` is the module-action oracle: it applies
   ``confmod.act_word`` to the generator for every term and takes the u and
@@ -63,13 +64,13 @@ def clear_caches() -> None:
 def reduced_row(c: Chain) -> Row:
     """Row of the reduced differential at chain c over the source basis.
 
-    One pass over ``delta_generic(c)`` and the chains ``down`` with one
-    letter decremented sums three rational parts in one ``RationalSum``
-    keyed by (source chain, part): the constant part 0 (the raw c0 terms,
-    whose word is empty, and -letter times the psi terms of each ``down``,
-    the v(0) terms of ``delta_generic(down)``), the D part 1 (the v(1)
-    terms of c) and the a part 2 (the v(0) terms of c).  Letters >= 2
-    annihilate the generator.
+    One pass over the int numerators of ``delta_generic(c)`` and of the
+    chains ``down`` with one letter decremented sums three rational parts
+    in one ``RationalSum`` keyed by (source chain, part): the constant
+    part 0 (the raw c0 terms, whose word is empty, and -letter times the
+    psi terms of each ``down``, the v(0) terms of ``delta_generic(down)``),
+    the D part 1 (the v(1) terms of c) and the a part 2 (the v(0) terms of
+    c).  Letters >= 2 annihilate the generator.
 
     The grade split is checked on the int parts: the constant and D parts
     sit where source and target grades agree, the a part where the source
@@ -83,18 +84,22 @@ def reduced_row(c: Chain) -> Row:
     if cached is not None:
         return cached
     acc = RationalSum()
-    for (cp, lam), q in delta_generic(c).items():
+    delta = delta_generic(c)
+    den = delta.den
+    for (cp, lam), n in delta.nums.items():
         if lam == ():
-            acc.add((cp, 0), q.numerator, q.denominator)
+            acc.add((cp, 0), n, den)
         elif lam == (0,):
-            acc.add((cp, 2), q.numerator, q.denominator)
+            acc.add((cp, 2), n, den)
         elif lam == (1,):
-            acc.add((cp, 1), q.numerator, q.denominator)
+            acc.add((cp, 1), n, den)
     for mult, down in _decrements(c):
         if is_chain(down):
-            for (cp, lam), q in delta_generic(down).items():
+            delta = delta_generic(down)
+            den = delta.den
+            for (cp, lam), n in delta.nums.items():
                 if lam == (0,):
-                    acc.add((cp, 0), -mult * q.numerator, q.denominator)
+                    acc.add((cp, 0), -mult * n, den)
     parts: tuple[dict[Chain, int], ...] = ({}, {}, {})
     for (cp, part), n in acc.nums.items():
         parts[part][cp] = n
@@ -142,7 +147,7 @@ def action_row(c: Chain) -> Row:
     row: Row = {}
 
     def add_coeff(chain: Chain, k: int, scale: int) -> None:
-        for (cp, lam), q in delta_generic(chain).items():
+        for (cp, lam), q in delta_generic(chain).fractions().items():
             val = act_word(lam, ModElem.unit(q))
             if val.d_degree() > 1:
                 raise InvariantError(

@@ -16,8 +16,11 @@ symbolically, and then specialized at many parameter points.
 
 Sums of many rational products (normal forms, the resolution differential,
 its square and the reduced rows) are accumulated over ints: ``RationalSum``
-keeps int numerators over one common denominator and makes one ``Fraction``
-per key at the end.
+keeps int numerators over one common denominator.  It is also the value
+type of the memoized normal forms (``algebra.nf_word``) and differentials
+(``anick.delta_generic``), held in the canonical form ``ParamPoly`` uses, so
+their readers work in ``int`` throughout; ``fractions()`` makes one
+``Fraction`` per key for the oracles and the callers that want them.
 
 ``ParamPoly`` works over ints the same way.  Its storage, private to this
 module, is a map monomial -> int numerator over one denominator, in
@@ -79,18 +82,27 @@ def add_term(acc: dict, key, val) -> None:
 class RationalSum:
     """Sparse sum of rationals, kept as int numerators over one denominator.
 
+    ``RationalSum(nums, den)`` wraps int numerators over den >= 1 as given
+    (no numerator may be zero); the default is the empty sum over 1.
     ``add(key, n, d)`` adds n/d (d > 0) to the value at key; the numerators
     go through ``add_term``, so a key drops out at zero and comes back at the
-    end, exactly as in a sum of ``Fraction``s.  ``fractions()`` returns the
-    sum as {key: Fraction} in the same order, one ``Fraction`` per key.  An
-    int ``x`` and a ``Fraction`` both pass as ``x.numerator, x.denominator``.
+    end, exactly as in a sum of ``Fraction``s.  ``canonical()`` divides the
+    common factor of the denominator and the numerators out, so that the
+    denominator is coprime to the numerators as a whole, and zero is ``{}``
+    over 1.  ``len()`` is the number of terms, and ``fractions()`` returns
+    the sum as {key: Fraction} in the same order, one ``Fraction`` per key.
+    An int ``x`` and a ``Fraction`` both pass as ``x.numerator,
+    x.denominator``.
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self):
-        self.nums: dict = {}
-        self.den = 1
+    def __init__(self, nums: dict | None = None, den: int = 1):
+        self.nums: dict = {} if nums is None else nums
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
     def add(self, key, n: int, d: int) -> None:
         den = self.den
@@ -105,6 +117,16 @@ class RationalSum:
                 self.den = den
             n *= den // d
         add_term(self.nums, key, n)
+
+    def canonical(self) -> "RationalSum":
+        """Put the sum in canonical form in place and return it."""
+        nums = self.nums
+        g = gcd(self.den, *nums.values())
+        if g != 1:
+            for k in nums:
+                nums[k] //= g
+            self.den //= g
+        return self
 
     def fractions(self) -> dict:
         den = self.den

@@ -68,7 +68,7 @@ def test_accept_2_closed_differential_matches_generic():
         checked = 0
         for n in range(1, 6):
             for c in enumerate_chains(n, S_MAX):
-                assert delta_closed(c) == delta_generic(c), chain_to_text(c)
+                assert delta_closed(c) == delta_generic(c).fractions(), chain_to_text(c)
                 checked += 1
         assert checked > 400
 

@@ -142,7 +142,7 @@ def test_nf_long_word():
 @given(words)
 @settings(max_examples=60)
 def test_nf_matches_oracle(w):
-    assert dict(nf_word(w)) == _oracle_nf(w)
+    assert nf_word(w).fractions() == _oracle_nf(w)
 
 
 @given(elems)
@@ -165,7 +165,7 @@ def _reference_normal_form(terms):
     """normal_form as add_term over Fractions."""
     out = {}
     for word, coeff in terms:
-        for nw, q in nf_word(word).items():
+        for nw, q in nf_word(word).fractions().items():
             add_term(out, nw, Fraction(coeff) * q)
     return out
 

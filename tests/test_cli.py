@@ -104,14 +104,16 @@ def test_gsb_small(capsys):
 
 
 def test_gsb_bad_bound(capsys):
-    # below bound 2 no overlap ambiguity exists, so "overlaps: 0 ok" would be vacuous
-    for bound in ("0", "1"):
+    # below bound 3 no locality relation is checked (and below 2 no overlap
+    # ambiguity exists), so "relations: 3 ok" would be partly vacuous
+    for bound in ("0", "1", "2"):
         code, out, err = run(capsys, "gsb", "--bound", bound)
         assert code == 64
         assert out == ""
-        assert "usage error: --bound must be >= 2" in err
-    with pytest.raises(ValueError, match="bound must be >= 2"):
-        algebra.verify_defining_relations(1)
+        assert "usage error: --bound must be >= 3" in err
+    for bound in (0, 1, 2):
+        with pytest.raises(ValueError, match="bound must be >= 3"):
+            algebra.verify_defining_relations(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +181,24 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
     [
         (
             "anick.reduce_bracket = lambda slots, budget: "
-            "(((((9, 9, 9), (0, 0)), Fraction(1)),), 1)",
+            "(((((9, 9, 9), (0, 0)), 1),), 1)",
             ["ddzero", "--letters", "2", "--smax", "1"],
             "differential of [1|0]",
         ),
         (
-            "cochain.delta_generic = lambda c: {((2,), (0,)): Fraction(1)}",
+            "cochain.delta_generic = lambda c: RationalSum({((2,), (0,)): 1})",
             ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
             "row of [1|0] breaks the grade split at [2]",
         ),
         (
-            "cochain.delta_generic = lambda c: {((1,), (1,)): Fraction(1)}",
+            "cochain.delta_generic = lambda c: RationalSum({((1,), (1,)): 1})",
             ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
             "row of [1|0] breaks the grade split at [1]",
         ),
         (
             "algebra.rule_rhs = lambda i, j: [((i, j), Fraction(1))]",
-            ["gsb", "--bound", "2"],
-            "rewrite v1.v0 -> v1.v0 does not decrease deg-lex",
+            ["gsb", "--bound", "3"],
+            "rewrite v3.v0 -> v3.v0 does not decrease deg-lex",
         ),
         (
             "algebra.rule_rhs = algebra._defective_rule_rhs",
@@ -204,13 +206,13 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
             "FAIL: locality(3,0)\n",
         ),
         (
-            # one out-of-order rule, met at bound 2 only inside v1.v3.v0: the
-            # failure names the rule, which is checked once, not the word
+            # one out-of-order rule, met at bound 3 only inside a longer word:
+            # the failure names the rule, which is checked once, not the word
             "real = algebra.rule_rhs\n"
             "algebra.rule_rhs = lambda i, j: "
-            "[((0, 0, 3), Fraction(1))] if (i, j) == (3, 0) else real(i, j)",
-            ["gsb", "--bound", "2"],
-            "rewrite v3.v0 -> v0.v0.v3 raises the (weight, length) filtration",
+            "[((0, 0, 4), Fraction(1))] if (i, j) == (4, 0) else real(i, j)",
+            ["gsb", "--bound", "3"],
+            "rewrite v4.v0 -> v0.v0.v4 raises the (weight, length) filtration",
         ),
         (
             # ``ddzero`` switches back to the true table, so that is planted too
@@ -239,6 +241,7 @@ def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):
         "import sys\n"
         "from fractions import Fraction\n"
         "from virhoch import algebra, anick, cochain, cli\n"
+        "from virhoch.scalars import RationalSum\n"
         f"{patch}\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )

@@ -26,7 +26,7 @@ from virhoch.cohom import (
     verify_contraction,
     window_basis,
 )
-from virhoch.scalars import ParamPoly
+from virhoch.scalars import ParamPoly, RationalSum
 
 F = Fraction
 
@@ -315,6 +315,64 @@ def test_truncated_accepts_lowest_cutoff():
     assert sorted(table.stable) == [1, 2, 3, 4]
 
 
+# ---------------------------------------------------------------------------
+# the shift is a scale: each entry of d at (D, a) is the entry at (D, 1)
+# times a^(grade of its source - grade of its target), so for every a != 0
+# the complex at (D, a) is isomorphic to the one at (D, 1)
+
+
+def shifted_point(seed):
+    """A seeded rational (D, a) with a not 0 and not 1, where a scale shows."""
+    rng = random.Random(seed)
+    delta = F(rng.randint(-9, 9), rng.randint(1, 5))
+    alpha = F(1)
+    while alpha in (0, 1):
+        alpha = F(rng.randint(-9, 9), rng.randint(1, 5))
+    return delta, alpha
+
+
+def unscaled_entries(delta, alpha, n_max=4, s_max=6):
+    """(degree, target) of each ``matrix_d`` row at (delta, alpha) that is not
+    the row at a = 1 scaled entry by entry."""
+    bases = [window_basis(n, s_max) for n in range(n_max + 2)]
+    bad = []
+    for n in range(n_max + 1):
+        source, target = bases[n], bases[n + 1]
+        at_a = cohom.matrix_d(n, source, target, delta, alpha).entries
+        at_1 = cohom.matrix_d(n, source, target, delta, F(1)).entries
+        for tgt, row_a, row_1 in zip(target, at_a, at_1):
+            scaled = {j: x * alpha ** (grade(source[j]) - grade(tgt)) for j, x in row_1.items()}
+            if row_a != scaled:
+                bad.append((n, tgt))
+    return bad
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shift_is_a_scale(seed):
+    delta, alpha = shifted_point(seed)
+    assert unscaled_entries(delta, alpha) == []
+    at_a = truncated_cohomology(delta, alpha, n_max=4, S=5)
+    at_1 = truncated_cohomology(delta, F(1), n_max=4, S=5)
+    assert (at_a.totals, at_a.stable) == (at_1.totals, at_1.stable)
+
+
+def test_shift_scale_catches_one_unscaled_entry(monkeypatch):
+    # mutant: the first a-free entry of every matrix is multiplied by a
+    real = cohom.matrix_d
+
+    def mutant(n, source, target, delta, alpha):
+        m = real(n, source, target, delta, alpha)
+        for tgt, row in zip(target, m.entries):
+            for j in row:
+                if grade(source[j]) == grade(tgt):
+                    row[j] *= alpha
+                    return m
+        return m
+
+    monkeypatch.setattr(cohom, "matrix_d", mutant)
+    assert unscaled_entries(*shifted_point(0))
+
+
 def test_graded_rejects_bound_below_lowest_grade():
     # grade -1 ([0], [1|0]) is the lowest of any chain; the bound names it
     with pytest.raises(ValueError, match="s_max=-2 is below the minimal grade -1"):
@@ -372,8 +430,11 @@ ROUTES = [
 ]
 
 
-# ``cochain.delta_generic`` with ``term`` planted in the value at [3|0]
-PLANTED = "lambda c: {**real(c), term: Fraction(1)} if c == (3, 0) else real(c)"
+# ``cochain.delta_generic`` with ``term`` planted, coefficient 1, in the value at [3|0]
+PLANTED = (
+    "lambda c: RationalSum({**(v := real(c)).nums, term: v.den}, v.den) "
+    "if c == (3, 0) else real(c)"
+)
 
 
 @pytest.fixture
@@ -388,7 +449,9 @@ def fresh_rows():
 @pytest.mark.parametrize("case", list(OFF_GRADE))
 def test_window_rejects_entry_off_the_grade_split(monkeypatch, fresh_rows, case):
     term = OFF_GRADE[case]
-    planted = eval(PLANTED, {"real": cochain.delta_generic, "term": term, "Fraction": F})
+    planted = eval(
+        PLANTED, {"real": cochain.delta_generic, "term": term, "RationalSum": RationalSum}
+    )
     monkeypatch.setattr(cochain, "delta_generic", planted)
     message = f"row of [3|0] breaks the grade split at {chain_to_text(term[0])}: "
     for name, args in ROUTES:
@@ -400,6 +463,7 @@ def test_window_grade_check_survives_optimization():
     script = (
         "from fractions import Fraction\n"
         "from virhoch import cochain, cohom\n"
+        "from virhoch.scalars import RationalSum\n"
         "real = cochain.delta_generic\n"
         f"for term in {list(OFF_GRADE.values())!r}:\n"
         f"    cochain.delta_generic = {PLANTED}\n"

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -268,4 +268,10 @@ def test_rational_sum_matches_fraction_add_term(ops):
     got = acc.fractions()
     assert list(got.items()) == list(ref.items())
     assert all(type(q) is Fraction for q in got.values())
+    # the canonical form keeps the values and their order over the least
+    # denominator: the lcm of the values' own denominators
+    acc.canonical()
+    assert list(acc.fractions().items()) == list(ref.items())
+    assert len(acc) == len(ref)
+    assert acc.den == lcm(*(q.denominator for q in ref.values()))
 
