@@ -5,8 +5,8 @@ Hashes, in insertion order, the items of
 
 * ``delta_generic`` (as ``fractions()``) for every chain with n <= 6
   letters and grade <= 10;
-* ``reduce_bracket`` (terms and passes) of every bracket of up to five
-  slots with letters 0..4 and one normal two-letter word over 0..4;
+* ``reduce_bracket`` of every bracket of up to five slots with letters
+  0..4 and one normal two-letter word over 0..4;
 * ``compose_delta`` under the planted rule defect, n <= 5 and grade <= 6
   (under the true rule every value is zero);
 * ``reduced_row`` for n <= 5 and grade <= 8, and the ``specialize`` of
@@ -56,9 +56,7 @@ def one_pair_brackets(max_slots: int):
 
 def reduced_brackets(max_slots: int):
     for slots in one_pair_brackets(max_slots):
-        t = sum(slots, ())
-        terms, passes = anick.reduce_bracket(slots, 8 * (len(t) + sum(t)))
-        yield (slots, passes), dict(terms)
+        yield slots, dict(anick.reduce_bracket(slots))
 
 
 def overlaps(bound: int):

@@ -30,7 +30,7 @@ Every rewrite must respect the (weight, length) filtration and strictly
 decrease deg-lex; a rewrite that does not means a broken rule table.  The
 check runs once per rule: the first use of a pair (i, j) builds its
 right-hand side, checks each of its words against v(i)v(j), and keeps it in
-a table that ``clear_caches`` empties together with the normal forms.  A
+a table that ``clear_caches`` empties with the other memos.  A
 rewrite of a longer word then only splices that right-hand side between
 the word's head h and tail t, and needs no check of its own: weight and
 length are additive, so (weight, length) of h.r.t against h.(i, j).t
@@ -116,12 +116,26 @@ def _check_rule(pair: Word, word: Word) -> None:
     raise InvariantError(f"rewrite {word_to_text(pair)} -> {word_to_text(word)} {problem}")
 
 
+_MEMOS: list[dict] = []
+
+
+def memo() -> dict:
+    """A new empty dict, registered as a memo of values under the active rule."""
+    _MEMOS.append({})
+    return _MEMOS[-1]
+
+
+def clear_caches() -> None:
+    """Empty every memo made by ``memo()`` (the rule-defect hook)."""
+    for table in _MEMOS:
+        table.clear()
+
+
 # The active rule's right-hand sides, each order-checked against its pair
 # once (see the module docstring), and the single-word normal forms in
-# canonical int form.  Both are pure rational data shared by every scalar
-# type, so they are memoized globally while the rule stays the same.
-_RULES: dict[Word, list[tuple[Word, Fraction]]] = {}
-_NF_CACHE: dict[Word, RationalSum] = {}
+# canonical int form: pure rational data, shared by every scalar type.
+_RULES: dict[Word, list[tuple[Word, Fraction]]] = memo()
+_NF_CACHE: dict[Word, RationalSum] = memo()
 
 
 def _checked_rule(i: int, j: int) -> list[tuple[Word, Fraction]]:
@@ -173,12 +187,6 @@ def nf_word(w: Word) -> RationalSum:
         _NF_CACHE[cur] = total.canonical()
         stack.pop()
     return _NF_CACHE[w]
-
-
-def clear_caches() -> None:
-    """Drop the rule table and the memoized normal forms (the rule-defect hook)."""
-    _RULES.clear()
-    _NF_CACHE.clear()
 
 
 def _nf_sum(terms: Iterable[tuple[Word, Fraction]]) -> RationalSum:
@@ -298,21 +306,17 @@ _true_rule_rhs = rule_rhs
 def set_rule_defect(enabled: bool) -> None:
     """Make the defective rule table active, or the true one.
 
-    The memos of ``algebra``, ``anick`` and ``cochain`` hold values computed
-    under the active rule, so they are dropped when the rule changes and
-    kept while it stays the same: runs in one process reuse each other's
-    normal forms, differentials and rows.
+    The rule table, normal forms, bar reduction, differentials and reduced
+    rows are memos made by ``memo()``, the one registry, so ``clear_caches``
+    drops them all when the rule changes; while it stays the same, runs in
+    one process reuse each other's values.
     """
     global rule_rhs
-    from . import anick, cochain  # local import; avoids a cycle at load time
-
     rule = _defective_rule_rhs if enabled else _true_rule_rhs
     if rule is rule_rhs:
         return
     rule_rhs = rule
     clear_caches()
-    anick.clear_caches()
-    cochain.clear_caches()
 
 
 def _defective_rule_rhs(i: int, j: int) -> list[tuple[Word, Fraction]]:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import InvariantError, Word, nf_word, weight, word_to_text
+from .algebra import InvariantError, Word, memo, nf_word, weight, word_to_text
 from .scalars import RationalSum, add_term
 
 Chain = tuple[int, ...]
@@ -97,22 +97,22 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
         return [()]
     if n == 1:
         return [(k,) for k in range(0, s_max + 2)]
-    budget = n + s_max  # max weight
+    w_max = n + s_max
     out: list[Chain] = []
 
     def extend(prefix: Chain) -> None:
         used = sum(prefix)
         if len(prefix) == n - 2:
             # tail: either (x>=2, y>=0) or (1, 0)
-            if used + 1 <= budget:
+            if used + 1 <= w_max:
                 out.append(prefix + (1, 0))
-            for x in range(2, budget - used + 1):
-                for y in range(0, budget - used - x + 1):
+            for x in range(2, w_max - used + 1):
+                for y in range(0, w_max - used - x + 1):
                     out.append(prefix + (x, y))
             return
         # later interior letters need >= 2 each and the tail needs >= 1
         reserve = 2 * (n - 2 - len(prefix) - 1) + 1
-        for m in range(2, budget - used - reserve + 1):
+        for m in range(2, w_max - used - reserve + 1):
             extend(prefix + (m,))
 
     extend(())
@@ -184,19 +184,19 @@ def delta_dprime(slots: Slots) -> BarElem | None:
     letters, the slot written as two, and f the first index with t[f] < 2
     (the slot's first letter is below 2, so f exists).  The bracket is dead
     unless t[f+1:] is a chain or t[f:] = (1, 0, 0).  A bracket that is not
-    dead passes the heads test (f = p, or f = p - 1 with
+    dead satisfies the heads test (f = p, or f = p - 1 with
     t[f:] = (1, 0, 0)), so the letter test only adds dead brackets.
     [1|00] reduces to v(0)[1|0] and [2|1|00] to v(0)[2|1|0], so the
     exception (1, 0, 0) is needed.
 
     Proof that a bracket the letter test calls dead reduces to zero under
-    the heads test, by induction on passes.  Every suffix of a chain is a
-    chain, so a chain has at most one letter after its f, and a dead t of
-    single letters is no chain.  A dead bracket that passes the heads test
-    splits into the single letters t.  Its rewrite holds, besides the merge
-    that cancels the bracket itself, the peel child and the merges into each
-    slot k, and each of them fails the heads test, is no chain, or is dead
-    and takes fewer passes:
+    the heads test, by induction on the depth of its reduction.  Every
+    suffix of a chain is a chain, so a chain has at most one letter after
+    its f, and a dead t of single letters is no chain.  A dead bracket that
+    satisfies the heads test splits into the single letters t.  Its rewrite
+    holds, besides the merge that cancels the bracket itself, the peel child
+    and the merges into each slot k, and each of them fails the heads test,
+    is no chain, or is dead with a shallower reduction:
     - the peel child t[1:] has the suffix t[f+1:], which is no chain;
     - at k < f (t[k] >= 2) the child keeps t[f+1:] as a suffix: a one-letter
       word leaves single letters, no chain; a two-letter word w starts with
@@ -206,7 +206,7 @@ def delta_dprime(slots: Slots) -> BarElem | None:
       (0,): the tail (1,) + t[f+2:] and the letters t[:f] + (0,) + t[f+2:]
       are chains only if t[f+2:] is () or (0,), that is, if t[f+1:] = (0,)
       or t[f:] = (1, 0, 0);
-    - at k = f + 1 a normal pair keeps t; a rule's two-letter word passes
+    - at k = f + 1 a normal pair keeps t; a rule's two-letter word satisfies
       the heads test only as (0, y >= 1) after t[f] = 1, and the tail
       (0, y) + t[f+3:] is no chain and not (0, 0); a one-letter word gives a
       chain only from t[f+1:] = (1, 0), itself a chain;
@@ -278,20 +278,14 @@ def delta_dprime(slots: Slots) -> BarElem | None:
 
 
 class IterationOverflow(InvariantError):
-    """The bracket rewriting failed to stabilize within the pass budget."""
+    """The bracket rewriting returned to a bracket it is still reducing."""
 
 
 Terms = tuple[tuple[tuple[Chain, Word], int], ...]
 
-_ZERO: tuple[Terms, int] = ((), 1)  # value of every bracket that maps to zero at once
-# reduced value and passes of every bracket settled: final, dead or rewritten
-_BRACKETS: dict[Slots, tuple[Terms, int]] = {}
-_DELTA_CACHE: dict[Chain, RationalSum] = {}
-
-
-def clear_caches() -> None:
-    _BRACKETS.clear()
-    _DELTA_CACHE.clear()
+# reduced value of every bracket settled: final, dead or rewritten
+_BRACKETS: dict[Slots, Terms] = memo()
+_DELTA_CACHE: dict[Chain, RationalSum] = memo()
 
 
 def _times(acc: dict, lam: Word, q: int, terms: Terms) -> None:
@@ -306,7 +300,7 @@ def _times(acc: dict, lam: Word, q: int, terms: Terms) -> None:
         add_term(acc, (cp, lam + mu), q * r)
 
 
-def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
+def _settle(slots: Slots) -> tuple[Terms | None, BarElem | None]:
     """The known value of a bracket (cached, final or zero), else its rewrite.
 
     A final or dead bracket is stored here; a rewritten one is stored by
@@ -317,64 +311,59 @@ def _settle(slots: Slots) -> tuple[tuple[Terms, int] | None, BarElem | None]:
         return known, None
     res = delta_dprime(slots)
     if res is None:
-        known = ((((tuple(w[0] for w in slots), ()), 1),), 1)
+        known = (((tuple(w[0] for w in slots), ()), 1),)
     elif not res:
-        known = _ZERO
+        known = ()
     else:
         return None, res
     _BRACKETS[slots] = known
     return known, None
 
 
-def _within(passes: int, budget: int) -> None:
-    if passes > budget:
-        raise IterationOverflow(f"bracket rewriting exceeded {budget} passes")
-
-
-def reduce_bracket(slots: Slots, budget: int) -> tuple[Terms, int]:
-    """Fully reduced value of one bracket and the passes it takes.
+def reduce_bracket(slots: Slots) -> Terms:
+    """Fully reduced value of one bracket, memoized with every bracket settled.
 
     A final bracket is its chain of letters and a bracket that
-    ``delta_dprime`` maps to zero is zero, each after one pass.  Otherwise
-    the value is the sum of q * lam * reduce_bracket(child) over the terms
-    q lam [child] of ``delta_dprime(slots)``, and the passes are one more
-    than the children's deepest.  Every bracket settled, final, dead or
-    rewritten, is cached with its value and passes while the rule table
-    stays the same, so ``delta_dprime`` runs once per distinct bracket; a
-    cached value's passes are still checked against the budget left.  A
-    descent that would take more than ``budget`` passes raises
-    ``IterationOverflow``; it runs on an explicit stack, so a rewrite that
-    never stabilizes reaches the budget and not the interpreter's recursion
-    limit.
+    ``delta_dprime`` maps to zero is zero.  Otherwise the value is the sum
+    of q * lam * reduce_bracket(child) over the terms q lam [child] of
+    ``delta_dprime(slots)``, reduced depth first on an explicit stack of
+    the brackets still open, so the interpreter's recursion limit plays no
+    part.
+
+    The descent ends.  Every bracket met while reducing a chain c has
+    len(c) - 1 slots, each of one or two letters (``delta_dprime`` raises
+    on any other shape), and total weight at most sum(c) (``_check_rule``
+    rejects any rule that raises (weight, length)).  So only finitely many
+    brackets are reachable, and the descent ends unless it re-enters an
+    open bracket: exactly a rewrite that returns to itself, which raises
+    ``IterationOverflow`` naming the bracket.
     """
     known, res = _settle(slots)
     if known is not None:
-        _within(known[1], budget)
         return known
-    # frame: bracket, pending rewrite terms, value so far, deepest child, and
-    # the q by which the parent takes the value (a pushed child is a merge's)
-    stack = [[slots, iter(res.items()), {}, 0, 1]]
+    # open bracket -> pending rewrite terms, value so far and the q by which
+    # its parent takes it (a pushed child is a merge's), in descent order
+    stack = {slots: (iter(res.items()), {}, 1)}
+    frame = stack[slots]
     while True:
-        frame = stack[-1]
-        depth = len(stack)
-        for (lam, child), q in frame[1]:
+        for (lam, child), q in frame[0]:
             known, res = _settle(child)
             if known is None:
-                _within(depth + 2, budget)  # the child needs at least two passes
-                stack.append([child, iter(res.items()), {}, 0, q])
+                if child in stack:
+                    raise IterationOverflow(
+                        f"bracket rewriting returns to {_bracket_text(child)} "
+                        "while reducing it"
+                    )
+                frame = stack[child] = (iter(res.items()), {}, q)
                 break
-            _within(depth + known[1], budget)
-            frame[3] = max(frame[3], known[1])
-            _times(frame[2], lam, q, known[0])
+            _times(frame[1], lam, q, known)
         else:
-            stack.pop()
-            known = (tuple(frame[2].items()), frame[3] + 1)
-            _BRACKETS[frame[0]] = known
+            done, (_, acc, q) = stack.popitem()
+            known = _BRACKETS[done] = tuple(acc.items())
             if not stack:
                 return known
-            parent = stack[-1]
-            parent[3] = max(parent[3], known[1])
-            _times(parent[2], (), frame[4], known[0])
+            frame = stack[next(reversed(stack))]
+            _times(frame[1], (), q, known)
 
 
 def delta_generic(c: Chain) -> RationalSum:
@@ -393,11 +382,10 @@ def delta_generic(c: Chain) -> RationalSum:
         return cached
     if not is_chain(c) or not c:
         raise ValueError(f"{c} is not a nonempty chain")
-    budget = 8 * (len(c) + sum(c))
     bar = delta_prime(tuple((m,) for m in c))
     nums: dict[tuple[Chain, Word], int] = {}
     for (lam, slots), n in bar.nums.items():
-        for (cp, mu), r in reduce_bracket(slots, budget)[0]:
+        for (cp, mu), r in reduce_bracket(slots):
             add_term(nums, (cp, lam + mu), n * r)
     out = RationalSum(nums, bar.den).canonical()
     wt = sum(c)

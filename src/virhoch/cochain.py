@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import memo
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
 from .scalars import A, D, ParamPoly, RationalSum, add_term
@@ -54,11 +55,7 @@ def _decrements(c: Chain):
 # (d phi)(c) = sum over source chains c' of row[c'] * phi(c')
 Row = dict[Chain, ParamPoly]
 
-_RED_ROWS: dict[Chain, Row] = {}
-
-
-def clear_caches() -> None:
-    _RED_ROWS.clear()
+_RED_ROWS: dict[Chain, Row] = memo()
 
 
 def reduced_row(c: Chain) -> Row:

@@ -92,7 +92,7 @@ class RationalSum:
     over 1.  ``len()`` is the number of terms, and ``fractions()`` returns
     the sum as {key: Fraction} in the same order, one ``Fraction`` per key.
     An int ``x`` and a ``Fraction`` both pass as ``x.numerator,
-    x.denominator``.
+    x.denominator``.  ``==`` compares values exactly; the class is unhashable.
     """
 
     __slots__ = ("nums", "den")
@@ -103,6 +103,16 @@ class RationalSum:
 
     def __len__(self) -> int:
         return len(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalSum):
+            return NotImplemented
+        nums, den = other.nums, other.den
+        return nums.keys() == self.nums.keys() and all(
+            n * den == nums[key] * self.den for key, n in self.nums.items()
+        )
+
+    __hash__ = None
 
     def add(self, key, n: int, d: int) -> None:
         den = self.den

@@ -8,6 +8,7 @@ operators, with no merge skipped, checks the rewrite and the dead-bracket
 test in delta_dprime.
 """
 
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -288,7 +289,7 @@ def test_trailing_100_brackets_are_not_dead(slots, chain, fresh_caches):
     want = {(chain, (0,)): Fraction(1)}
     assert unpruned_reduce(slots, {}) == want
     assert delta_dprime(slots)
-    assert dict(anick.reduce_bracket(slots, 100)[0]) == want
+    assert dict(anick.reduce_bracket(slots)) == want
     # the letter test without its (1, 0, 0) exception would drop both
     assert not letter_test_without_exception(sum(slots, ()))
 
@@ -409,17 +410,32 @@ def test_term_structure():
 
 @pytest.fixture
 def fresh_caches():
-    anick.clear_caches()
+    # every memo starts empty, so the run under test fills each one itself,
+    # and none of its values outlives it
+    algebra.clear_caches()
     yield
-    anick.clear_caches()
+    algebra.clear_caches()
 
 
 def test_bracket_cache_is_order_independent(fresh_caches):
     chains = [c for n in range(1, 6) for c in enumerate_chains(n, CHECK_SMAX)]
     forward = {c: delta_generic(c).fractions() for c in chains}
-    anick.clear_caches()
+    algebra.clear_caches()
     backward = {c: delta_generic(c).fractions() for c in reversed(chains)}
     assert forward == backward
+
+
+def test_rebuilt_differential_equals_old_value(fresh_caches):
+    # RationalSum compares values, so a differential rebuilt from empty memos
+    # equals the old one although it is a new object
+    chains = [c for n in range(1, 5) for c in enumerate_chains(n, CHECK_SMAX)]
+    old = {c: delta_generic(c) for c in chains}
+    algebra.clear_caches()
+    assert not anick._DELTA_CACHE and not anick._BRACKETS
+    for c in chains:
+        rebuilt = delta_generic(c)
+        assert rebuilt is not old[c] and rebuilt == old[c], c
+    assert delta_generic((2, 0)) != delta_generic((2, 1))
 
 
 def test_rule_defect_round_trip_restores_values():
@@ -454,18 +470,6 @@ def test_each_bracket_is_settled_once(fresh_caches, monkeypatch):
     assert len(calls) == 4_263
 
 
-@pytest.fixture
-def empty_memos():
-    # every memo starts empty, so the run under test fills each one itself
-    algebra.clear_caches()
-    anick.clear_caches()
-    cochain.clear_caches()
-    yield
-    algebra.clear_caches()
-    anick.clear_caches()
-    cochain.clear_caches()
-
-
 def assert_canonical(value, where):
     """int numerators over den >= 1, none zero, den coprime to them as a whole."""
     assert type(value.den) is int and value.den >= 1, where
@@ -475,7 +479,7 @@ def assert_canonical(value, where):
 
 
 @pytest.mark.parametrize("defect, n_max, s_max", [(False, 6, 10), (True, 5, 6)])
-def test_memos_are_canonical_and_match_fraction_arithmetic(empty_memos, defect, n_max, s_max):
+def test_memos_are_canonical_and_match_fraction_arithmetic(fresh_caches, defect, n_max, s_max):
     # after gsb and the rows of every chain in the window, every memoized
     # normal form and differential is canonical and holds the values that
     # Fraction arithmetic gives, under the true rule and the planted defect
@@ -535,7 +539,7 @@ def test_bar_reduction_is_integral(fresh_caches):
             assert type(value.den) is int, c
             assert all(type(q) is int for q in value.nums.values()), c
     assert anick._BRACKETS
-    for slots, (terms, _) in anick._BRACKETS.items():
+    for slots, terms in anick._BRACKETS.items():
         assert all(type(q) is int for _, q in terms), slots
     count = 0
     for slots in one_pair_brackets(5):
@@ -569,13 +573,61 @@ def self_looping(monkeypatch, fresh_caches):
 
 
 def test_bracket_rewriting_to_itself_overflows(self_looping):
-    with pytest.raises(IterationOverflow, match="exceeded 56 passes"):
+    with pytest.raises(IterationOverflow, match=re.escape("returns to [v1.v4] ")):
         delta_generic((3, 2))
-    # a budget beyond the interpreter's recursion limit still ends in the
-    # pass cap: the descent keeps its own stack
-    big = (sys.getrecursionlimit(), 0)
-    with pytest.raises(IterationOverflow):
-        delta_generic(big)
+
+
+def climb(monkeypatch, steps, top):
+    """Patch delta_dprime to climb from [v0.v1] through fresh brackets.
+
+    [v0.v1], the one bracket ``delta_generic((1, 0))`` rewrites, maps to
+    [v0.v2], that to [v0.v3], and so on for ``steps`` steps; the top rung
+    maps to ``top(real, rung)``.  Every other bracket keeps its rewrite.
+    Returns the rungs.
+    """
+    real = anick.delta_dprime
+    rungs = [((0, 1 + k),) for k in range(steps + 1)]
+    up = {lo: {((), hi): 1} for lo, hi in zip(rungs, rungs[1:])}
+
+    def climbing(slots):
+        if slots == rungs[-1]:
+            return top(real, slots)
+        return up[slots] if slots in up else real(slots)
+
+    monkeypatch.setattr(anick, "delta_dprime", climbing)
+    return rungs
+
+
+def test_two_bracket_cycle_overflows(monkeypatch, fresh_caches):
+    # [v0.v1] -> [v0.v2] -> [v0.v1]
+    climb(monkeypatch, 1, lambda real, slots: {((), ((0, 1),)): 1})
+    with pytest.raises(IterationOverflow, match=re.escape("returns to [v0.v1] ")):
+        delta_generic((1, 0))
+
+
+def test_cycle_beyond_the_recursion_limit_overflows(monkeypatch, fresh_caches):
+    # the self-loop is reached after more distinct brackets than the
+    # interpreter's recursion limit: the descent keeps its own stack
+    steps = sys.getrecursionlimit() + 1
+    rungs = climb(monkeypatch, steps, lambda real, slots: {((), slots): 1})
+    top = anick._bracket_text(rungs[-1])
+    with pytest.raises(IterationOverflow, match=re.escape(f"returns to {top} ")):
+        delta_generic((1, 0))
+
+
+def test_finite_descent_beyond_the_old_pass_cap_returns_its_value(
+    monkeypatch, fresh_caches
+):
+    # the top rung rewrites as [v0.v1] does, so the value is unchanged; the
+    # descent is deeper than the old cap of 8 * (n + weight) passes, which
+    # would have called it an overflow
+    c = (1, 0)
+    want = delta_generic(c)
+    algebra.clear_caches()
+    steps = 10 * 8 * (len(c) + sum(c))
+    climb(monkeypatch, steps, lambda real, slots: real(((0, 1),)))
+    assert delta_generic(c) == want
+    assert len(anick._BRACKETS) > steps
 
 
 def test_ddzero_fails_on_overflow(self_looping, capsys):

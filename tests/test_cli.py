@@ -180,8 +180,7 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
     "patch,argv,named",
     [
         (
-            "anick.reduce_bracket = lambda slots, budget: "
-            "(((((9, 9, 9), (0, 0)), 1),), 1)",
+            "anick.reduce_bracket = lambda slots: ((((9, 9, 9), (0, 0)), 1),)",
             ["ddzero", "--letters", "2", "--smax", "1"],
             "differential of [1|0]",
         ),
@@ -230,10 +229,19 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
             ["ddzero", "--letters", "3", "--smax", "1"],
             "bar reduction of [v3|v0.v1] meets the non-integral coefficient 3/2",
         ),
+        (
+            # every bracket that needs rewriting maps back to itself
+            "real = anick.delta_dprime\n"
+            "anick.delta_dprime = lambda slots: "
+            "{((), slots): 1} if real(slots) else real(slots)",
+            ["ddzero", "--letters", "2", "--smax", "1"],
+            "IterationOverflow('bracket rewriting returns to [v0.v1] while reducing it')",
+        ),
     ],
     ids=[
         "delta_generic", "reduced_row", "reduced_row_d_part", "rule_order",
         "gsb_defect", "rule_order_gsb_3_0", "rule_order_ddzero_3_0", "integral_bar",
+        "bar_cycle",
     ],
 )
 def test_ddzero_invariant_checks_survive_optimization(patch, argv, named):

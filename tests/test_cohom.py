@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from virhoch import cli, cochain, cohom
+from virhoch import algebra, cli, cochain, cohom
 from virhoch.anick import chain_to_text, grade
 from virhoch.cochain import reduced_row
 from virhoch.cohom import (
@@ -441,9 +441,9 @@ PLANTED = (
 def fresh_rows():
     # the row of [3|0] must be rebuilt from the planted term, and no row
     # built from it may outlive the test
-    cochain.clear_caches()
+    algebra.clear_caches()
     yield
-    cochain.clear_caches()
+    algebra.clear_caches()
 
 
 @pytest.mark.parametrize("case", list(OFF_GRADE))
@@ -462,13 +462,13 @@ def test_window_rejects_entry_off_the_grade_split(monkeypatch, fresh_rows, case)
 def test_window_grade_check_survives_optimization():
     script = (
         "from fractions import Fraction\n"
-        "from virhoch import cochain, cohom\n"
+        "from virhoch import algebra, cochain, cohom\n"
         "from virhoch.scalars import RationalSum\n"
         "real = cochain.delta_generic\n"
         f"for term in {list(OFF_GRADE.values())!r}:\n"
         f"    cochain.delta_generic = {PLANTED}\n"
         f"    for name, args in {ROUTES!r}:\n"
-        "        cochain.clear_caches()\n"
+        "        algebra.clear_caches()\n"
         "        try:\n"
         "            getattr(cohom, name)(*args)\n"
         "        except cohom.InvariantError as exc:\n"

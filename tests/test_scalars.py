@@ -254,17 +254,23 @@ sum_ops = st.lists(
 )
 
 
-@given(sum_ops)
-# a key cancels and comes back after a rescale of the common denominator
-@example([(0, Fraction(1, 2)), (1, 3), (0, None), (2, Fraction(-5, 7)), (0, 1)])
-@example([(0, Fraction(1, 4)), (1, Fraction(1, 6)), (0, Fraction(-1, 4)), (0, 2)])
-def test_rational_sum_matches_fraction_add_term(ops):
+def run_sum_ops(ops):
+    """The sum of the ops as a RationalSum and as a dict of Fractions."""
     acc, ref = RationalSum(), {}
     for key, x in ops:
         if x is None:
             x = -ref.get(key, Fraction(0))
         acc.add(key, x.numerator, x.denominator)
         add_term(ref, key, Fraction(x))
+    return acc, ref
+
+
+@given(sum_ops)
+# a key cancels and comes back after a rescale of the common denominator
+@example([(0, Fraction(1, 2)), (1, 3), (0, None), (2, Fraction(-5, 7)), (0, 1)])
+@example([(0, Fraction(1, 4)), (1, Fraction(1, 6)), (0, Fraction(-1, 4)), (0, 2)])
+def test_rational_sum_matches_fraction_add_term(ops):
+    acc, ref = run_sum_ops(ops)
     got = acc.fractions()
     assert list(got.items()) == list(ref.items())
     assert all(type(q) is Fraction for q in got.values())
@@ -275,3 +281,22 @@ def test_rational_sum_matches_fraction_add_term(ops):
     assert len(acc) == len(ref)
     assert acc.den == lcm(*(q.denominator for q in ref.values()))
 
+
+
+def test_rational_sum_equality_is_exact_value_equality():
+    k = ("key",)
+    assert RationalSum({k: 2}, 4) == RationalSum({k: 1}, 2)
+    assert RationalSum({k: 1, "x": 3}, 2) == RationalSum({"x": 9, k: 3}, 6)
+    assert RationalSum() == RationalSum({}, 5)
+    assert RationalSum({k: 1}, 2) != RationalSum({k: 1}, 3)
+    assert RationalSum({k: 1}, 2) != RationalSum({k: 1, "x": 1}, 2)
+    assert RationalSum({k: 1}) != {k: 1}
+    with pytest.raises(TypeError):
+        hash(RationalSum())
+
+
+@given(sum_ops, sum_ops)
+def test_rational_sum_equality_matches_fractions(ops, other_ops):
+    (a, ref), (b, other) = run_sum_ops(ops), run_sum_ops(other_ops)
+    assert (a == b) == (ref == other)
+    assert a == run_sum_ops(ops)[0].canonical()
