@@ -12,14 +12,18 @@ between runs only while the rule table stays the same, so the defect's
 values are gone once the true rule is back.
 Square-zero runs on 6- and 7-letter chains, beyond the range of the test
 suite, follow, and the located tables at D = 1 and 0 up to degree 6 and
-grade 10 close the battery.
+grade 10 close the CLI steps.
 Nonzero exit on the first step whose exit code differs from the one it
-expects.
+expects.  Last, ``cohom.contraction_defects(7, 10)`` checks the coboundary
+witness identity on the 2,510 chains ending in 0 with up to 7 letters and
+grade <= 10, beyond the suite's range; any chain it returns is printed and
+the exit is 1.
 """
 
 import sys
 import time
 
+from virhoch import cohom
 from virhoch.cli import main
 
 STEPS = [
@@ -59,7 +63,13 @@ def run() -> int:
         print()
         if code != expected:
             return code or 1
-    return 0
+    start = time.perf_counter()
+    defects = cohom.contraction_defects(7, 10)
+    print(
+        f"-> defects {defects} (expected []) in "
+        f"{time.perf_counter() - start:.1f}s : cohom.contraction_defects(7, 10)"
+    )
+    return 1 if defects else 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from .cochain import reduced_row
 from .cohom import (
     DimTable,
     cohomology_dims,
+    contraction_defects,
     locate_classes,
     truncated_cohomology,
-    verify_contraction,
 )
 from .scalars import ParamPoly, format_rational, parse_rational
 
@@ -32,6 +32,7 @@ __all__ = [
     "check_overlap",
     "cohomology_dims",
     "compose_delta",
+    "contraction_defects",
     "delta_generic",
     "enumerate_chains",
     "format_rational",
@@ -43,6 +44,5 @@ __all__ = [
     "parse_rational",
     "reduced_row",
     "truncated_cohomology",
-    "verify_contraction",
     "verify_defining_relations",
 ]

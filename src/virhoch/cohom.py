@@ -1,4 +1,4 @@
-"""Graded complexes, exact ranks, dimension tables, and witness checks.
+"""Graded complexes, exact ranks, dimension tables, and the contraction identity.
 
 With shift parameter a = 0 the reduced differential preserves the grade
 s = weight - letters, so the complex splits into finite graded pieces and
@@ -29,6 +29,10 @@ a = 0 both are direct sums of their grade blocks, so their pivots are the
 union of the blocks' pivots, and a block of dimension 0 has ker = im: the
 classes are searched block by block, only where the dimension is nonzero.
 ``locate_classes`` reads the classes off this pass.
+
+For a != 0, ``contraction_defects`` checks the coboundary witness of the
+cochains on chains ending in 0 as one identity over Q[D, a], row by row,
+and names each chain where it fails.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
-from .anick import Chain, InvariantError, enumerate_chains, grade, is_chain, lowest_grade
+from .anick import Chain, InvariantError, enumerate_chains, grade, lowest_grade
 from .cochain import reduced_row
-from .scalars import add_term, format_rational
+from .scalars import A, add_term, format_rational
 
 Rational = Fraction
 
@@ -53,13 +57,9 @@ def window_basis(n: int, s_max: int) -> list[Chain]:
 class DiffMatrix:
     """Sparse rows indexed by target chains, columns by source chains."""
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(
-        self, source: list[Chain], target: list[Chain], entries: list[dict[int, Rational]]
-    ):
-        self.source = source
-        self.target = target
+    def __init__(self, entries: list[dict[int, Rational]]):
         # entries[i][j] = coefficient of source[j] in d(·)(target[i]); zeros are not stored
         self.entries = entries
 
@@ -89,7 +89,7 @@ def matrix_d(
                 if x:
                     row[j] = x
         rows.append(row)
-    return DiffMatrix(source=source, target=target, entries=rows)
+    return DiffMatrix(rows)
 
 
 def pivot_columns(rows: Iterable[dict[int, Rational]]) -> list[int]:
@@ -330,93 +330,28 @@ def locate_classes(
     return cohomology_dims(delta, n_max, s_max, locate=True).classes
 
 
-class ContractionReport:
-    """Outcome of ``verify_contraction``: the sampled chains and the mismatches."""
+def contraction_defects(n_max: int, s_max: int) -> list[Chain]:
+    """Chains of degrees 1..n_max and grade <= s_max, ending in 0, where the witness breaks.
 
-    __slots__ = ("degree", "delta", "alpha", "samples", "failures")
-
-    def __init__(
-        self,
-        degree: int,
-        delta: Rational,
-        alpha: Rational,
-        samples: list[Chain],
-        failures: list[tuple[Chain, Fraction, Fraction]],
-    ):
-        self.degree = degree
-        self.delta = delta
-        self.alpha = alpha
-        self.samples = samples
-        self.failures = failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        head = (
-            f"contraction witness, degree {self.degree} at "
-            f"(D={format_rational(self.delta)}, a={format_rational(self.alpha)}): "
-            f"{len(self.samples)} samples"
-        )
-        if self.ok:
-            return head + ", all reproduced"
-        lines = [head + f", {len(self.failures)} FAILED"]
-        for c, got, want in self.failures:
-            lines.append(f"  {c}: got {got}, want {want}")
-        return "\n".join(lines)
-
-
-def verify_contraction(
-    n: int,
-    delta: Rational,
-    alpha: Rational,
-    samples: list[Chain] | None = None,
-) -> ContractionReport:
-    """Check the coboundary witness for cocycles concentrated on (..., 0).
-
-    Cocycle values on chains ending in 0 determine degree-n classes when the
-    shift is nonzero; the witness is the degree-(n - 1) cochain
-
-        beta(c') = (-1)^(n-1) * alpha((c', 0)) / a
-
-    on chains c' with a positive last letter, zero elsewhere.  Its reduced
-    differential must literally reproduce alpha at every sampled chain.
+    With a != 0 the witness for a degree-n cochain phi is the degree-(n - 1)
+    cochain beta(c') = (-1)^(n-1) phi((c', 0)) / a on the chains c' that are
+    empty or end in a letter >= 1, and 0 elsewhere.  (d beta)(c) = phi(c) at
+    each chain c = (c', 0), for every phi, D and a != 0, exactly when the row
+    of c, restricted to those chains, is (-1)^(n-1) a at c' and 0 elsewhere
+    in Q[D, a].  The chains where it is not are returned in enumeration order.
     """
-    if n < 2:
-        raise ValueError("witness degrees start at 2")
-    alpha = Fraction(alpha)
-    if not alpha:
-        raise ValueError("the witness construction needs a nonzero shift")
-    delta = Fraction(delta)
-    if samples is None:
-        samples = [c for c in enumerate_chains(n, 8) if c[-1] == 0][:12]
-
-    def alpha_rule(c: Chain) -> Fraction:
-        # deterministic but unstructured sample values
-        h = 1
-        for m in c:
-            h = (h * 31 + m + 7) % 1009
-        return Fraction(h % 19 - 9, 1 + h % 5)
-
-    sign = Fraction(1 if n % 2 else -1)  # (-1)^(n-1)
-
-    def beta_rule(cp: Chain) -> Fraction:
-        if cp[-1] >= 1:
-            return sign * alpha_rule(cp + (0,)) / alpha
-        return Fraction(0)
-
-    failures = []
-    for c in samples:
-        if len(c) != n or c[-1] != 0:
-            raise ValueError(f"sample {c} is not a degree-{n} chain ending in 0")
-        got = Fraction(0)
-        for cp, val in reduced_row(c).items():
-            if len(cp) == n - 1 and is_chain(cp) and cp[-1] >= 1:
-                got += val.specialize(delta, alpha) * beta_rule(cp)
-        want = alpha_rule(c)
-        if got != want:
-            failures.append((c, got, want))
-    return ContractionReport(
-        degree=n, delta=delta, alpha=alpha, samples=list(samples), failures=failures
-    )
+    lowest = lowest_grade(1)
+    if n_max < 1 or s_max < lowest:
+        raise ValueError(
+            f"the window n_max={n_max}, s_max={s_max} holds no chain ending in 0: "
+            f"it needs n_max >= 1 and s_max >= {lowest}"
+        )
+    defects = []
+    for n in range(1, n_max + 1):
+        unit = A if n % 2 else -A  # (-1)^(n-1) * a
+        for c in enumerate_chains(n, s_max):
+            if c[-1] == 0:
+                matched = {cp: v for cp, v in reduced_row(c).items() if not cp or cp[-1] >= 1}
+                if matched != {c[:-1]: unit}:
+                    defects.append(c)
+    return defects

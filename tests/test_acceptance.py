@@ -20,9 +20,9 @@ from virhoch.anick import (
 from virhoch.cochain import action_row, closed_reduced_row, reduced_row
 from virhoch.cohom import (
     cohomology_dims,
+    contraction_defects,
     locate_classes,
     truncated_cohomology,
-    verify_contraction,
 )
 from virhoch.scalars import A, D, ParamPoly
 
@@ -169,10 +169,5 @@ def test_accept_7_class_locations():
 
 
 def test_accept_8_contraction_witness():
-    with Budget("coboundary witness in degrees 2 and 3", 60):
-        points = [(F(1), F(1)), (F(0), F(2)), (F(5, 2), F(1, 3)), (F(3), F(-1))]
-        for n in (2, 3):
-            for delta, alpha in points:
-                rep = verify_contraction(n, delta, alpha)
-                assert len(rep.samples) >= 10, rep.summary()
-                assert rep.ok, rep.summary()
+    with Budget("coboundary witness identity in degrees 1-4", 60):
+        assert contraction_defects(4, S_MAX) == []

@@ -18,15 +18,15 @@ from virhoch.cohom import (
     DimTable,
     InvariantError,
     cohomology_dims,
+    contraction_defects,
     locate_classes,
     matrix_d,
     pivot_columns,
     rank,
     truncated_cohomology,
-    verify_contraction,
     window_basis,
 )
-from virhoch.scalars import ParamPoly, RationalSum
+from virhoch.scalars import A, ParamPoly, RationalSum
 
 F = Fraction
 
@@ -77,19 +77,18 @@ def random_rows(seed):
     ]
 
 
-def as_matrix(dense, width) -> DiffMatrix:
-    """Dense rows as a DiffMatrix; only the number of source chains matters."""
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
-    return DiffMatrix(source=[(j,) for j in range(width)], target=[], entries=sparse)
+def as_matrix(dense) -> DiffMatrix:
+    """Dense rows as a DiffMatrix."""
+    return DiffMatrix([{j: v for j, v in enumerate(r) if v} for r in dense])
 
 
 def test_rank_edge_cases():
-    assert rank(as_matrix([], 0), [0]) == [0]
-    assert rank(as_matrix([[F(0), F(0)]], 2), [0, 1, 2]) == [0, 0, 0]
-    assert rank(as_matrix([[F(1), F(0)], [F(0), F(1)]], 2), [2]) == [2]
-    assert rank(as_matrix([[F(1), F(2)], [F(2), F(4)]], 2), [1, 2]) == [1, 1]
-    assert rank(as_matrix([[F(1, 3)], [F(0)], [F(5)]], 1), [0, 1]) == [0, 1]
-    assert rank(as_matrix([[F(0), F(1)], [F(0), F(2)]], 2), [1, 2]) == [0, 1]
+    assert rank(as_matrix([]), [0]) == [0]
+    assert rank(as_matrix([[F(0), F(0)]]), [0, 1, 2]) == [0, 0, 0]
+    assert rank(as_matrix([[F(1), F(0)], [F(0), F(1)]]), [2]) == [2]
+    assert rank(as_matrix([[F(1), F(2)], [F(2), F(4)]]), [1, 2]) == [1, 1]
+    assert rank(as_matrix([[F(1, 3)], [F(0)], [F(5)]]), [0, 1]) == [0, 1]
+    assert rank(as_matrix([[F(0), F(1)], [F(0), F(2)]]), [1, 2]) == [0, 1]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -98,7 +97,7 @@ def test_rank_matches_gaussian_oracle(seed):
     rows = random_rows(seed)
     width = len(rows[0])
     prefixes = [gauss_rank([r[:k] for r in rows])[0] if k else 0 for k in range(width + 1)]
-    assert rank(as_matrix(rows, width), range(width + 1)) == prefixes
+    assert rank(as_matrix(rows), range(width + 1)) == prefixes
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -606,29 +605,55 @@ def test_locate_searches_only_nonzero_blocks(monkeypatch):
 # contraction witness for the shifted modules
 
 
-@pytest.mark.parametrize(
-    "n,delta,alpha",
-    [
-        (2, F(1), F(1)),
-        (2, F(0), F(2)),
-        (2, F(5, 2), F(1, 3)),
-        (3, F(3), F(-1)),
-    ],
-)
-def test_contraction_witness(n, delta, alpha):
-    rep = verify_contraction(n, delta, alpha)
-    assert len(rep.samples) >= 10
-    assert rep.ok, rep.summary()
-    assert "all reproduced" in rep.summary()
+def test_contraction_witness():
+    assert contraction_defects(5, 8) == []
 
 
 def test_contraction_rejects_bad_input():
-    with pytest.raises(ValueError):
-        verify_contraction(1, F(1), F(1))
-    with pytest.raises(ValueError):
-        verify_contraction(2, F(1), F(0))
-    with pytest.raises(ValueError):
-        verify_contraction(2, F(1), F(1), samples=[(2, 1)])
+    # no chain ending in 0 in the window, so an empty result would check nothing
+    for n_max, s_max in ((0, 8), (4, -2)):
+        with pytest.raises(ValueError, match="holds no chain ending in 0"):
+            contraction_defects(n_max, s_max)
+
+
+# each mutant wraps the real ``reduced_row`` and breaks the identity at one chain
+CONTRACTION_MUTANTS = {
+    "sign_flip": (
+        "lambda c: {**(r := real(c)), (2, 1): -r[(2, 1)]} if c == (2, 1, 0) else real(c)",
+        (2, 1, 0),
+    ),
+    "extra_a_entry": (
+        "lambda c: {**(r := real(c)), (4, 1): r.get((4, 1), 0) + A} "
+        "if c == (3, 2, 0) else real(c)",
+        (3, 2, 0),
+    ),
+    "empty_row": ("lambda c: {} if c == (0,) else real(c)", (0,)),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACTION_MUTANTS))
+def test_contraction_defect_is_reported_by_chain(monkeypatch, case):
+    mutant, chain = CONTRACTION_MUTANTS[case]
+    # contraction_defects reads the name cohom imported from cochain
+    monkeypatch.setattr(cohom, "reduced_row", eval(mutant, {"real": reduced_row, "A": A}))
+    assert contraction_defects(4, 4) == [chain]
+
+
+def test_contraction_defect_survives_optimization():
+    mutant, chain = CONTRACTION_MUTANTS["sign_flip"]
+    script = (
+        "from virhoch import cochain, cohom\n"
+        "real = cochain.reduced_row\n"
+        f"cohom.reduced_row = {mutant}\n"
+        "print(cohom.contraction_defects(4, 4))\n"
+    )
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[chain]}\n"
 
 
 # ---------------------------------------------------------------------------
