@@ -605,8 +605,41 @@ def test_locate_searches_only_nonzero_blocks(monkeypatch):
 # contraction witness for the shifted modules
 
 
-def test_contraction_witness():
+def test_contraction_identity_is_exact():
     assert contraction_defects(5, 8) == []
+
+
+@pytest.mark.parametrize(
+    "n,delta,alpha",
+    [
+        (2, F(1), F(1)),
+        (2, F(0), F(2)),
+        (2, F(5, 2), F(1, 3)),
+        (3, F(3), F(-1)),
+    ],
+)
+def test_contraction_witness(n, delta, alpha):
+    # at one point (D, a) the witness beta of an unstructured cochain phi
+    # reproduces phi on every degree-n chain ending in 0, read off the rows
+    def phi(c):
+        h = 1
+        for m in c:
+            h = (h * 31 + m + 7) % 1009
+        return F(h % 19 - 9, 1 + h % 5)
+
+    sign = 1 if n % 2 else -1  # (-1)^(n-1)
+    chains = [c for c in cohom.enumerate_chains(n, 8) if c[-1] == 0]
+    assert len(chains) >= 10
+    for c in chains:
+        d_beta = sum(
+            (
+                val.specialize(delta, alpha) * sign * phi(cp + (0,)) / alpha
+                for cp, val in reduced_row(c).items()
+                if cp[-1] >= 1
+            ),
+            F(0),
+        )
+        assert d_beta == phi(c), c
 
 
 def test_contraction_rejects_bad_input():
