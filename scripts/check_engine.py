@@ -14,16 +14,20 @@ Square-zero runs on 6- and 7-letter chains, beyond the range of the test
 suite, follow, and the located tables at D = 1 and 0 up to degree 6 and
 grade 10 close the CLI steps.
 Nonzero exit on the first step whose exit code differs from the one it
-expects.  Last, ``cohom.contraction_defects(7, 10)`` checks the coboundary
-witness identity on the 2,510 chains ending in 0 with up to 7 letters and
-grade <= 10, beyond the suite's range; any chain it returns is printed and
-the exit is 1.
+expects.  Then the closed rows, ``cochain.reduced_row``, are compared with
+the bar-route rows, ``cochain.bar_row``, on the 12,287 chains with 1 to 7
+letters and grade <= 12, beyond the suite's range; the first chain where
+they differ is printed and the exit is 1.  Last,
+``cohom.contraction_defects(7, 10)`` checks the coboundary witness identity
+on the 2,510 chains ending in 0 with up to 7 letters and grade <= 10, also
+beyond the suite's range; any chain it returns is printed and the exit is 1.
 """
 
 import sys
 import time
 
-from virhoch import cohom
+from virhoch import cochain, cohom
+from virhoch.anick import Chain, chain_to_text, enumerate_chains
 from virhoch.cli import main
 
 STEPS = [
@@ -52,6 +56,16 @@ STEPS = [
 ]
 
 
+def row_chains(n_max: int, s_max: int) -> list[Chain]:
+    """The chains with 1..n_max letters and grade <= s_max, in enumeration order."""
+    return [c for n in range(1, n_max + 1) for c in enumerate_chains(n, s_max)]
+
+
+def first_row_mismatch(chains: list[Chain]) -> Chain | None:
+    """The first chain whose closed row differs from its bar-route row, or None."""
+    return next((c for c in chains if cochain.reduced_row(c) != cochain.bar_row(c)), None)
+
+
 def run() -> int:
     for expected, argv in STEPS:
         start = time.perf_counter()
@@ -63,6 +77,16 @@ def run() -> int:
         print()
         if code != expected:
             return code or 1
+    start = time.perf_counter()
+    chains = row_chains(7, 12)
+    mismatch = first_row_mismatch(chains)
+    print(
+        f"-> mismatch {mismatch and chain_to_text(mismatch)} (expected None) in "
+        f"{time.perf_counter() - start:.1f}s : reduced_row == bar_row on "
+        f"{len(chains)} chains, n <= 7, grade <= 12"
+    )
+    if mismatch:
+        return 1
     start = time.perf_counter()
     defects = cohom.contraction_defects(7, 10)
     print(

@@ -138,7 +138,8 @@ _RULES: dict[Word, list[tuple[Word, Fraction]]] = memo()
 _NF_CACHE: dict[Word, RationalSum] = memo()
 
 
-def _checked_rule(i: int, j: int) -> list[tuple[Word, Fraction]]:
+def checked_rule(i: int, j: int) -> list[tuple[Word, Fraction]]:
+    """The active rule's right-hand side for v(i)v(j), order-checked on first use."""
     pair = (i, j)
     rhs = _RULES.get(pair)
     if rhs is None:
@@ -151,7 +152,7 @@ def _checked_rule(i: int, j: int) -> list[tuple[Word, Fraction]]:
 
 def _expand_at(w: Word, k: int) -> list[tuple[Word, Fraction]]:
     head, tail = w[:k], w[k + 2 :]
-    return [(head + rhs + tail, coeff) for rhs, coeff in _checked_rule(w[k], w[k + 1])]
+    return [(head + rhs + tail, coeff) for rhs, coeff in checked_rule(w[k], w[k + 1])]
 
 
 def nf_word(w: Word) -> RationalSum:
@@ -306,10 +307,13 @@ _true_rule_rhs = rule_rhs
 def set_rule_defect(enabled: bool) -> None:
     """Make the defective rule table active, or the true one.
 
-    The rule table, normal forms, bar reduction, differentials and reduced
-    rows are memos made by ``memo()``, the one registry, so ``clear_caches``
-    drops them all when the rule changes; while it stays the same, runs in
-    one process reuse each other's values.
+    The rule table, normal forms, bar reduction, differentials, the closed
+    row's pair constants and the reduced rows are memos made by ``memo()``,
+    the one registry, so ``clear_caches`` drops them all when the rule
+    changes; while it stays the same, runs in one process reuse each
+    other's values.  The defect adds 1 to the v(i + j - 1) coefficient of
+    every rule with i >= 2: the bar reduction meets it in every normal
+    form, the closed rows in each pair's gamma.
     """
     global rule_rhs
     rule = _defective_rule_rhs if enabled else _true_rule_rhs

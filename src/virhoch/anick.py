@@ -38,15 +38,65 @@ The differential is computed two ways:
   multiplies two words (``_times``); ``compose_delta`` alone does, through
   ``nf_word``.  ``delta_prime`` of the letters is int numerators over one
   denominator, and so is every memoized differential: a
-  ``scalars.RationalSum`` in canonical form, whose readers (``reduced_row``
-  and ``compose_delta``) sum ints.  ``compose_delta`` makes one
-  ``Fraction`` per surviving term of its value, and ``fractions()`` makes
-  them for a differential.  ``delta_dprime``'s docstring has the proofs.
+  ``scalars.RationalSum`` in canonical form, whose readers
+  (``cochain.bar_row`` and ``compose_delta``) sum ints.  ``compose_delta``
+  makes one ``Fraction`` per surviving term of its value, and
+  ``fractions()`` makes them for a differential.  ``delta_dprime``'s
+  docstring has the proofs.  Production rows no longer read this route:
+  it serves ``gsb``, ``ddzero --letters`` and the row oracles.
 
-* ``delta_closed`` evaluates an explicit formula for the same map, with
-  separate shapes for chains ending in (1, 0).  It must agree with the
-  generic computation term by term; the test suite enforces that on every
-  chain in range.
+* ``delta_closed`` evaluates the closed form derived below.  It must agree
+  with the generic computation term by term; the test suite enforces that
+  on every chain in range.
+
+The closed form.  Write c = (c_1, ..., c_L), and for the pair j, 1 <= j < L,
+x = c_j, y = c_{j+1}, s_j = (-1)^j, K = x + y - 1, m- for c with (x, y)
+replaced by the letter K and m+ for c with (x, y) replaced by K + 1.  The
+rule of the pair is
+
+    v(x)v(y) -> alpha v(1)v(K) + b v(0)v(K+1) + gamma v(K),
+
+with alpha = xy/K, b = -(x - 1)(y - 1)/K and gamma = x(x - 1)/K for x >= 2,
+and alpha = 0, b = gamma = 1 for (1, 0), where K = 0.  Then
+
+    delta(c) = v(c_1) [c_2 ... c_L]
+               + sum_j s_j ( alpha v(1) [m-] + alpha * sum_{t<j} (c_t - 1) [m-]
+                             + b v(0) [m+] + b * sum_{t<j} c_t [m+ with letter t decremented]
+                             + gamma [m-] ),
+
+every bracket that is no chain dropped.  m- and m+ are chains whenever c
+is.  Derivation:
+
+* ``delta_prime`` of the letters is the peel v(c_1) [c_2 ... c_L] and, for
+  each pair j, s_j times the bracket with the slots j and j + 1 merged.
+  v(x)v(y) is a rule's left side, and the three words of its right side
+  are normal, so the merge of pair j gives the rule's three coefficients:
+  gamma times the single letters m-, final, and alpha and b times one
+  bracket each with the two-letter slot (1, K) or (0, K + 1) at p = j - 1.
+* The cascade.  In such a bracket the letters before the slot are >= 2,
+  so f = p, and the letters after f are the tail of m- or m+, a chain: the
+  bracket is not dead.  Its rewrite keeps the peel term and the merge into
+  slot p - 1: ``delta_dprime`` shows every other merge dead at once, the
+  merge into f is the split point, and t[f:] is never (1, 1, 0), since
+  K = 1 only for a final (2, 0).  For p = 0 the peel is
+  v(1) [m-] or v(0) [m+].  For p >= 1 the peel's child is zero: the
+  slot's first letter, below 2, is either before its last two letters or
+  the first of them, followed by a letter >= 1.  The merge of c_p with the
+  slot's first letter uses the rules
+      (i, 1) -> v(1)v(i) + (i - 1) v(i),    (i, 0) -> v(0)v(i) + i v(i - 1):
+  the leading v(1) or v(0) moves one slot left, into a bracket of the same
+  form, and leaves (c_p - 1) [m-] or c_p [m+ with letter p decremented]
+  behind, each final or zero.  By induction on p the cascade gives the
+  sums over the earlier letters t < j.
+* The signs.  A rewrite at p carries (-1)^p and the merge into slot p - 1
+  carries (-1)^p from ``delta_prime``, so each cascade step has sign +1,
+  and so has the final peel at p = 0: every term of pair j keeps s_j.
+* Two cases are separate.  For c = (..., x, 1, 0) the pair (x, 1) has
+  b = 0 and the pair (1, 0) has alpha = 0: its terms are the tail
+  correction (-1)^(L-1) ([c_1 ... c_{L-2} 0] + v(0) [c_1 ... c_{L-2} 1] +
+  the decrements of the earlier letters), which the formulas for x >= 2
+  would divide by K = 0.  At a final (2, 0), K = 1: alpha = 0, b = 1,
+  gamma = 2, and m- ends in the letter 1.
 
 Output elements are keyed by (target chain, leading word), with the
 leading word of length at most one: a ``RationalSum`` for ``delta_generic``
@@ -409,16 +459,14 @@ def delta_generic(c: Chain) -> RationalSum:
 # closed-form differential
 
 def delta_closed(c: Chain) -> ResElem:
-    """Explicit formula for the differential; cross-check for the iteration.
+    """The closed form of the differential (module docstring); cross-check for the iteration.
 
-    For a chain (i_1, ..., i_n) not ending in (1, 0) the value is built from
-    the rule applied to each adjacent pair: the pair merges either to the
-    single letter i_j + i_{j+1} - 1 (leading factor v(1) or a scalar) or to
-    i_j + i_{j+1} (leading factor v(0)), and the scalar parts collect one
-    contribution for every earlier letter.  Chains ending in (1, 0) get the
-    same sums over the pairs before the tail plus a fixed tail correction.
-    Brackets that are not chains never survive the iteration, so they are
-    dropped here as well.
+    Each pair (x, y) with x >= 2 merges either to the single letter
+    x + y - 1 (leading factor v(1) or a scalar) or to x + y (leading factor
+    v(0)), and the scalar parts collect one contribution for every earlier
+    letter.  A final (1, 0) gives the tail correction.  Brackets that are
+    not chains never survive the iteration, so they are dropped here as
+    well.
     """
     if not is_chain(c) or not c:
         raise ValueError(f"{c} is not a nonempty chain")

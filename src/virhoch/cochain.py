@@ -1,4 +1,4 @@
-"""Rows of the reduced cochain differential, and two oracles for them.
+"""Rows of the reduced cochain differential: the closed row and its two oracles.
 
 A degree-n cochain assigns a scalar to every n-letter chain (degree 0: one
 scalar, attached to the empty chain).  Pulling back along the resolution
@@ -17,33 +17,96 @@ here returns that map as a ``Row``, sigma(c) = sum over c' of row[c'] phi(c'),
 and all three agree on every chain:
 
 * ``reduced_row`` is the production path, the one the rank computations
-  consume.  It reads c0 and psi straight off the int numerators of the
-  memoized ``delta_generic`` and caches the reduced rows.  An entry that
-  breaks the grade split raises ``anick.InvariantError`` naming the chain;
-  this is the one check of the split, once per row, and ``cohom.matrix_d``
-  relies on it.  ``square_row`` composes two of its rows, the check
-  ``ddzero --symbolic`` runs.
+  and ``square_row`` consume.  ``row_parts`` evaluates the closed row below
+  over ints: the constant, D and a parts as int numerators over one
+  denominator, the lcm of K over the pairs, reading each pair's three rule
+  coefficients from the active rule table (``pair_constants``).  No normal
+  form and no bar reduction is computed.  An entry that breaks the grade
+  split raises ``anick.InvariantError`` naming the chain; this is the one
+  check of the split, once per row, and ``cohom.matrix_d`` relies on it.
+  Rows are memoized while the rule table stays the same.
 
-* ``action_row`` is the module-action oracle: it applies
-  ``confmod.act_word`` to the generator for every term and takes the u and
-  ∂u coefficients of the results.  A term of ∂-degree above one raises
-  ``anick.InvariantError`` naming the chain and the module value.
+* ``bar_row`` is the first oracle: it reads c0 and psi straight off the int
+  numerators of ``anick.delta_generic``, the bar reduction, with the same
+  grade-split check.
 
-* ``closed_reduced_row`` is the closed-formula oracle: sums over adjacent
-  index pairs with two merge shapes, plus a tail correction for chains
-  ending in (1, 0).  It has no singular index patterns.  Two signs in it
-  are fixed against the machine computation; the test suite confronts it
-  with ``reduced_row`` chain by chain.
+* ``action_row`` is the second oracle: it applies ``confmod.act_word`` to
+  the generator for every term and takes the u and ∂u coefficients of the
+  results.  A term of ∂-degree above one raises ``anick.InvariantError``
+  naming the chain and the module value.
+
+The closed row.  On the generator v(0) acts as a + ∂, v(1) as D and v(i),
+i >= 2, as 0, so c0 reads a leading v(0) as a, a leading v(1) as D and the
+empty word as 1, and psi reads a leading v(0) as 1.  In the notation of
+``anick`` (pair j = (x, y) = (c_j, c_{j+1}), s_j = (-1)^j, K = x + y - 1,
+m- and m+, and the rule's coefficients alpha, b, gamma), the row of a chain
+c with L >= 2 letters is
+
+    row(c) = [D at (0,) if c = (1, 0): the peel v(1)[0]]
+             + sum_j s_j ( D alpha [m-] + a b [m+]
+                           + (gamma + alpha * sum_{t<j} (c_t - 1) + sigma_j) [m-]
+                           - b * sum_{t>j+1} c_t [m+ with letter t decremented] ),
+
+with every target that is no chain dropped, and
+
+    sigma_j = xy - x - y, except sigma_j = 0 for the last two pairs of a
+    chain that ends in (1, 0).
+
+The one-letter rows are a at () for (0,), D - 1 at () for (1,) (the -1 is
+psi of (0,)), and 0 for (i,), i >= 2.  Derivation, from ``anick``'s closed
+differential:
+
+* The peel v(c_1) [c_2 ... c_L] acts as 0 unless c_1 <= 1, which for
+  L >= 2 is only c = (1, 0), and a decremented chain has a peel v(0) only
+  for (0,), the decrement of (1,).
+* c0 of delta(c) gives the D, a and gamma terms, the alpha sum over earlier
+  letters, and b c_t at [m+ with letter t decremented] for each t < j.
+* psi of c with letter t decremented is s_j b' at its m+, for each of its
+  pairs j, with b' its pair's coefficient.  Sort the terms -c_t s_j b' of
+  the sum in sigma(c) by t against j:
+  - t < j: the pair is (x, y) again and the target is m+ with letter t
+    decremented; the term cancels the b c_t term of c0 exactly, since each
+    is a chain exactly when the other is.
+  - t > j + 1: the sum over later letters.
+  - t = j and t = j + 1: the pairs (x - 1, y) and (x, y - 1), whose m+ is
+    the m- of c, give -x b(x - 1, y) - y b(x, y - 1) there, each term only
+    where its decrement is a chain.  With b(p, q) = -(p - 1)(q - 1)/(p + q - 1)
+    for the rules p >= 2 this is
+        x (x - 2)(y - 1)/(x + y - 2) + y (x - 1)(y - 2)/(x + y - 2)
+          = xy - x - y,
+    the sigma term.  At x = 2 the decrement (1, y) is no rule for y >= 1,
+    and both sides give 0 there.
+* Two cases are separate:
+  - (2, 0), where K = 1: the decrement of x is the rule (1, 0), with
+    b = 1 and no pole, and -2 * 1 = xy - x - y holds as well.
+  - The (1, 0) tail, c = (..., x, 1, 0).  For the pair (1, 0), decrementing
+    the 1 leaves (..., 0, 0), no chain, and y = 0.  For the pair (x, 1),
+    decrementing the 1 leaves (..., x, 0, 0), no chain, and b(x - 1, 1) = 0.
+    So sigma_j = 0 for both, where xy - x - y = -1.  A final pair (x, 1)
+    keeps sigma = -1: (..., x, 0) is a chain and b(x, 0) = 1.
+* The two signs of the tail: every term of pair j keeps the sign s_j of
+  its merge through the cascade (``anick``).  So the tail's D term, the
+  pair (x, 1) with alpha = 1 at j = L - 2, has sign (-1)^L, and its a term,
+  the pair (1, 0) with b = 1 at j = L - 1, has sign (-1)^(L-1).  For
+  L = 2 the D term at (0,) is the peel, with sign +1 = (-1)^L as well.
+
+m- and m+ are chains whenever c is.  m- and the decremented m+ lie at the
+grade of c, m+ one grade up: the a = 0 complex splits by grade.  Each
+pair's alpha, b and gamma are read from the active rule table, so a
+planted rule defect reaches the rows; the cascade coefficients c_t - 1 and
+c_t and sigma_j are those of the rules (i, 1), (i, 0), (x - 1, y) and
+(x, y - 1) of the true table, written out.  The planted defect, which adds 1 to gamma for
+x >= 2, so enters every row through one constant per pair.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .algebra import memo
+from .algebra import checked_rule, memo, word_to_text
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
-from .scalars import A, D, ParamPoly, RationalSum, add_term
+from .scalars import ParamPoly, RationalSum, add_term
 
 
 def _decrements(c: Chain):
@@ -55,68 +118,151 @@ def _decrements(c: Chain):
 # (d phi)(c) = sum over source chains c' of row[c'] * phi(c')
 Row = dict[Chain, ParamPoly]
 
+# parts of a row entry, the keys' second item in ``row_parts`` and ``bar_row``
+CONST, D_PART, A_PART = 0, 1, 2
+
 _RED_ROWS: dict[Chain, Row] = memo()
+_PAIRS: dict[tuple[int, int], tuple[int, int, int, int]] = memo()
+
+
+def pair_constants(x: int, y: int) -> tuple[int, int, int, int]:
+    """(alpha, b, gamma, K): the rule v(x)v(y) -> alpha v(1)v(K) + b v(0)v(K+1) + gamma v(K), times K.
+
+    K = x + y - 1, and 1 for the rule (1, 0), whose K is 0.  The
+    coefficients are read from the active rule table and returned as int
+    numerators over K, memoized while the table stays the same.  A word of
+    any other shape, or a coefficient that is no integer over K, raises
+    ``InvariantError`` naming the rule.
+    """
+    got = _PAIRS.get((x, y))
+    if got is None:
+        k = x + y - 1
+        coeffs = {(1, k): 0, (0, k + 1): 0, (k,): 0}
+        for word, q in checked_rule(x, y):
+            if word not in coeffs:
+                raise InvariantError(
+                    f"rule {word_to_text((x, y))} has the word {word_to_text(word)}, "
+                    "outside the closed row's three shapes"
+                )
+            coeffs[word] = q
+        k = max(k, 1)
+        nums = [q * k for q in coeffs.values()]
+        if any(n.denominator != 1 for n in nums):
+            raise InvariantError(
+                f"rule {word_to_text((x, y))} has a coefficient that is no integer over {k}"
+            )
+        got = _PAIRS[(x, y)] = (*(int(n) for n in nums), k)
+    return got
+
+
+def row_parts(c: Chain) -> RationalSum:
+    """The closed row of c: int numerators keyed by (source chain, part) over one denominator.
+
+    The formula and its derivation are in the module docstring; the
+    denominator is the lcm of K over the pairs, and the parts are
+    ``CONST``, ``D_PART`` and ``A_PART``.
+    """
+    n = len(c)
+    if n == 1:
+        if c[0] == 0:
+            return RationalSum({((), A_PART): 1})
+        if c[0] == 1:
+            return RationalSum({((), D_PART): 1, ((), CONST): -1})
+        return RationalSum()
+    pairs = [pair_constants(c[i], c[i + 1]) for i in range(n - 1)]
+    den = lcm(*(p[3] for p in pairs))
+    nums: dict[tuple[Chain, int], int] = {}
+    if c[0] == 1:  # c = (1, 0): the peel v(1) [0]
+        nums[((0,), D_PART)] = den
+    tail = n - 3 if c[-2:] == (1, 0) else n  # the pairs from here on have no sigma term
+    earlier = 0  # sum of (letter - 1) over the letters before the pair
+    for i in range(n - 1):
+        x, y = c[i], c[i + 1]
+        alpha, b, gamma, d = pairs[i]
+        scale = den // d if i % 2 else -(den // d)  # (-1)^j for the pair j = i + 1
+        head, rest = c[:i], c[i + 2 :]
+        m_minus = head + (x + y - 1,) + rest
+        sigma = 0 if i >= tail else x * y - x - y
+        add_term(nums, (m_minus, CONST), scale * (gamma + alpha * earlier + sigma * d))
+        if alpha:
+            add_term(nums, (m_minus, D_PART), scale * alpha)
+        if b:
+            m_plus = head + (x + y,) + rest
+            add_term(nums, (m_plus, A_PART), scale * b)
+            for t in range(i + 1, n - 1):
+                letter = m_plus[t]
+                if letter:
+                    dec = m_plus[:t] + (letter - 1,) + m_plus[t + 1 :]
+                    if is_chain(dec):
+                        add_term(nums, (dec, CONST), -scale * b * letter)
+        earlier += x - 1
+    return RationalSum(nums, den)
+
+
+def _row(c: Chain, parts: RationalSum) -> Row:
+    """The row of c from its parts, after checking the grade split on them.
+
+    The constant and D parts sit where source and target grades agree, the
+    a part where the source grade exceeds the target's by one; that
+    decomposition is what makes the a = 0 complex split by grade.  A
+    violation raises ``InvariantError`` naming the chain and the entry.
+    Each entry is emitted once, as ``ParamPoly.affine`` over the parts'
+    denominator, in the order in which its source first occurs in the parts.
+    """
+    entries: dict[Chain, list[int]] = {}
+    for (cp, part), n in parts.nums.items():
+        got = entries.get(cp)
+        if got is None:
+            got = entries[cp] = [0, 0, 0]
+        got[part] = n
+    s, den = grade(c), parts.den
+    row: Row = {}
+    for cp, (n0, nd, na) in entries.items():
+        val = row[cp] = ParamPoly.affine(n0, nd, na, den)
+        up = grade(cp) - s
+        if (n0 or nd) and up != 0 or na and up != 1:
+            raise InvariantError(
+                f"row of {chain_to_text(c)} breaks the grade split at {chain_to_text(cp)}: {val}"
+            )
+    return row
 
 
 def reduced_row(c: Chain) -> Row:
-    """Row of the reduced differential at chain c over the source basis.
+    """Row of the reduced differential at chain c over the source basis: the closed row, memoized."""
+    row = _RED_ROWS.get(c)
+    if row is None:
+        row = _RED_ROWS[c] = _row(c, row_parts(c))
+    return row
+
+
+def bar_row(c: Chain) -> Row:
+    """The row of c read off the bar reduction: the first oracle of ``reduced_row``.
 
     One pass over the int numerators of ``delta_generic(c)`` and of the
-    chains ``down`` with one letter decremented sums three rational parts
-    in one ``RationalSum`` keyed by (source chain, part): the constant
-    part 0 (the raw c0 terms, whose word is empty, and -letter times the
-    psi terms of each ``down``, the v(0) terms of ``delta_generic(down)``),
-    the D part 1 (the v(1) terms of c) and the a part 2 (the v(0) terms of
-    c).  Letters >= 2 annihilate the generator.
-
-    The grade split is checked on the int parts: the constant and D parts
-    sit where source and target grades agree, the a part where the source
-    grade exceeds the target's by one; that decomposition is what makes
-    the a = 0 complex split by grade.  A violation raises
-    ``InvariantError`` naming the chain and the entry.  Each entry is then
-    emitted once, as ``ParamPoly.affine`` over the sum's denominator, in
-    the order of the constant, D and a parts.
+    chains ``down`` with one letter decremented sums the three parts in one
+    ``RationalSum``: the constant part (the raw c0 terms, whose word is
+    empty, and -letter times the psi terms of each ``down``, the v(0) terms
+    of ``delta_generic(down)``), the D part (the v(1) terms of c) and the a
+    part (the v(0) terms of c).  Letters >= 2 annihilate the generator.
     """
-    cached = _RED_ROWS.get(c)
-    if cached is not None:
-        return cached
     acc = RationalSum()
     delta = delta_generic(c)
     den = delta.den
     for (cp, lam), n in delta.nums.items():
         if lam == ():
-            acc.add((cp, 0), n, den)
+            acc.add((cp, CONST), n, den)
         elif lam == (0,):
-            acc.add((cp, 2), n, den)
+            acc.add((cp, A_PART), n, den)
         elif lam == (1,):
-            acc.add((cp, 1), n, den)
+            acc.add((cp, D_PART), n, den)
     for mult, down in _decrements(c):
         if is_chain(down):
             delta = delta_generic(down)
             den = delta.den
             for (cp, lam), n in delta.nums.items():
                 if lam == (0,):
-                    acc.add((cp, 0), -mult * n, den)
-    parts: tuple[dict[Chain, int], ...] = ({}, {}, {})
-    for (cp, part), n in acc.nums.items():
-        parts[part][cp] = n
-    r0, rd, ra = parts
-    den = acc.den
-
-    def entry(cp: Chain) -> ParamPoly:
-        return ParamPoly.affine(r0.get(cp, 0), rd.get(cp, 0), ra.get(cp, 0), den)
-
-    s = grade(c)
-    for part, at in ((r0, s), (rd, s), (ra, s + 1)):
-        for cp in part:
-            if grade(cp) != at:
-                raise InvariantError(
-                    f"row of {chain_to_text(c)} breaks the grade split at "
-                    f"{chain_to_text(cp)}: {entry(cp)}"
-                )
-    row: Row = {cp: entry(cp) for cp in {**r0, **rd, **ra}}
-    _RED_ROWS[c] = row
-    return row
+                    acc.add((cp, CONST), -mult * n, den)
+    return _row(c, acc)
 
 
 def square_row(c: Chain) -> Row:
@@ -158,57 +304,3 @@ def action_row(c: Chain) -> Row:
         if is_chain(down):
             add_coeff(down, 1, -mult)
     return row
-
-
-# ---------------------------------------------------------------------------
-# closed formula
-
-def closed_reduced_row(c: Chain) -> Row:
-    """Reduced-differential row from the explicit formula."""
-    if not is_chain(c) or not c:
-        raise ValueError(f"{c} is not a nonempty chain")
-    L = len(c)
-    if L == 1:
-        # degree 0 -> 1: only v(0) and v(1) act on the generator
-        k = c[0]
-        if k == 0:
-            return {(): A}
-        if k == 1:
-            return {(): D - 1}
-        return {}
-    special = c[-2:] == (1, 0)
-    row: Row = {}
-
-    def add(target: Chain, val) -> None:
-        if val and is_chain(target):
-            add_term(row, target, ParamPoly.coerce(val))
-
-    jmax = L - 3 if special else L - 1
-    for j in range(1, jmax + 1):
-        x, y = c[j - 1], c[j]
-        K = x + y - 1
-        m_minus = c[: j - 1] + (K,) + c[j + 1 :]
-        m_plus = c[: j - 1] + (x + y,) + c[j + 1 :]
-        sj = Fraction(-1 if j % 2 else 1)
-        add(m_minus, D * (sj * Fraction(x * y, K)))
-        add(m_plus, A * (-sj * Fraction((x - 1) * (y - 1), K)))
-        add(m_minus, sj * Fraction(x * (x - 1), K))
-        for t in range(1, j):
-            add(m_minus, sj * Fraction(x * y, K) * (c[t - 1] - 1))
-        tmax = L - 2 if special else L
-        for t in range(j + 2, tmax + 1):
-            if c[t - 1]:
-                dec = m_plus[: t - 2] + (m_plus[t - 2] - 1,) + m_plus[t - 1 :]
-                add(dec, sj * c[t - 1] * Fraction((x - 1) * (y - 1), K))
-        # x(x-2)(y-1)/(x+y-2) + y(x-1)(y-2)/(x+y-2) = xy - x - y: no pole at (2, 0)
-        add(m_minus, sj * (x * y - x - y))
-    if special:
-        body = c[:-2]
-        sL = Fraction(-1 if L % 2 else 1)  # (-1)^L
-        add(body + (0,), D * sL)  # the last merge's v(1) part, sign (-1)^(L-2)
-        add(body + (1,), A * (-sL))  # tail correction, sign (-1)^(L-1)
-        add(body + (0,), -sL)
-        for t in range(1, L - 1):
-            add(body + (0,), sL * (c[t - 1] - 1))
-    return row
-

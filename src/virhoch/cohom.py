@@ -8,9 +8,13 @@ supported on grades <= S is finite and closed under d.  Its cohomology is
 compared at S and S + 1 (stabilization).
 
 Both routes assemble each degree once, over the window of chains of grade
-<= T, sorted by grade.  ``matrix_d`` is the one row assembler.  It relies
-on ``cochain.reduced_row``, which checks once per row that every entry is
-a-free at its target's grade or a multiple of a one grade up.  With that
+<= T, sorted by grade.  ``matrix_d`` is the one row assembler.  Its rows
+come from ``cochain.reduced_row``, the closed row computed over ints from
+the letters of each chain; no normal form and no bar reduction is on this
+path, and ``cochain.bar_row`` and ``cochain.action_row`` are the row's two
+oracles in the tests and ``scripts/check_engine.py``.  ``matrix_d`` relies
+on the check ``reduced_row`` makes once per row: every entry is a-free at
+its target's grade or a multiple of a one grade up.  With that
 shape the rows of grade > s vanish on the columns of grade <= s, so the
 rank of the window of grades <= s is the rank of a column prefix, and
 ``rank`` reads every prefix off one elimination.  The truncated route

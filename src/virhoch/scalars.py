@@ -201,6 +201,9 @@ class ParamPoly:
     @staticmethod
     def affine(n0: int, nd: int, na: int, den: int) -> "ParamPoly":
         """(n0 + nd*D + na*a) / den from ints, den >= 1; zero parts are not stored."""
+        g = gcd(den, n0, nd, na)
+        if g != 1:
+            n0, nd, na, den = n0 // g, nd // g, na // g, den // g
         nums: dict[Monomial, int] = {}
         if n0:
             nums[(0, 0)] = n0
@@ -208,7 +211,10 @@ class ParamPoly:
             nums[(1, 0)] = nd
         if na:
             nums[(0, 1)] = na
-        return ParamPoly._reduced(nums, den)
+        poly = object.__new__(ParamPoly)
+        poly._nums = nums
+        poly._den = den
+        return poly
 
     @staticmethod
     def coerce(x: Fraction | ParamPoly) -> ParamPoly:

@@ -480,15 +480,15 @@ def assert_canonical(value, where):
 
 @pytest.mark.parametrize("defect, n_max, s_max", [(False, 6, 10), (True, 5, 6)])
 def test_memos_are_canonical_and_match_fraction_arithmetic(fresh_caches, defect, n_max, s_max):
-    # after gsb and the rows of every chain in the window, every memoized
-    # normal form and differential is canonical and holds the values that
-    # Fraction arithmetic gives, under the true rule and the planted defect
+    # after gsb and the bar-route rows of every chain in the window, every
+    # memoized normal form and differential is canonical and holds the values
+    # that Fraction arithmetic gives, under the true rule and the planted defect
     algebra.set_rule_defect(defect)
     try:
         assert algebra.verify_defining_relations(10).ok == (not defect)
         chains = [c for n in range(1, n_max + 1) for c in enumerate_chains(n, s_max)]
         for c in chains:
-            cochain.reduced_row(c)
+            cochain.bar_row(c)
         # every normal form is its leftmost rewrite summed in Fractions over
         # the normal forms of the children, which nf_word memoized first; with
         # the normal words as the base case this fixes every value by induction

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from virhoch import algebra, anick, cli
+from virhoch import algebra, anick, cli, cochain
 from virhoch.cli import main
 
 
@@ -151,6 +151,25 @@ def test_ddzero_symbolic_injected_defect(capsys):
     assert err == "FAIL d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
 
 
+def test_symbolic_defect_then_clean_run_under_optimization():
+    # the defect reaches the closed rows through the rule table, and its rows
+    # are gone once the true table is back, also with asserts compiled out
+    symbolic = ["ddzero", "--symbolic", "--degrees", "1", "--smax", "3"]
+    script = (
+        "from virhoch import cli\n"
+        f"print('exit', cli.main({symbolic + ['--inject-defect']!r}))\n"
+        f"print('exit', cli.main({symbolic!r}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert exits == ["exit 1", "exit 0"], proc.stdout + proc.stderr
+    assert proc.stderr == "FAIL d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
+
+
 def fresh_run(argv):
     """Exit code, stdout and stderr of one CLI call in a new interpreter."""
     script = f"import sys\nfrom virhoch import cli\nsys.exit(cli.main({argv!r}))\n"
@@ -163,17 +182,22 @@ def fresh_run(argv):
 
 
 def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
+    # the symbolic suite fills the row memo, the resolution suite the
+    # differential memo; each run keeps the other's values
     symbolic = ["ddzero", "--symbolic", "--degrees", "3", "--smax", "5"]
     letters = ["ddzero", "--letters", "4", "--smax", "5"]
     assert run(capsys, *symbolic) == fresh_run(symbolic)
-    kept = anick._DELTA_CACHE[(2, 1, 0)]
+    row = cochain._RED_ROWS[(2, 1, 0)]
     assert run(capsys, *letters) == fresh_run(letters)
-    assert anick._DELTA_CACHE and anick._DELTA_CACHE[(2, 1, 0)] is kept
+    delta = anick._DELTA_CACHE[(2, 1, 0)]
+    assert run(capsys, *symbolic) == fresh_run(symbolic)
+    assert cochain._RED_ROWS[(2, 1, 0)] is row and anick._DELTA_CACHE[(2, 1, 0)] is delta
 
     # the planted defect still fails, and its values do not outlive it
-    code, _, err = run(capsys, *letters, "--inject-defect")
-    assert code == 1 and "FAIL" in err
-    assert run(capsys, *letters) == fresh_run(letters)
+    for argv in (letters, symbolic):
+        code, _, err = run(capsys, *argv, "--inject-defect")
+        assert code == 1 and "FAIL" in err
+        assert run(capsys, *argv) == fresh_run(argv)
 
 
 @pytest.mark.parametrize(
@@ -185,12 +209,12 @@ def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
             "differential of [1|0]",
         ),
         (
-            "cochain.delta_generic = lambda c: RationalSum({((2,), (0,)): 1})",
+            "cochain.row_parts = lambda c: RationalSum({((2,), cochain.A_PART): 1})",
             ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
             "row of [1|0] breaks the grade split at [2]",
         ),
         (
-            "cochain.delta_generic = lambda c: RationalSum({((1,), (1,)): 1})",
+            "cochain.row_parts = lambda c: RationalSum({((1,), cochain.D_PART): 1})",
             ["ddzero", "--symbolic", "--degrees", "0", "--smax", "0"],
             "row of [1|0] breaks the grade split at [1]",
         ),

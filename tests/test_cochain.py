@@ -1,11 +1,12 @@
 """Rows of the reduced differential: the production row and its two oracles.
 
 Spot values below were cross-checked against hand reductions of the small
-resolution differentials.  ``action_row`` (the module action) and
-``closed_reduced_row`` (the closed formula) are confronted with
-``reduced_row`` over a window; the acceptance suite widens it.
+resolution differentials.  ``reduced_row`` (the closed formula) is
+confronted with ``bar_row`` (the bar reduction) and ``action_row`` (the
+module action) over a window; the acceptance suite widens it.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from virhoch import algebra, cochain
 from virhoch.anick import InvariantError, enumerate_chains, grade, is_chain
-from virhoch.cochain import action_row, closed_reduced_row, reduced_row, square_row
+from virhoch.cochain import action_row, bar_row, reduced_row, square_row
 from virhoch.confmod import ModElem
 from virhoch.scalars import A, D, ParamPoly, add_term
 
@@ -112,7 +113,7 @@ FROZEN_ROWS = {
 
 @pytest.mark.parametrize("c", sorted(FROZEN_ROWS))
 def test_frozen_rows(c):
-    for form in (reduced_row, action_row, closed_reduced_row):
+    for form in (reduced_row, bar_row, action_row):
         assert form(c) == FROZEN_ROWS[c], form.__name__
 
 
@@ -157,19 +158,42 @@ def test_row_grade_split():
 
 
 # ---------------------------------------------------------------------------
-# closed rows against the generic engine
+# closed rows against the bar reduction
 
 
 def test_closed_rows_match_generic():
     for n in (1, 2, 3):
         for c in enumerate_chains(n + 1, 6):
-            assert closed_reduced_row(c) == reduced_row(c), c
+            assert reduced_row(c) == bar_row(c), c
 
 
 def test_trailing_20_rows_match():
     # the closed formula has no pole at a trailing (2,0)
     for c in ((2, 0), (4, 2, 0), (4, 3, 2, 0), (5, 2, 2, 2, 0)):
-        assert closed_reduced_row(c) == reduced_row(c) == action_row(c), c
+        assert reduced_row(c) == bar_row(c) == action_row(c), c
+
+
+@pytest.mark.parametrize(
+    "pair, rhs, message",
+    [
+        ((2, 0), [((0, 1), Fraction(1))],
+         "rule v2.v0 has the word v0.v1, outside the closed row's three shapes"),
+        ((2, 1), [((2,), Fraction(1, 3))], "rule v2.v1 has a coefficient that is no integer over 2"),
+    ],
+)
+def test_closed_row_rejects_a_rule_outside_its_shape(monkeypatch, pair, rhs, message):
+    # the closed row reads each pair's rule from the active table; a rule it
+    # cannot represent raises, naming the rule
+    real = algebra.rule_rhs
+    monkeypatch.setattr(algebra, "rule_rhs", lambda i, j: rhs if (i, j) == pair else real(i, j))
+    algebra.clear_caches()
+    try:
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            reduced_row(pair)
+    finally:
+        monkeypatch.undo()
+        algebra.clear_caches()
+    assert reduced_row(pair) == bar_row(pair)
 
 
 # ---------------------------------------------------------------------------

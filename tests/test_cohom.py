@@ -410,13 +410,13 @@ def test_negative_dimension_at_next_cutoff_is_reported(monkeypatch):
         truncated_cohomology(F(1), F(1, 2), 2, 2)
 
 
-# Terms (source chain, leading word) planted in the differential of the
-# target [3|0], grade 1: the empty word feeds the a-free part of its row,
-# v(0) the a part.  [2] has grade 1, [3] grade 2, [5] grade 4.
+# Terms (source chain, part) planted in the closed row of the target [3|0],
+# grade 1: part 0 is the constant part of its row, part 2 the a part.  [2]
+# has grade 1, [3] grade 2, [5] grade 4.
 OFF_GRADE = {
-    "two_grades_up": ((5,), ()),
-    "a_free_one_up": ((3,), ()),
-    "a_linear_same_grade": ((2,), (0,)),
+    "two_grades_up": ((5,), cochain.CONST),
+    "a_free_one_up": ((3,), cochain.CONST),
+    "a_linear_same_grade": ((2,), cochain.A_PART),
 }
 
 
@@ -429,7 +429,7 @@ ROUTES = [
 ]
 
 
-# ``cochain.delta_generic`` with ``term`` planted, coefficient 1, in the value at [3|0]
+# ``cochain.row_parts`` with ``term`` planted, coefficient 1, in the parts of [3|0]
 PLANTED = (
     "lambda c: RationalSum({**(v := real(c)).nums, term: v.den}, v.den) "
     "if c == (3, 0) else real(c)"
@@ -449,9 +449,9 @@ def fresh_rows():
 def test_window_rejects_entry_off_the_grade_split(monkeypatch, fresh_rows, case):
     term = OFF_GRADE[case]
     planted = eval(
-        PLANTED, {"real": cochain.delta_generic, "term": term, "RationalSum": RationalSum}
+        PLANTED, {"real": cochain.row_parts, "term": term, "RationalSum": RationalSum}
     )
-    monkeypatch.setattr(cochain, "delta_generic", planted)
+    monkeypatch.setattr(cochain, "row_parts", planted)
     message = f"row of [3|0] breaks the grade split at {chain_to_text(term[0])}: "
     for name, args in ROUTES:
         with pytest.raises(InvariantError, match=re.escape(message)):
@@ -463,9 +463,9 @@ def test_window_grade_check_survives_optimization():
         "from fractions import Fraction\n"
         "from virhoch import algebra, cochain, cohom\n"
         "from virhoch.scalars import RationalSum\n"
-        "real = cochain.delta_generic\n"
+        "real = cochain.row_parts\n"
         f"for term in {list(OFF_GRADE.values())!r}:\n"
-        f"    cochain.delta_generic = {PLANTED}\n"
+        f"    cochain.row_parts = {PLANTED}\n"
         f"    for name, args in {ROUTES!r}:\n"
         "        algebra.clear_caches()\n"
         "        try:\n"
