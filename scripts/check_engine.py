@@ -11,8 +11,10 @@ at all.  A clean square-zero run after them must pass again: memos survive
 between runs only while the rule table stays the same, so the defect's
 values are gone once the true rule is back.
 Square-zero runs on 6- and 7-letter chains, beyond the range of the test
-suite, follow, and the located tables at D = 1 and 0 up to degree 6 and
-grade 10 close the CLI steps.
+suite, follow, then the located tables at D = 1 and 0 up to degree 6 and
+grade 10.  The complete tables at D = 1 and 0, every degree up to 13 at
+grade <= 10 (no chain of higher degree has grade <= 10), close the CLI
+steps; they run the clearing of ``cohom.rank`` through 14 degrees.
 Nonzero exit on the first step whose exit code differs from the one it
 expects.  Then the closed rows, ``cochain.reduced_row``, are compared with
 the bar-route rows, ``cochain.bar_row``, on the 12,287 chains with 1 to 7
@@ -53,6 +55,9 @@ STEPS = [
          "--expect", "paper"]),
     (0, ["cohomology", "--delta", "0", "--nmax", "6", "--smax", "10", "--locate",
          "--expect", "paper"]),
+    # complete tables: no chain of degree > S + 3 = 13 has grade <= S = 10
+    (0, ["cohomology", "--delta", "1", "--nmax", "13", "--smax", "10", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "0", "--nmax", "13", "--smax", "10", "--expect", "paper"]),
 ]
 
 

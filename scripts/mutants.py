@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Planted faults in the closed row: the bar-route oracle must catch each one.
+"""Planted faults: each one must be caught by the check it names.
 
-Each fault is a named source edit of ``src/virhoch/cochain.py``: a text
-that must occur there exactly once, and its replacement.  The edit is
-applied to a copy of ``src`` in a temporary directory, and a fresh
-interpreter compares ``reduced_row`` with ``bar_row`` chain by chain on the
-chains with 1 to 5 letters and grade <= 8, through
-``check_engine.first_row_mismatch``.  The faults run one subprocess at a
-time.  One line per fault names the first chain that differs; a fault that
-no chain shows survives, and then the exit is 1.  Stdlib only:
+Each fault is a named source edit of one file under ``src/virhoch``: a text
+that must occur there exactly once, and its replacement, plus the check that
+must catch it.  The edit is applied to a copy of ``src`` in a temporary
+directory, and a fresh interpreter runs the check against the copy.  The
+faults run one subprocess at a time.  The checks:
+
+* ``bar_row``: ``reduced_row`` against ``bar_row`` chain by chain on the
+  chains with 1 to 5 letters and grade <= 8, through
+  ``check_engine.first_row_mismatch``; the fault is named by the first
+  chain that differs;
+* ``paper_totals``: ``cohomology --delta 1 --expect paper`` must exit 2
+  with totals that differ from the paper's;
+* ``relation_certificate``: ``cohomology --delta 1`` must exit 1 with the
+  d.d != 0 failure of a relation, which names the cleared chain.
+
+One line per fault says how it was caught; a fault that no check shows
+survives, and then the exit is 1.  Stdlib only:
 
     python3 scripts/mutants.py
 """
@@ -22,66 +31,123 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGET = Path("virhoch", "cochain.py")
 N_MAX, S_MAX = 5, 8
 
-# name -> (text of src/virhoch/cochain.py, which occurs once, and its replacement)
+# name -> (file under src/virhoch, its text that occurs once, the replacement, check)
 FAULTS = {
     "a_term_sign_flipped": (
+        "cochain.py",
         "add_term(nums, (m_plus, A_PART), scale * b)",
         "add_term(nums, (m_plus, A_PART), -scale * b)",
+        "bar_row",
     ),
     "denominator_k_plus_one": (
+        "cochain.py",
         "got = _PAIRS[(x, y)] = (*(int(n) for n in nums), k)",
         "got = _PAIRS[(x, y)] = (*(int(n) for n in nums), k + 1)",
+        "bar_row",
     ),
     "tail_a_part_dropped": (
+        "cochain.py",
         "        if b:\n",
         "        if b and (x, y) != (1, 0):\n",
+        "bar_row",
     ),
     "first_cascade_term_dropped": (
+        "cochain.py",
         "earlier += x - 1",
         "earlier += x - 1 if i else 0",
+        "bar_row",
     ),
     "last_later_letter_dropped": (
+        "cochain.py",
         "for t in range(i + 1, n - 1):",
         "for t in range(i + 1, n - 2):",
+        "bar_row",
     ),
     "sigma_kept_in_the_tail": (
+        "cochain.py",
         "tail = n - 3 if c[-2:] == (1, 0) else n",
         "tail = n",
+        "bar_row",
     ),
     "peel_of_10_dropped": (
+        "cochain.py",
         "    if c[0] == 1:  # c = (1, 0): the peel v(1) [0]\n",
         "    if False:\n",
+        "bar_row",
+    ),
+    # the last pivot claimed in each elimination is lost
+    "dropped_pivot": (
+        "cohom.py",
+        "    return echelon\n",
+        "    return dict(list(echelon.items())[:-1])\n",
+        "paper_totals",
+    ),
+    # one coefficient of each relation handed to the next degree is doubled
+    "relation_entry_doubled": (
+        "cohom.py",
+        "        return {height - 1 - key: x * (unit // s) for (key, x), s in zip(vec.items(), row_scales)}\n",
+        "        v = {height - 1 - key: x * (unit // s) for (key, x), s in zip(vec.items(), row_scales)}\n"
+        "        v[next(iter(v))] *= 2\n"
+        "        return v\n",
+        "relation_certificate",
     ),
 }
 
-CHECK = (
+ROW_CHECK = (
     "import check_engine\n"
     f"c = check_engine.first_row_mismatch(check_engine.row_chains({N_MAX}, {S_MAX}))\n"
     "print(c and check_engine.chain_to_text(c))\n"
 )
 
 
+def cli_check(argv: list[str], code: int, text: str) -> str:
+    """A check that runs ``virhoch argv`` and prints the output line holding
+    ``text`` if the exit code is ``code``, else None."""
+    return (
+        "import contextlib, io\n"
+        "from virhoch.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        f"    code = main({argv!r})\n"
+        f"lines = [line for line in out.getvalue().splitlines() if {text!r} in line]\n"
+        f"print(f'exit {{code}}: {{lines[0]}}' if code == {code} and lines else None)\n"
+    )
+
+
+# check -> (what it runs, a script printing how the fault was caught, or None)
+CHECKS = {
+    "bar_row": (f"reduced_row == bar_row, n <= {N_MAX}, grade <= {S_MAX}", ROW_CHECK),
+    "paper_totals": (
+        "cohomology --delta 1 --expect paper exits 2",
+        cli_check(["cohomology", "--delta", "1", "--expect", "paper"], 2, "differ from expected"),
+    ),
+    "relation_certificate": (
+        "cohomology --delta 1 exits 1",
+        cli_check(["cohomology", "--delta", "1"], 1, "d.d != 0 on the relation that clears"),
+    ),
+}
+
+
 def edited(name: str) -> str:
-    """The source of cochain.py with the fault ``name`` planted."""
-    old, new = FAULTS[name]
-    text = (ROOT / "src" / TARGET).read_text()
+    """The source of the fault's file with the fault ``name`` planted."""
+    target, old, new, _ = FAULTS[name]
+    text = (ROOT / "src" / "virhoch" / target).read_text()
     count = text.count(old)
     if count != 1:
-        raise ValueError(f"fault {name}: its text occurs {count} times in {TARGET}, not once")
+        raise ValueError(f"fault {name}: its text occurs {count} times in {target}, not once")
     return text.replace(old, new)
 
 
-def first_difference(name: str, tmp: Path) -> str:
-    """The first chain whose rows differ under the fault, "None", or the error raised."""
+def caught(name: str, tmp: Path) -> str:
+    """How the fault's check caught it, "None" if it did not, or the error raised."""
     src = tmp / name
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    (src / TARGET).write_text(edited(name))
+    (src / "virhoch" / FAULTS[name][0]).write_text(edited(name))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "scripts")])}
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", CHECK],
+        [sys.executable, "-B", "-c", CHECKS[FAULTS[name][3]][1]],
         env=env, cwd=tmp, capture_output=True, text=True, timeout=300,
     )
     if proc.returncode:
@@ -92,15 +158,15 @@ def first_difference(name: str, tmp: Path) -> str:
 def main() -> int:
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in FAULTS:
+        for name, (target, _, _, check) in FAULTS.items():
             start = time.perf_counter()
-            found = first_difference(name, Path(tmp))
+            found = caught(name, Path(tmp))
             survived = found == "None"
             survivors += survived
             verdict = "SURVIVED" if survived else f"caught at {found}"
             print(
                 f"{name:<28} {verdict} ({time.perf_counter() - start:.1f}s): "
-                f"reduced_row == bar_row, n <= {N_MAX}, grade <= {S_MAX}"
+                f"{target}, {CHECKS[check][0]}"
             )
     print(f"{len(FAULTS)} faults, {survivors} survived")
     return 1 if survivors else 0

@@ -24,8 +24,26 @@ rank of the block at grade s is the prefix rank at s minus the prefix rank
 at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
-algebra.  Rows are kept primitive over Z, so no Fraction enters the inner
-loop; the tests check the pivots against a naive rational Gaussian oracle.
+algebra.  Its vectors are cleared to integers and kept primitive over Z, so
+no Fraction enters the inner loop; the tests check it against a naive
+rational Gaussian oracle.  ``rank`` reduces the columns of each d_n, in
+basis order, with each pivot at a column's last nonzero row, so the rank of
+a column prefix is the number of its columns that claimed a pivot.  Both
+routes walk the degrees upward and hand the reduced columns of d_(n-1) to
+the rank of d_n: the clearing, or twist, of persistent homology codes
+(Chen and Kerber, EuroCG 2011; Bauer, Ripser, J. Appl. Comput. Topol.
+2021).  Each such vector v lies in the image of d_(n-1), so d_n v = 0, and
+the column of d_n at v's last nonzero is a combination of the columns
+before it: it is left out unreduced.  That holds on the windows too.  Every
+entry's source grade is at least its target's, so d maps the cochains on
+grades <= T into themselves: each window is a subcomplex, and d_n d_(n-1) =
+0 holds for the window matrices.  Each left-out column is certified: d_n v
+= 0 is checked exactly over ints first, and a failure raises
+``InvariantError`` naming the degree, the cleared chain and the parameter
+point.  Clearing leaves at most size - rank_in columns of a window to claim
+pivots, so the check that no dimension is negative can then only catch
+counts that ``rank`` itself got wrong.
+
 The graded table and, when asked for, the chains carrying its classes come
 from one pass whose ranks all come from ``rank``.  A class of degree n sits
 at a pivot column of ker d_out that is not a pivot column of im d_in.  At
@@ -42,11 +60,11 @@ and names each chain where it fails.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .anick import Chain, InvariantError, enumerate_chains, grade, lowest_grade
+from .anick import Chain, InvariantError, chain_to_text, enumerate_chains, grade, lowest_grade
 from .cochain import reduced_row
 from .scalars import A, add_term, format_rational
 
@@ -96,50 +114,114 @@ def matrix_d(
     return DiffMatrix(rows)
 
 
-def pivot_columns(rows: Iterable[dict[int, Rational]]) -> list[int]:
-    """Sorted pivot columns of the row echelon form of sparse rational rows.
+def pivot_columns(
+    vectors: Iterable[dict[int, Rational]],
+) -> dict[int, tuple[int, dict[int, int]]]:
+    """Echelon form of sparse rational vectors: pivot -> (position, reduced vector).
 
-    Exact over Z: each row is cleared to integers, eliminated as
-    ``a * row - b * pivot_row`` with ``a, b`` the two leading entries over
-    their gcd, and divided by its content, so rows stay primitive and no
-    Fraction enters the inner loop.  The pivot set depends only on the row
-    space, not on the order of the rows.
+    The vectors are taken in the order given.  Each is cleared to integers
+    and reduced: while its leading (smallest) index is the pivot of an
+    earlier vector, it becomes ``a * vec - b * pivot_vec``, with ``a, b`` the
+    two leading entries over their gcd, and is divided by its content, so it
+    stays primitive and no Fraction enters the inner loop.  A vector that
+    keeps a leading index of its own claims it as its pivot; one reduced to
+    zero lies in the span of the vectors before it.  The result maps each
+    pivot, in the order claimed, to the position of the vector that claimed
+    it and that vector reduced, an int combination of the vectors up to it.
+    The pivot set depends only on the span, not on the order of the vectors.
     """
-    echelon: dict[int, dict[int, int]] = {}  # leading column -> primitive row
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row.values()))
+    echelon: dict[int, tuple[int, dict[int, int]]] = {}
+    for pos, row in enumerate(vectors):
+        # a list, not a generator: star-calling a generator leaves a resized
+        # tuple in the interpreter's tuple free lists on every call
+        mult = lcm(*[v.denominator for v in row.values()])
         vec = {j: v.numerator * (mult // v.denominator) for j, v in row.items() if v}
         while vec:
             g = gcd(*vec.values())
             if g > 1:
                 vec = {j: v // g for j, v in vec.items()}
             lead = min(vec)
-            piv = echelon.get(lead)
-            if piv is None:
-                echelon[lead] = vec
+            claimed = echelon.get(lead)
+            if claimed is None:
+                echelon[lead] = (pos, vec)
                 break
+            piv = claimed[1]
             g = gcd(piv[lead], vec[lead])
             a, b = piv[lead] // g, vec[lead] // g
             if a != 1:
                 vec = {j: a * v for j, v in vec.items()}
             for j, v in piv.items():
                 add_term(vec, j, -b * v)
-    return sorted(echelon)
+    return echelon
 
 
-def rank(m: DiffMatrix, cuts: Iterable[int]) -> list[int]:
-    """Rank of the first k columns of m, for each k in cuts.
+def rank(
+    m: DiffMatrix,
+    cuts: Iterable[int],
+    relations: Iterable[dict[int, int]] = (),
+    name: Callable[[int], str] = "column {}".format,
+) -> tuple[list[int], Iterator[dict[int, int]]]:
+    """Rank of the first k columns of m, for each k in cuts, and m's relations.
 
-    The pivots are leading columns, so the echelon rows whose pivot lies
-    below k span the rows of m cut to their first k columns: one
-    elimination gives every prefix rank.
+    Column reduction: the columns of m go to ``pivot_columns`` in basis
+    order, with the rows mirrored, i -> height - 1 - i, so that each pivot
+    sits at a column's last nonzero row.  A column claims a pivot exactly
+    when it is independent of the columns before it, so the rank of the
+    first k columns is the number of columns below k that claimed one.  Each
+    row is cleared to integers first: scaling a row changes neither which
+    columns depend on which nor whether m v = 0.
+
+    Clearing: each of ``relations`` is an int vector v over m's columns with
+    m v = 0, as d o d = 0 gives for v in the image of the differential
+    before m.  The column p at v's last nonzero is then a combination of the
+    columns before it, so it is left out: it would claim no pivot, and the
+    columns below every cut span what they spanned with it.  Before that,
+    m v = 0 is checked exactly over ints; a failure raises
+    ``InvariantError`` naming ``name(p)``, also under ``python -O``.
+
+    Returns the prefix ranks and m's reduced columns, as int vectors over
+    m's rows with the row scaling undone.  They lie in the image of m, so
+    they are the relations that clear columns of the next differential.
+    They are made as they are read, and the last degree's are never read.
     """
-    # The pivots do not depend on the row order, but the work does: fed in
-    # reverse order of the grade-sorted targets, the echelon rows stay
-    # sparse, and at S + 1 = 8 and 9 elimination took 5-10x less time than
-    # in lexicographic order.
-    pivots = pivot_columns(m.entries[::-1])
-    return [bisect_left(pivots, k) for k in cuts]
+    rows = m.entries
+    height = len(rows)
+    scales = []  # the row mirrored to k is multiplied by scales[k]
+    columns: dict[int, dict[int, int]] = {}  # column -> {mirrored row: int entry}
+    for key, row in enumerate(reversed(rows)):
+        mult = lcm(*[v.denominator for v in row.values()])  # a list, as in pivot_columns
+        scales.append(mult)
+        for j, v in row.items():
+            num, den = v.as_integer_ratio()
+            col = columns.get(j)
+            if col is None:
+                col = columns[j] = {}
+            col[key] = num * (mult // den)
+    cleared = set()
+    empty: dict[int, int] = {}
+    for v in relations:
+        image: dict[int, int] = {}
+        get = image.get
+        for j, x in v.items():
+            for key, y in columns.get(j, empty).items():
+                image[key] = get(key, 0) + x * y
+        p = max(v)
+        if any(image.values()):
+            raise InvariantError(f"d.d != 0 on the relation that clears {name(p)}")
+        cleared.add(p)
+    for p in cleared:
+        columns.pop(p, None)
+    order = sorted(columns)
+    # each column is handed over as it is fed, so one int copy of it is alive
+    echelon = pivot_columns(columns.pop(j) for j in order)
+    claimed = [order[pos] for pos, _ in echelon.values()]
+
+    def unscaled(vec: dict[int, int]) -> dict[int, int]:
+        row_scales = [scales[key] for key in vec]
+        unit = lcm(*row_scales)
+        return {height - 1 - key: x * (unit // s) for (key, x), s in zip(vec.items(), row_scales)}
+
+    return [bisect_left(claimed, k) for k in cuts], (unscaled(v) for _, v in echelon.values())
 
 
 class DimTable:
@@ -180,8 +262,9 @@ class DimTable:
 def _dimension(size: int, rank_out: int, rank_in: int, where: str) -> int:
     """size - rank_out - rank_in: the dimension of one piece of cohomology.
 
-    Exact ranks never make it negative, so a negative one is an
-    ``InvariantError`` whose message names the piece (``where``).
+    Exact ranks never make it negative; with clearing, only counts that
+    ``rank`` got wrong could.  A negative one is an ``InvariantError`` whose
+    message names the piece (``where``).
     """
     dim = size - rank_out - rank_in
     if dim < 0:
@@ -193,11 +276,17 @@ def _windows(n_max: int, grades: list[int]) -> tuple[list[list[Chain]], list[lis
     """bases[n]: degree-n chains of grade <= grades[-1]; sizes[n][i]: those of grade <= grades[i].
 
     Both routes assemble d once per degree, as ``matrix_d(n, bases[n],
-    bases[n + 1], ...)``, and read its windows with ``rank(m, sizes[n])``.
+    bases[n + 1], ...)``, and read its windows with ``rank(m, sizes[n],
+    relations)``, where the relations are those the degree before returned.
     """
     bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
     sizes = [[bisect_right(g, s) for s in grades] for g in ([grade(c) for c in b] for b in bases)]
     return bases, sizes
+
+
+def _naming(basis: list[Chain], n: int, at: str) -> Callable[[int], str]:
+    """Names column p of the degree-n matrix over ``basis`` in an error."""
+    return lambda p: f"{chain_to_text(basis[p])} in degree {n}, {at}"
 
 
 def _block_classes(
@@ -244,18 +333,21 @@ def cohomology_dims(
     bases, sizes = _windows(n_max, list(range(lowest, s_max + 1)))
     at = f"at delta={format_rational(delta)}, alpha=0"
 
-    def degree(n: int) -> tuple[list[dict[int, Rational]] | None, list[int]]:
+    def degree(
+        n: int, relations: Iterable[dict[int, int]]
+    ) -> tuple[list[dict[int, Rational]] | None, list[int], Iterator[dict[int, int]]]:
         # rows are kept only to locate classes, and only those of d_in and d_out
         m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
-        return (m.entries if locate else None), rank(m, sizes[n])
+        ranks, relations = rank(m, sizes[n], relations, _naming(bases[n], n, at))
+        return (m.entries if locate else None), ranks, relations
 
     def below(cumulative: list[int], i: int) -> int:
         # the part of cumulative[i] below grade lowest + i
         return cumulative[i - 1] if i else 0
 
-    d_in, ranks_in = degree(0)
+    d_in, ranks_in, relations = degree(0, [])
     for n in range(1, n_max + 1):
-        d_out, ranks_out = degree(n)
+        d_out, ranks_out, relations = degree(n, relations)
         total, found = 0, []
         for s in range(lowest_grade(n), s_max + 1):
             i = s - lowest
@@ -289,7 +381,8 @@ def truncated_cohomology(
 
     A cutoff below the minimal grade of degree n_max leaves that degree's
     window empty, so its "stable" zero would check nothing; it is rejected.
-    Both cutoffs come from one elimination per degree of the S + 1 window.
+    Both cutoffs come from one elimination per degree of the S + 1 window,
+    cleared by the relations of the degree before.
     """
     delta, alpha = Fraction(delta), Fraction(alpha)
     lowest = lowest_grade(n_max)
@@ -300,9 +393,14 @@ def truncated_cohomology(
     if not alpha:
         raise ValueError("the truncated route is for a nonzero shift")
     bases, sizes = _windows(n_max, [S, S + 1])
-    ranks = [rank(matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n])
-             for n in range(n_max + 1)]
     at = f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
+    ranks, relations = [], []
+    for n in range(n_max + 1):
+        got, relations = rank(
+            matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n], relations,
+            _naming(bases[n], n, at),
+        )
+        ranks.append(got)
 
     def dims(i: int, cutoff: str) -> dict[int, int]:
         return {

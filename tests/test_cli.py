@@ -319,7 +319,7 @@ MUTANTS = {
     ),
     "dropped_pivot": (
         "cohom", "pivot_columns",
-        "lambda rows: real(rows)[:-1]",
+        "lambda vectors: dict(list(real(vectors).items())[:-1])",
         ["cohomology", "--delta", "1", "--expect", "paper"],
         2, "totals {'1': 3, '2': 3, '3': 2, '4': 2} differ from expected "
         "{'1': 2, '2': 1, '3': 0, '4': 0}",
@@ -492,7 +492,12 @@ def test_bounds_a_route_does_not_read_are_not_checked(capsys, argv, head):
 
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):
     real = cli.cohom.rank
-    monkeypatch.setattr(cli.cohom, "rank", lambda m, cuts: [r + 1 for r in real(m, cuts)])
+
+    def overcounted(m, cuts, *clearing):
+        ranks, relations = real(m, cuts, *clearing)
+        return [r + 1 for r in ranks], relations
+
+    monkeypatch.setattr(cli.cohom, "rank", overcounted)
     code, _, err = run(capsys, "cohomology", "--delta", "1", "--nmax", "2", "--smax", "2")
     assert code == 1
     assert "FAIL: negative dimension" in err and "degree 1, grade -1" in err

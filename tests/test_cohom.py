@@ -82,13 +82,18 @@ def as_matrix(dense) -> DiffMatrix:
     return DiffMatrix([{j: v for j, v in enumerate(r) if v} for r in dense])
 
 
+def prefix_ranks(m, cuts):
+    """The prefix ranks ``rank`` gives without relations."""
+    return rank(m, cuts)[0]
+
+
 def test_rank_edge_cases():
-    assert rank(as_matrix([]), [0]) == [0]
-    assert rank(as_matrix([[F(0), F(0)]]), [0, 1, 2]) == [0, 0, 0]
-    assert rank(as_matrix([[F(1), F(0)], [F(0), F(1)]]), [2]) == [2]
-    assert rank(as_matrix([[F(1), F(2)], [F(2), F(4)]]), [1, 2]) == [1, 1]
-    assert rank(as_matrix([[F(1, 3)], [F(0)], [F(5)]]), [0, 1]) == [0, 1]
-    assert rank(as_matrix([[F(0), F(1)], [F(0), F(2)]]), [1, 2]) == [0, 1]
+    assert prefix_ranks(as_matrix([]), [0]) == [0]
+    assert prefix_ranks(as_matrix([[F(0), F(0)]]), [0, 1, 2]) == [0, 0, 0]
+    assert prefix_ranks(as_matrix([[F(1), F(0)], [F(0), F(1)]]), [2]) == [2]
+    assert prefix_ranks(as_matrix([[F(1), F(2)], [F(2), F(4)]]), [1, 2]) == [1, 1]
+    assert prefix_ranks(as_matrix([[F(1, 3)], [F(0)], [F(5)]]), [0, 1]) == [0, 1]
+    assert prefix_ranks(as_matrix([[F(0), F(1)], [F(0), F(2)]]), [1, 2]) == [0, 1]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -97,7 +102,7 @@ def test_rank_matches_gaussian_oracle(seed):
     rows = random_rows(seed)
     width = len(rows[0])
     prefixes = [gauss_rank([r[:k] for r in rows])[0] if k else 0 for k in range(width + 1)]
-    assert rank(as_matrix(rows), range(width + 1)) == prefixes
+    assert prefix_ranks(as_matrix(rows), range(width + 1)) == prefixes
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -105,9 +110,20 @@ def test_pivot_columns_match_gaussian_oracle(seed):
     rows = random_rows(seed)
     for dense in (rows, [r[::-1] for r in rows]):  # both column orders
         sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        assert pivot_columns(sparse) == gauss_rank(dense)[1]
+        echelon = pivot_columns(sparse)
+        assert sorted(echelon) == gauss_rank(dense)[1]
         # the pivot set belongs to the row space, not to the row order
-        assert pivot_columns(sparse[::-1]) == gauss_rank(dense)[1]
+        assert sorted(pivot_columns(sparse[::-1])) == gauss_rank(dense)[1]
+        # a vector claims a pivot exactly when it raises the rank of those before it
+        claimed = [pos for pos, _ in echelon.values()]
+        assert claimed == [
+            i for i in range(len(dense)) if gauss_rank(dense[: i + 1])[0] > gauss_rank(dense[:i])[0]
+        ]
+        # each reduced vector leads at its pivot and lies in the span of the vectors up to it
+        for lead, (pos, vec) in echelon.items():
+            assert min(vec) == lead
+            reduced = [vec.get(j, 0) for j in range(len(dense[0]))]
+            assert gauss_rank(dense[: pos + 1] + [reduced])[0] == gauss_rank(dense[: pos + 1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +151,10 @@ def test_matrix_d_single_entry():
     src, tgt = [(0,)], [(1, 0)]
     m = matrix_d(1, src, tgt, F(2), F(0))
     assert m.entries == [{0: F(1)}]  # (D - 1) at D = 2
-    assert rank(m, [1]) == [1]
+    assert prefix_ranks(m, [1]) == [1]
     m0 = matrix_d(1, src, tgt, F(1), F(0))
     assert m0.entries == [{}]  # zeros are not stored
-    assert rank(m0, [1]) == [0]
+    assert prefix_ranks(m0, [1]) == [0]
 
 
 def test_matrix_d_orientation():
@@ -372,6 +388,91 @@ def test_shift_scale_catches_one_unscaled_entry(monkeypatch):
     assert unscaled_entries(*shifted_point(0))
 
 
+# ---------------------------------------------------------------------------
+# clearing: the reduced columns of d_(n-1) retire columns of d_n, each one
+# certified by d_n v = 0
+
+
+def cleared_ranks(delta, alpha, n_max, grades):
+    """Per degree: the prefix ranks ``rank`` gives with the relations of the
+    degree before, as the routes thread them, the dense window matrix, and
+    the number of relations handed in."""
+    bases, sizes = cohom._windows(n_max, grades)
+    out, relations = [], []
+    for n in range(n_max + 1):
+        m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
+        dense = [[row.get(j, F(0)) for j in range(len(bases[n]))] for row in m.entries]
+        handed = list(relations)
+        ranks, relations = rank(m, sizes[n], handed)
+        out.append((ranks, dense, sizes[n], len(handed)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("route", ["graded", "truncated"])
+def test_rank_with_clearing_matches_gaussian_oracle(seed, route):
+    delta, alpha = shifted_point(seed)
+    if route == "graded":
+        per_degree = cleared_ranks(delta, F(0), 4, list(range(-1, 5)))
+    else:
+        per_degree = cleared_ranks(delta, alpha, 4, [4, 5])  # the cuts S and S + 1
+    for ranks, dense, cuts, _ in per_degree:
+        assert ranks == [gauss_rank([r[:k] for r in dense])[0] if k else 0 for k in cuts]
+    assert sum(cleared for *_, cleared in per_degree) > 0
+
+
+# one entry of the degree-2 matrix changed: row [2|1|0], column [2|1]; at
+# D = 1 the relation of degree 1 that clears [2|1] then fails d o d = 0
+BROKEN_SQUARE = """
+def broken(n, source, target, delta, alpha):
+    m = real(n, source, target, delta, alpha)
+    if n == 2:
+        row = m.entries[target.index((2, 1, 0))]
+        j = source.index((2, 1))
+        row[j] = row.get(j, 0) + 1
+    return m
+"""
+BROKEN_ROUTES = [
+    ("cohomology_dims", (F(1), 2, 2), "at delta=1, alpha=0"),
+    ("truncated_cohomology", (F(1), F(1, 2), 2, 2), "at delta=1, alpha=1/2"),
+]
+
+
+def test_broken_square_is_reported_by_the_cleared_chain(monkeypatch):
+    plant = {"real": cohom.matrix_d}
+    exec(BROKEN_SQUARE, plant)
+    monkeypatch.setattr(cohom, "matrix_d", plant["broken"])
+    for name, args, at in BROKEN_ROUTES:
+        message = f"d.d != 0 on the relation that clears [2|1] in degree 2, {at}"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            getattr(cohom, name)(*args)
+
+
+def test_broken_square_check_survives_optimization():
+    script = (
+        "from fractions import Fraction\n"
+        "from virhoch import cohom\n"
+        "real = cohom.matrix_d\n"
+        f"{BROKEN_SQUARE}"
+        "cohom.matrix_d = broken\n"
+        f"for name, args, _ in {[(n, a, '') for n, a, _ in BROKEN_ROUTES]!r}:\n"
+        "    try:\n"
+        "        getattr(cohom, name)(*args)\n"
+        "    except cohom.InvariantError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"d.d != 0 on the relation that clears [2|1] in degree 2, {at}"
+        for _, _, at in BROKEN_ROUTES
+    ]
+
+
 def test_graded_rejects_bound_below_lowest_grade():
     # grade -1 ([0], [1|0]) is the lowest of any chain; the bound names it
     with pytest.raises(ValueError, match="s_max=-2 is below the minimal grade -1"):
@@ -383,9 +484,10 @@ def _overcount(monkeypatch, last_only=False):
     # one rank too many at every cut, or at the last cut (S + 1) only
     real = cohom.rank
 
-    def overcounted(m, cuts):
-        ranks = real(m, cuts)
-        return ranks[:-1] + [ranks[-1] + 1] if last_only else [r + 1 for r in ranks]
+    def overcounted(m, cuts, *clearing):
+        ranks, relations = real(m, cuts, *clearing)
+        ranks = ranks[:-1] + [ranks[-1] + 1] if last_only else [r + 1 for r in ranks]
+        return ranks, relations
 
     monkeypatch.setattr(cohom, "rank", overcounted)
 
@@ -397,9 +499,13 @@ def test_negative_graded_dimension_is_reported(monkeypatch):
 
 
 def test_negative_truncated_dimension_is_reported(monkeypatch):
-    # a pivot at column -1 precedes every column, so it counts at both cutoffs
+    # the first pivot claimed twice counts at both cutoffs; its second
+    # relation is a true one, so only the dimension check can catch it
     real = cohom.pivot_columns
-    monkeypatch.setattr(cohom, "pivot_columns", lambda rows: [-1] + real(rows))
+    monkeypatch.setattr(
+        cohom, "pivot_columns",
+        lambda vectors: {-1: next(iter(e.values())), **e} if (e := real(vectors)) else e,
+    )
     with pytest.raises(InvariantError, match=r"degree 1, cutoff S=2, at delta=1, alpha=1/2"):
         truncated_cohomology(F(1), F(1, 2), 2, 2)
 
@@ -492,7 +598,10 @@ def test_negative_dimension_check_survives_optimization():
         "from fractions import Fraction\n"
         "from virhoch import cohom\n"
         "real = cohom.rank\n"
-        "cohom.rank = lambda m, cuts: [r + 1 for r in real(m, cuts)]\n"
+        "def overcounted(m, cuts, *clearing):\n"
+        "    ranks, relations = real(m, cuts, *clearing)\n"
+        "    return [r + 1 for r in ranks], relations\n"
+        "cohom.rank = overcounted\n"
         "try:\n"
         "    cohom.cohomology_dims(Fraction(1), n_max=2, s_max=2)\n"
         "except cohom.InvariantError as exc:\n"

@@ -1,9 +1,11 @@
-"""Every planted fault of the closed row is caught by the bar-route oracle.
+"""Every planted fault is caught by the check it names.
 
 ``scripts/mutants.py`` applies each named source edit to a copy of
-``cochain.py`` and compares ``reduced_row`` with ``bar_row`` chain by chain
-on n <= 5, grade <= 8; each fault must be named with the first chain that
-tells it apart.
+``src/virhoch`` and runs the fault's check against it: the bar-route row
+oracle on n <= 5, grade <= 8 for the faults of the closed row, each named by
+the first chain that tells it apart; the paper's totals for a dropped pivot;
+and the d.d = 0 certificate of the clearing for a wrong relation, named by
+the chain it clears.
 """
 
 import subprocess
@@ -13,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_every_planted_row_fault_names_a_chain():
+def test_every_planted_fault_is_caught_by_its_check():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "mutants.py")],
         capture_output=True,
@@ -23,4 +25,12 @@ def test_every_planted_row_fault_names_a_chain():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
     assert len(faults) >= 4 and summary == f"{len(faults)} faults, 0 survived"
-    assert all(" caught at [" in line for line in faults), faults
+    by_name = {line.split()[0]: line for line in faults}
+    for name, line in by_name.items():
+        if line.endswith(", reduced_row == bar_row, n <= 5, grade <= 8"):
+            assert " caught at [" in line, line
+    assert "caught at exit 2: expectation (paper): totals" in by_name["dropped_pivot"]
+    assert (
+        "caught at exit 1: FAIL: d.d != 0 on the relation that clears ["
+        in by_name["relation_entry_doubled"]
+    )
