@@ -77,6 +77,13 @@ FAULTS = {
         "    if False:\n",
         "bar_row",
     ),
+    # at a = 0 the entries one grade up are kept and those at the target's grade dropped
+    "grade_skip_inverted": (
+        "cohom.py",
+        "(shifted or grades[j] == s)",
+        "(shifted or grades[j] == s + 1)",
+        "paper_totals",
+    ),
     # the last pivot claimed in each elimination is lost
     "dropped_pivot": (
         "cohom.py",
@@ -87,8 +94,8 @@ FAULTS = {
     # one coefficient of each relation handed to the next degree is doubled
     "relation_entry_doubled": (
         "cohom.py",
-        "        return {height - 1 - key: x * (unit // s) for (key, x), s in zip(vec.items(), row_scales)}\n",
-        "        v = {height - 1 - key: x * (unit // s) for (key, x), s in zip(vec.items(), row_scales)}\n"
+        "        return {last - key: x * (unit // scales[key]) for key, x in vec.items()}\n",
+        "        v = {last - key: x * (unit // scales[key]) for key, x in vec.items()}\n"
         "        v[next(iter(v))] *= 2\n"
         "        return v\n",
         "relation_certificate",

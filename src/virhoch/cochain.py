@@ -170,7 +170,7 @@ def row_parts(c: Chain) -> RationalSum:
             return RationalSum({((), D_PART): 1, ((), CONST): -1})
         return RationalSum()
     pairs = [pair_constants(c[i], c[i + 1]) for i in range(n - 1)]
-    den = lcm(*(p[3] for p in pairs))
+    den = lcm(*[p[3] for p in pairs])  # a list, as in ParamPoly.sum_of
     nums: dict[tuple[Chain, int], int] = {}
     if c[0] == 1:  # c = (1, 0): the peel v(1) [0]
         nums[((0,), D_PART)] = den

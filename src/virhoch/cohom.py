@@ -24,11 +24,14 @@ rank of the block at grade s is the prefix rank at s minus the prefix rank
 at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
-algebra.  Its vectors are cleared to integers and kept primitive over Z, so
-no Fraction enters the inner loop; the tests check it against a naive
-rational Gaussian oracle.  ``rank`` reduces the columns of each d_n, in
-basis order, with each pivot at a column's last nonzero row, so the rank of
-a column prefix is the number of its columns that claimed a pivot.  Both
+algebra, over int vectors that it keeps primitive over Z; the tests check
+it against a naive rational Gaussian oracle.  Each vector is cleared to
+integers once, where it is made: ``rank`` clears each row of a
+``matrix_d`` as it turns the rows into int columns, and ``_cleared`` clears
+the rows and columns of the graded blocks ``_block_classes`` searches.  No
+Fraction enters the elimination.  ``rank`` reduces the columns of each d_n,
+in basis order, with each pivot at a column's last nonzero row, so the rank
+of a column prefix is the number of its columns that claimed a pivot.  Both
 routes walk the degrees upward and hand the reduced columns of d_(n-1) to
 the rank of d_n: the clearing, or twist, of persistent homology codes
 (Chen and Kerber, EuroCG 2011; Bauer, Ripser, J. Appl. Comput. Topol.
@@ -97,16 +100,20 @@ def matrix_d(
     higher.  ``matrix_d`` relies on that check, and ``rank`` reads grade
     windows and graded blocks off one elimination because of that shape.
     Each entry inside the bases is specialized once, except that at a = 0
-    the a-linear ones, one grade up, are skipped: they vanish there.
+    the a-linear ones, one grade up, are skipped: they vanish there.  The
+    grades are read once per column and once per row, so the skip compares
+    two ints.
     """
+    shifted = bool(alpha)
     col_of = {c: j for j, c in enumerate(source)}
+    grades = [grade(c) for c in source]
     rows = []
     for tgt in target:
         s = grade(tgt)
         row = {}
         for src, val in reduced_row(tgt).items():
             j = col_of.get(src)
-            if j is not None and (alpha or grade(src) == s):
+            if j is not None and (shifted or grades[j] == s):
                 x = val.specialize(delta, alpha)
                 if x:
                     row[j] = x
@@ -115,15 +122,17 @@ def matrix_d(
 
 
 def pivot_columns(
-    vectors: Iterable[dict[int, Rational]],
+    vectors: Iterable[dict[int, int]],
 ) -> dict[int, tuple[int, dict[int, int]]]:
-    """Echelon form of sparse rational vectors: pivot -> (position, reduced vector).
+    """Echelon form of sparse int vectors: pivot -> (position, reduced vector).
 
-    The vectors are taken in the order given.  Each is cleared to integers
-    and reduced: while its leading (smallest) index is the pivot of an
-    earlier vector, it becomes ``a * vec - b * pivot_vec``, with ``a, b`` the
-    two leading entries over their gcd, and is divided by its content, so it
-    stays primitive and no Fraction enters the inner loop.  A vector that
+    The vectors hold nonzero ints only: each is cleared to integers once,
+    where it is made, by ``rank``'s transposition or by ``_cleared``.  They
+    are taken in the order given, and each is consumed: it may be changed
+    in place and kept in the result.  Each is reduced: while its leading
+    (smallest) index is the pivot of an earlier vector, it becomes ``a * vec
+    - b * pivot_vec``, with ``a, b`` the two leading entries over their gcd,
+    and is divided by its content, so it stays primitive.  A vector that
     keeps a leading index of its own claims it as its pivot; one reduced to
     zero lies in the span of the vectors before it.  The result maps each
     pivot, in the order claimed, to the position of the vector that claimed
@@ -131,11 +140,7 @@ def pivot_columns(
     The pivot set depends only on the span, not on the order of the vectors.
     """
     echelon: dict[int, tuple[int, dict[int, int]]] = {}
-    for pos, row in enumerate(vectors):
-        # a list, not a generator: star-calling a generator leaves a resized
-        # tuple in the interpreter's tuple free lists on every call
-        mult = lcm(*[v.denominator for v in row.values()])
-        vec = {j: v.numerator * (mult // v.denominator) for j, v in row.items() if v}
+    for pos, vec in enumerate(vectors):
         while vec:
             g = gcd(*vec.values())
             if g > 1:
@@ -155,6 +160,18 @@ def pivot_columns(
     return echelon
 
 
+def _cleared(vec: dict[int, Rational]) -> dict[int, int]:
+    """vec times the lcm of its denominators, with its zeros dropped.
+
+    ``_block_classes`` clears its rows and columns with it to the int vectors
+    that ``pivot_columns`` takes.
+    """
+    # a list, not a generator: star-calling a generator leaves a resized
+    # tuple in the interpreter's tuple free lists on every call
+    mult = lcm(*[v.denominator for v in vec.values()])
+    return {j: v.numerator * (mult // v.denominator) for j, v in vec.items() if v}
+
+
 def rank(
     m: DiffMatrix,
     cuts: Iterable[int],
@@ -168,8 +185,9 @@ def rank(
     sits at a column's last nonzero row.  A column claims a pivot exactly
     when it is independent of the columns before it, so the rank of the
     first k columns is the number of columns below k that claimed one.  Each
-    row is cleared to integers first: scaling a row changes neither which
-    columns depend on which nor whether m v = 0.
+    row is cleared to integers once, as it is turned into int columns:
+    scaling a row changes neither which columns depend on which nor whether
+    m v = 0.  These columns are the int vectors the elimination takes.
 
     Clearing: each of ``relations`` is an int vector v over m's columns with
     m v = 0, as d o d = 0 gives for v in the image of the differential
@@ -189,7 +207,7 @@ def rank(
     scales = []  # the row mirrored to k is multiplied by scales[k]
     columns: dict[int, dict[int, int]] = {}  # column -> {mirrored row: int entry}
     for key, row in enumerate(reversed(rows)):
-        mult = lcm(*[v.denominator for v in row.values()])  # a list, as in pivot_columns
+        mult = lcm(*[v.denominator for v in row.values()])  # a list, as in _cleared
         scales.append(mult)
         for j, v in row.items():
             num, den = v.as_integer_ratio()
@@ -216,10 +234,11 @@ def rank(
     echelon = pivot_columns(columns.pop(j) for j in order)
     claimed = [order[pos] for pos, _ in echelon.values()]
 
+    last = height - 1
+
     def unscaled(vec: dict[int, int]) -> dict[int, int]:
-        row_scales = [scales[key] for key in vec]
-        unit = lcm(*row_scales)
-        return {height - 1 - key: x * (unit // s) for (key, x), s in zip(vec.items(), row_scales)}
+        unit = lcm(*[scales[key] for key in vec])
+        return {last - key: x * (unit // scales[key]) for key, x in vec.items()}
 
     return [bisect_left(claimed, k) for k in cuts], (unscaled(v) for _, v in echelon.values())
 
@@ -303,13 +322,15 @@ def _block_classes(
     are not pivots of d_out.  The columns of d_in span im d_in.
     """
     # rows fed by their leading mirrored column keep the fill-in low
-    mirrored = sorted(({hi - 1 - j: v for j, v in row.items()} for row in d_out if row), key=min)
+    mirrored = sorted(
+        (_cleared({hi - 1 - j: v for j, v in row.items()}) for row in d_out if row), key=min
+    )
     kernel = set(range(lo, hi)).difference(hi - 1 - j for j in pivot_columns(mirrored))
     columns: dict[int, dict[int, Rational]] = {}
     for i, row in enumerate(d_in, lo):
         for j, v in row.items():
             columns.setdefault(j, {})[i] = v
-    return sorted(kernel.difference(pivot_columns(columns.values())))
+    return sorted(kernel.difference(pivot_columns(map(_cleared, columns.values()))))
 
 
 def cohomology_dims(

@@ -169,7 +169,7 @@ class ParamPoly:
         # already canonical over the lcm of the denominators: the full power
         # of a prime p in the lcm divides some coefficient's denominator, and
         # p misses that coefficient's numerator, scaled by a p-free factor
-        den = lcm(*(c.denominator for c in clean.values()))
+        den = lcm(*[c.denominator for c in clean.values()])  # a list, as in sum_of
         self._nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
 
@@ -230,7 +230,9 @@ class ParamPoly:
 
         The numerators are added over the lcm of the denominators.
         """
-        den = lcm(*(p._den for p in polys))
+        # a list, not a generator: star-calling a generator leaves a resized
+        # tuple in the interpreter's tuple free lists on every call
+        den = lcm(*[p._den for p in polys])
         out: dict[Monomial, int] = {}
         get = out.get
         for p in polys:

@@ -181,6 +181,46 @@ def fresh_run(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_one_parser_serves_every_call_of_a_process():
+    # a usage error, --version, a failing and a clean run in one process
+    # each print and exit as they do alone, and the parser is built once,
+    # on the first call, not at import
+    calls = [
+        ["cohomology", "--delta=x"],
+        ["--version"],
+        ["ddzero", "--letters", "3", "--smax", "3", "--inject-defect"],
+        ["ddzero", "--letters", "3", "--smax", "3"],
+    ]
+    script = (
+        "import contextlib, io, json\n"
+        "from virhoch import cli\n"
+        "built = []\n"
+        "build = cli.build_parser\n"
+        "cli.build_parser = lambda: built.append(1) or build()\n"
+        "results = []\n"
+        f"for argv in {calls!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps({'built': len(built), 'results': results}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["built"] == 1
+    got = [tuple(r) for r in doc["results"]]
+    assert got == [fresh_run(argv) for argv in calls]
+    assert [code for code, _, _ in got] == [64, 0, 1, 0]
+
+
 def test_ddzero_runs_share_memos_until_the_rule_changes(capsys):
     # the symbolic suite fills the row memo, the resolution suite the
     # differential memo; each run keeps the other's values

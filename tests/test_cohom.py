@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from virhoch.cohom import (
     DiffMatrix,
     DimTable,
     InvariantError,
+    _cleared,
     cohomology_dims,
     contraction_defects,
     locate_classes,
@@ -110,10 +112,10 @@ def test_pivot_columns_match_gaussian_oracle(seed):
     rows = random_rows(seed)
     for dense in (rows, [r[::-1] for r in rows]):  # both column orders
         sparse = [{j: v for j, v in enumerate(r) if v} for r in dense]
-        echelon = pivot_columns(sparse)
+        echelon = pivot_columns(map(_cleared, sparse))
         assert sorted(echelon) == gauss_rank(dense)[1]
         # the pivot set belongs to the row space, not to the row order
-        assert sorted(pivot_columns(sparse[::-1])) == gauss_rank(dense)[1]
+        assert sorted(pivot_columns(map(_cleared, sparse[::-1]))) == gauss_rank(dense)[1]
         # a vector claims a pivot exactly when it raises the rank of those before it
         claimed = [pos for pos, _ in echelon.values()]
         assert claimed == [
@@ -124,6 +126,26 @@ def test_pivot_columns_match_gaussian_oracle(seed):
             assert min(vec) == lead
             reduced = [vec.get(j, 0) for j in range(len(dense[0]))]
             assert gauss_rank(dense[: pos + 1] + [reduced])[0] == gauss_rank(dense[: pos + 1])[0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pivot_columns_divide_out_the_content(seed):
+    # int vectors with content > 1 claim the pivots their primitive parts
+    # claim, at the same positions, and every reduced vector is primitive
+    rng = random.Random(seed)
+    primitive = []
+    for r in random_rows(seed):
+        vec = _cleared({j: v for j, v in enumerate(r) if v})
+        g = gcd(*vec.values())
+        primitive.append({j: v // g for j, v in vec.items()})
+    factors = [rng.choice([-6, -2, 2, 3, 10]) for _ in primitive]
+    scaled = [{j: k * v for j, v in vec.items()} for vec, k in zip(primitive, factors)]
+    assert any(scaled)
+    want = pivot_columns([dict(vec) for vec in primitive])
+    got = pivot_columns(scaled)
+    assert list(got) == list(want)
+    assert [pos for pos, _ in got.values()] == [pos for pos, _ in want.values()]
+    assert all(gcd(*vec.values()) == 1 for _, vec in got.values())
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +242,7 @@ def test_graded_pieces_match_blocks_ranked_alone(delta):
     for n in range(n_max + 1):
         for s in range(-1, s_max + 1):
             rows = assemble(graded_basis(n, s), graded_basis(n + 1, s), delta, F(0))
-            ranks[n, s] = len(pivot_columns(rows))
+            ranks[n, s] = len(pivot_columns(map(_cleared, rows)))
     want = {}
     for n in range(1, n_max + 1):
         for s in range(max(-1, n - 3), s_max + 1):
@@ -290,7 +312,8 @@ def test_truncated_split_matches_two_windows(delta, alpha):
         for n in range(n_max + 1):
             if (cutoff, n) not in ranks:
                 rows = assemble(bases[n], bases[n + 1], delta, alpha)
-                ranks[cutoff, n] = len(pivot_columns(rows[::-1]))  # the order only saves time
+                # the order only saves time
+                ranks[cutoff, n] = len(pivot_columns(map(_cleared, rows[::-1])))
         return {
             n: len(bases[n]) - ranks[cutoff, n] - ranks[cutoff, n - 1]
             for n in range(1, n_max + 1)

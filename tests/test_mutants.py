@@ -3,9 +3,9 @@
 ``scripts/mutants.py`` applies each named source edit to a copy of
 ``src/virhoch`` and runs the fault's check against it: the bar-route row
 oracle on n <= 5, grade <= 8 for the faults of the closed row, each named by
-the first chain that tells it apart; the paper's totals for a dropped pivot;
-and the d.d = 0 certificate of the clearing for a wrong relation, named by
-the chain it clears.
+the first chain that tells it apart; the paper's totals for a dropped pivot
+and for the a = 0 grade skip turned around; and the d.d = 0 certificate of
+the clearing for a wrong relation, named by the chain it clears.
 """
 
 import subprocess
@@ -29,7 +29,8 @@ def test_every_planted_fault_is_caught_by_its_check():
     for name, line in by_name.items():
         if line.endswith(", reduced_row == bar_row, n <= 5, grade <= 8"):
             assert " caught at [" in line, line
-    assert "caught at exit 2: expectation (paper): totals" in by_name["dropped_pivot"]
+    for name in ("dropped_pivot", "grade_skip_inverted"):
+        assert "caught at exit 2: expectation (paper): totals" in by_name[name]
     assert (
         "caught at exit 1: FAIL: d.d != 0 on the relation that clears ["
         in by_name["relation_entry_doubled"]
