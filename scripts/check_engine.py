@@ -13,8 +13,11 @@ values are gone once the true rule is back.
 Square-zero runs on 6- and 7-letter chains, beyond the range of the test
 suite, follow, then the located tables at D = 1 and 0 up to degree 6 and
 grade 10.  The complete tables at D = 1 and 0, every degree up to 13 at
-grade <= 10 (no chain of higher degree has grade <= 10), close the CLI
-steps; they run the clearing of ``cohom.rank`` through 14 degrees.
+grade <= 10 (no chain of higher degree has grade <= 10), located too,
+close the CLI steps; they run the clearing of ``cohom.rank`` through 14
+degrees.  Every graded table reads its classes off ``rank``'s free
+columns, so the check that each graded block holds as many classes as its
+dimension runs on every block of every graded table, located or not.
 Nonzero exit on the first step whose exit code differs from the one it
 expects.  Then the closed rows, ``cochain.reduced_row``, are compared with
 the bar-route rows, ``cochain.bar_row``, on the 12,287 chains with 1 to 7
@@ -56,8 +59,10 @@ STEPS = [
     (0, ["cohomology", "--delta", "0", "--nmax", "6", "--smax", "10", "--locate",
          "--expect", "paper"]),
     # complete tables: no chain of degree > S + 3 = 13 has grade <= S = 10
-    (0, ["cohomology", "--delta", "1", "--nmax", "13", "--smax", "10", "--expect", "paper"]),
-    (0, ["cohomology", "--delta", "0", "--nmax", "13", "--smax", "10", "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "1", "--nmax", "13", "--smax", "10", "--locate",
+         "--expect", "paper"]),
+    (0, ["cohomology", "--delta", "0", "--nmax", "13", "--smax", "10", "--locate",
+         "--expect", "paper"]),
 ]
 
 

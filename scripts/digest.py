@@ -19,7 +19,7 @@ Hashes, in insertion order, the items of
 * the ``matrix_d`` windows that the nine bundled points build for
   n <= 4, graded over grades <= 7 and truncated over grades <= 8 (S = 7),
   each row written as its sorted (column, value) items;
-* ``by_grade`` and ``classes`` of ``cohomology_dims(locate=True)`` at the
+* ``by_grade`` and ``classes`` of ``cohomology_dims`` at the
   six bundled weights, n <= 5 and grade <= 8;
 * the verdicts of ``verify_defining_relations`` (``gsb``) at bound 10: the
   checked counts and ordered violations under the planted rule defect, and
@@ -94,7 +94,7 @@ def windows(points):
 def located_tables(points):
     for delta, alpha in points:
         if not alpha:
-            table = cohom.cohomology_dims(delta, 5, 8, locate=True)
+            table = cohom.cohomology_dims(delta, 5, 8)
             yield (delta, "by_grade"), table.by_grade
             yield (delta, "classes"), table.classes
 

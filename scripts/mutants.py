@@ -14,7 +14,11 @@ faults run one subprocess at a time.  The checks:
 * ``paper_totals``: ``cohomology --delta 1 --expect paper`` must exit 2
   with totals that differ from the paper's;
 * ``relation_certificate``: ``cohomology --delta 1`` must exit 1 with the
-  d.d != 0 failure of a relation, which names the cleared chain.
+  d.d != 0 failure of a relation, which names the cleared chain;
+* ``located_count``: ``cohomology --delta 1`` must exit 1 with the failure
+  of the per-block class count, which names the degree and the grade;
+* ``contraction``: ``cohom.contraction_defects(5, 8)`` must name the chain
+  [0], whose row breaks the coboundary witness.
 
 One line per fault says how it was caught; a fault that no check shows
 survives, and then the exit is 1.  Stdlib only:
@@ -100,6 +104,27 @@ FAULTS = {
         "        return v\n",
         "relation_certificate",
     ),
+    # the free columns of every elimination lose their first entry
+    "free_column_lost": (
+        "cohom.py",
+        "yield from (j for j in range(max(cuts, default=0)) if j not in taken)",
+        "yield from [j for j in range(max(cuts, default=0)) if j not in taken][1:]",
+        "located_count",
+    ),
+    # the cleared columns are counted among the free ones
+    "cleared_column_counted_free": (
+        "cohom.py",
+        "taken = cleared.union(claimed)",
+        "taken = set(claimed)",
+        "located_count",
+    ),
+    # the empty chain, the target of [0]'s witness, is left out of its row
+    "contraction_empty_chain_skipped": (
+        "cohom.py",
+        "if not cp or cp[-1] >= 1",
+        "if cp and cp[-1] >= 1",
+        "contraction",
+    ),
 }
 
 ROW_CHECK = (
@@ -134,6 +159,17 @@ CHECKS = {
         "cohomology --delta 1 exits 1",
         cli_check(["cohomology", "--delta", "1"], 1, "d.d != 0 on the relation that clears"),
     ),
+    "located_count": (
+        "cohomology --delta 1 exits 1",
+        cli_check(["cohomology", "--delta", "1"], 1, "classes located in degree"),
+    ),
+    "contraction": (
+        "contraction_defects(5, 8) names [0]",
+        "from virhoch import cohom\n"
+        "from virhoch.anick import chain_to_text\n"
+        "defects = cohom.contraction_defects(5, 8)\n"
+        "print(', '.join(map(chain_to_text, defects)) if (0,) in defects else None)\n",
+    ),
 }
 
 
@@ -163,7 +199,7 @@ def caught(name: str, tmp: Path) -> str:
 
 
 def main() -> int:
-    survivors = 0
+    survivors, width = 0, max(map(len, FAULTS))
     with tempfile.TemporaryDirectory() as tmp:
         for name, (target, _, _, check) in FAULTS.items():
             start = time.perf_counter()
@@ -172,7 +208,7 @@ def main() -> int:
             survivors += survived
             verdict = "SURVIVED" if survived else f"caught at {found}"
             print(
-                f"{name:<28} {verdict} ({time.perf_counter() - start:.1f}s): "
+                f"{name:<{width}} {verdict} ({time.perf_counter() - start:.1f}s): "
                 f"{target}, {CHECKS[check][0]}"
             )
     print(f"{len(FAULTS)} faults, {survivors} survived")

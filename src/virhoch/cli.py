@@ -67,18 +67,19 @@ def validate(n_max: int, s_max: int, alpha: Fraction, truncated: int | None,
 
 
 def compute_table(delta: Fraction, alpha: Fraction, n_max: int, s_max: int,
-                  truncated: int | None, locate: bool) -> cohom.DimTable:
+                  truncated: int | None) -> cohom.DimTable:
     """The table for validated options."""
     if truncated is not None:
         return cohom.truncated_cohomology(delta, alpha, n_max=n_max, S=truncated)
-    return cohom.cohomology_dims(delta, n_max=n_max, s_max=s_max, locate=locate)
+    return cohom.cohomology_dims(delta, n_max=n_max, s_max=s_max)
 
 
 # ---------------------------------------------------------------------------
 # rendering: the text, CSV and JSON forms of a table
 
 
-def render_table(table: cohom.DimTable) -> list[str]:
+def render_table(table: cohom.DimTable, locate: bool) -> list[str]:
+    """The text form; ``locate`` adds the classes of a graded table."""
     d, a = format_rational(table.delta), format_rational(table.alpha)
     lines = []
     if table.stable is None:
@@ -98,7 +99,7 @@ def render_table(table: cohom.DimTable) -> list[str]:
             flag = "stable" if table.stable[n] else "UNSTABLE"
             lines.append(f"H^{n} = {table.totals[n]} ({flag})")
     lines.append("totals: " + ",".join(str(table.totals[n]) for n in sorted(table.totals)))
-    if table.classes is not None:
+    if locate:
         for n, found in table.classes.items():
             if found:
                 chains = ", ".join(anick.chain_to_text(c) for c in found)
@@ -246,13 +247,13 @@ def cmd_cohomology(args) -> int:
     delta, alpha = parse_rational(args.delta), parse_rational(args.alpha)
     validate(args.nmax, args.smax, alpha, args.truncated, args.locate, args.format)
     expected = find_expectation(delta, alpha, args.truncated) if args.expect else None
-    table = compute_table(delta, alpha, args.nmax, args.smax, args.truncated, args.locate)
+    table = compute_table(delta, alpha, args.nmax, args.smax, args.truncated)
     if args.format == "json":
         print(json.dumps(json_doc(table), sort_keys=True, indent=2))
     elif args.format == "csv":
         print("\n".join(render_csv(table)))
     else:
-        print("\n".join(render_table(table)))
+        print("\n".join(render_table(table, args.locate)))
     if expected is not None:
         ok, message = check_expectation(table, expected)
         print(f"expectation ({args.expect}): {message}")
@@ -282,7 +283,7 @@ def cmd_report(args) -> int:
         except OSError as exc:
             raise UsageError(f"--out {args.out} is not a usable directory: {exc.strerror}")
     # one process, fixed emission order: the points share the memoized rows
-    tables = [compute_table(d, Fraction(0), args.nmax, args.smax, None, False) for d in weights]
+    tables = [compute_table(d, Fraction(0), args.nmax, args.smax, None) for d in weights]
 
     if args.format == "json":
         bundle = {format_rational(t.delta): json_doc(t) for t in tables}

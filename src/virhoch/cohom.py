@@ -25,10 +25,8 @@ at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra, over int vectors that it keeps primitive over Z; the tests check
-it against a naive rational Gaussian oracle.  Each vector is cleared to
-integers once, where it is made: ``rank`` clears each row of a
-``matrix_d`` as it turns the rows into int columns, and ``_cleared`` clears
-the rows and columns of the graded blocks ``_block_classes`` searches.  No
+it against a naive rational Gaussian oracle.  ``rank`` clears each row of a
+``matrix_d`` to integers once, as it turns the rows into int columns, so no
 Fraction enters the elimination.  ``rank`` reduces the columns of each d_n,
 in basis order, with each pivot at a column's last nonzero row, so the rank
 of a column prefix is the number of its columns that claimed a pivot.  Both
@@ -47,13 +45,17 @@ point.  Clearing leaves at most size - rank_in columns of a window to claim
 pivots, so the check that no dimension is negative can then only catch
 counts that ``rank`` itself got wrong.
 
-The graded table and, when asked for, the chains carrying its classes come
-from one pass whose ranks all come from ``rank``.  A class of degree n sits
-at a pivot column of ker d_out that is not a pivot column of im d_in.  At
-a = 0 both are direct sums of their grade blocks, so their pivots are the
-union of the blocks' pivots, and a block of dimension 0 has ker = im: the
-classes are searched block by block, only where the dimension is nonzero.
-``locate_classes`` reads the classes off this pass.
+The same reduction locates the classes, in the last-nonzero convention: a
+subspace's pivots are the positions at which some vector of it has its last
+nonzero.  A column of d_n that claims no pivot is a combination of the
+columns before it, so it is the last nonzero of a vector of ker d_n, and
+the cleared columns are exactly the pivots of im d_(n-1).  The classes of
+degree n sit at the pivots of ker d_n that are not pivots of im d_(n-1):
+the free columns ``rank`` returns, which neither claimed a pivot nor were
+cleared.  At a = 0 every graded table is one pass whose ranks and classes
+all come from ``rank``, and the number of free columns in each graded block
+must equal its dimension.  ``locate_classes`` reads the classes off this
+pass.
 
 For a != 0, ``contraction_defects`` checks the coboundary witness of the
 cochains on chains ending in 0 as one identity over Q[D, a], row by row,
@@ -63,7 +65,7 @@ and names each chain where it fails.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -126,13 +128,13 @@ def pivot_columns(
 ) -> dict[int, tuple[int, dict[int, int]]]:
     """Echelon form of sparse int vectors: pivot -> (position, reduced vector).
 
-    The vectors hold nonzero ints only: each is cleared to integers once,
-    where it is made, by ``rank``'s transposition or by ``_cleared``.  They
-    are taken in the order given, and each is consumed: it may be changed
-    in place and kept in the result.  Each is reduced: while its leading
-    (smallest) index is the pivot of an earlier vector, it becomes ``a * vec
-    - b * pivot_vec``, with ``a, b`` the two leading entries over their gcd,
-    and is divided by its content, so it stays primitive.  A vector that
+    The vectors hold nonzero ints only: ``rank`` clears each row to
+    integers once, as it turns the rows into int columns.  They are taken
+    in the order given, and each is consumed: it may be changed in place and
+    kept in the result.  Each is reduced: while its leading (smallest) index
+    is the pivot of an earlier vector, it becomes ``a * vec - b *
+    pivot_vec``, with ``a, b`` the two leading entries over their gcd, and
+    is divided by its content, so it stays primitive.  A vector that
     keeps a leading index of its own claims it as its pivot; one reduced to
     zero lies in the span of the vectors before it.  The result maps each
     pivot, in the order claimed, to the position of the vector that claimed
@@ -160,25 +162,13 @@ def pivot_columns(
     return echelon
 
 
-def _cleared(vec: dict[int, Rational]) -> dict[int, int]:
-    """vec times the lcm of its denominators, with its zeros dropped.
-
-    ``_block_classes`` clears its rows and columns with it to the int vectors
-    that ``pivot_columns`` takes.
-    """
-    # a list, not a generator: star-calling a generator leaves a resized
-    # tuple in the interpreter's tuple free lists on every call
-    mult = lcm(*[v.denominator for v in vec.values()])
-    return {j: v.numerator * (mult // v.denominator) for j, v in vec.items() if v}
-
-
 def rank(
     m: DiffMatrix,
-    cuts: Iterable[int],
+    cuts: Sequence[int],
     relations: Iterable[dict[int, int]] = (),
     name: Callable[[int], str] = "column {}".format,
-) -> tuple[list[int], Iterator[dict[int, int]]]:
-    """Rank of the first k columns of m, for each k in cuts, and m's relations.
+) -> tuple[list[int], Iterator[dict[int, int]], Iterator[int]]:
+    """Rank of the first k columns of m for each k in cuts, m's relations, its free columns.
 
     Column reduction: the columns of m go to ``pivot_columns`` in basis
     order, with the rows mirrored, i -> height - 1 - i, so that each pivot
@@ -197,17 +187,25 @@ def rank(
     m v = 0 is checked exactly over ints; a failure raises
     ``InvariantError`` naming ``name(p)``, also under ``python -O``.
 
-    Returns the prefix ranks and m's reduced columns, as int vectors over
-    m's rows with the row scaling undone.  They lie in the image of m, so
-    they are the relations that clear columns of the next differential.
-    They are made as they are read, and the last degree's are never read.
+    Returns the prefix ranks; m's reduced columns, as int vectors over m's
+    rows with the row scaling undone; and the free columns below the last
+    cut, in increasing order: those that claimed no pivot and were not
+    cleared.  The reduced columns lie in the image of m, so they are the
+    relations that clear columns of the next differential.  A column that
+    claims no pivot is the last nonzero of a vector of ker m, and a cleared
+    one the last nonzero of a relation, so the free columns are the last
+    nonzeros of ker m that no relation has.  Both iterators are made as they
+    are read: the last degree's relations are never read, and the free
+    columns only on the graded route.
     """
     rows = m.entries
     height = len(rows)
     scales = []  # the row mirrored to k is multiplied by scales[k]
     columns: dict[int, dict[int, int]] = {}  # column -> {mirrored row: int entry}
     for key, row in enumerate(reversed(rows)):
-        mult = lcm(*[v.denominator for v in row.values()])  # a list, as in _cleared
+        # a list, not a generator: star-calling a generator leaves a resized
+        # tuple in the interpreter's tuple free lists on every call
+        mult = lcm(*[v.denominator for v in row.values()])
         scales.append(mult)
         for j, v in row.items():
             num, den = v.as_integer_ratio()
@@ -240,7 +238,15 @@ def rank(
         unit = lcm(*[scales[key] for key in vec])
         return {last - key: x * (unit // scales[key]) for key, x in vec.items()}
 
-    return [bisect_left(claimed, k) for k in cuts], (unscaled(v) for _, v in echelon.values())
+    def free() -> Iterator[int]:
+        taken = cleared.union(claimed)
+        yield from (j for j in range(max(cuts, default=0)) if j not in taken)
+
+    return (
+        [bisect_left(claimed, k) for k in cuts],
+        (unscaled(v) for _, v in echelon.values()),
+        free(),
+    )
 
 
 class DimTable:
@@ -249,9 +255,10 @@ class DimTable:
     For alpha = 0, ``by_grade[(n, s)]`` holds the graded dimensions and
     ``totals[n]`` their sums.  For alpha != 0 the complex is not graded;
     only ``totals`` is filled (from the truncated complex) together with
-    ``stable[n]`` comparing the cutoffs S and S + 1.  ``classes[n]``, when
-    asked for, lists the chains carrying the classes of degree n.  The text,
-    CSV and JSON forms are ``cli``'s.
+    ``stable[n]`` comparing the cutoffs S and S + 1.  For alpha = 0,
+    ``classes[n]`` lists the chains carrying the classes of degree n, in
+    the last-nonzero convention of ``rank``'s free columns.  The text, CSV
+    and JSON forms are ``cli``'s.
     """
 
     __slots__ = ("delta", "alpha", "n_max", "s_max", "by_grade", "totals", "stable", "classes")
@@ -297,6 +304,8 @@ def _windows(n_max: int, grades: list[int]) -> tuple[list[list[Chain]], list[lis
     Both routes assemble d once per degree, as ``matrix_d(n, bases[n],
     bases[n + 1], ...)``, and read its windows with ``rank(m, sizes[n],
     relations)``, where the relations are those the degree before returned.
+    The last cut, sizes[n][-1], is all of bases[n], so the free columns
+    ``rank`` returns cover every chain of the degree.
     """
     bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
     sizes = [[bisect_right(g, s) for s in grades] for g in ([grade(c) for c in b] for b in bases)]
@@ -308,41 +317,14 @@ def _naming(basis: list[Chain], n: int, at: str) -> Callable[[int], str]:
     return lambda p: f"{chain_to_text(basis[p])} in degree {n}, {at}"
 
 
-def _block_classes(
-    d_out: list[dict[int, Rational]], d_in: list[dict[int, Rational]], lo: int, hi: int
-) -> list[int]:
-    """The columns lo..hi - 1 of one graded block that carry its classes.
-
-    ``d_out`` holds d_out's rows at the block's grade, ``d_in`` d_in's rows
-    lo..hi - 1.  Pivot columns (leftmost nonzeros of an echelon basis) depend
-    only on the subspace, and im d_in lies in ker d_out, so the classes sit
-    at pivots(ker) - pivots(im).  A kernel basis solved from an echelon form
-    of d_out ends (rightmost nonzero) exactly at the free columns, so with
-    the columns mirrored, j -> hi - 1 - j, pivots(ker) are the columns that
-    are not pivots of d_out.  The columns of d_in span im d_in.
-    """
-    # rows fed by their leading mirrored column keep the fill-in low
-    mirrored = sorted(
-        (_cleared({hi - 1 - j: v for j, v in row.items()}) for row in d_out if row), key=min
-    )
-    kernel = set(range(lo, hi)).difference(hi - 1 - j for j in pivot_columns(mirrored))
-    columns: dict[int, dict[int, Rational]] = {}
-    for i, row in enumerate(d_in, lo):
-        for j, v in row.items():
-            columns.setdefault(j, {})[i] = v
-    return sorted(kernel.difference(pivot_columns(map(_cleared, columns.values()))))
-
-
-def cohomology_dims(
-    delta: Rational, n_max: int = 4, s_max: int = 8, locate: bool = False
-) -> DimTable:
-    """Graded cohomology dimensions for the shift-free module (alpha = 0).
+def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable:
+    """Graded cohomology dimensions and classes for the shift-free module (alpha = 0).
 
     The window sizes and ranks are cumulative over grades; d is
     block-diagonal by grade at alpha = 0, so each graded piece is the
-    difference of two consecutive ones.  With ``locate`` the same pass
-    fills ``classes``: ``_block_classes`` searches each block of nonzero
-    dimension, and the number it finds must equal that dimension.
+    difference of two consecutive ones.  The same pass fills ``classes``
+    from the free columns ``rank`` returns for each d_n, and the number of
+    them in each graded block must equal its dimension.
     """
     lowest = lowest_grade(1)  # grade -1 is the lowest of any chain
     if s_max < lowest:
@@ -350,26 +332,25 @@ def cohomology_dims(
             f"grade bound s_max={s_max} is below the minimal grade {lowest} of any chain"
         )
     delta, alpha = Fraction(delta), Fraction(0)
-    table = DimTable(delta, alpha, n_max, s_max, classes={} if locate else None)
+    table = DimTable(delta, alpha, n_max, s_max, classes={})
     bases, sizes = _windows(n_max, list(range(lowest, s_max + 1)))
     at = f"at delta={format_rational(delta)}, alpha=0"
 
     def degree(
         n: int, relations: Iterable[dict[int, int]]
-    ) -> tuple[list[dict[int, Rational]] | None, list[int], Iterator[dict[int, int]]]:
-        # rows are kept only to locate classes, and only those of d_in and d_out
+    ) -> tuple[list[int], Iterator[dict[int, int]], Iterator[int]]:
         m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
-        ranks, relations = rank(m, sizes[n], relations, _naming(bases[n], n, at))
-        return (m.entries if locate else None), ranks, relations
+        return rank(m, sizes[n], relations, _naming(bases[n], n, at))
 
     def below(cumulative: list[int], i: int) -> int:
         # the part of cumulative[i] below grade lowest + i
         return cumulative[i - 1] if i else 0
 
-    d_in, ranks_in, relations = degree(0, [])
+    ranks_in, relations, _ = degree(0, [])
     for n in range(1, n_max + 1):
-        d_out, ranks_out, relations = degree(n, relations)
-        total, found = 0, []
+        ranks_out, relations, free = degree(n, relations)
+        free = list(free)
+        total = 0
         for s in range(lowest_grade(n), s_max + 1):
             i = s - lowest
             lo, hi = below(sizes[n], i), sizes[n][i]
@@ -377,21 +358,17 @@ def cohomology_dims(
                 hi - lo, ranks_out[i] - below(ranks_out, i), ranks_in[i] - below(ranks_in, i),
                 f"degree {n}, grade {s}, {at}",
             )
+            found = bisect_left(free, hi) - bisect_left(free, lo)
+            if found != dim:
+                raise InvariantError(
+                    f"{found} classes located in degree {n}, grade {s} "
+                    f"for dimension {dim}, {at}"
+                )
             table.by_grade[(n, s)] = dim
             total += dim
-            if locate and dim:
-                rows = d_out[below(sizes[n + 1], i) : sizes[n + 1][i]]
-                cols = _block_classes(rows, d_in[lo:hi], lo, hi)
-                if len(cols) != dim:
-                    raise InvariantError(
-                        f"{len(cols)} classes located in degree {n}, grade {s} "
-                        f"for dimension {dim}, {at}"
-                    )
-                found += cols
         table.totals[n] = total
-        if locate:
-            table.classes[n] = sorted(bases[n][j] for j in found)
-        d_in, ranks_in = d_out, ranks_out
+        table.classes[n] = sorted(bases[n][j] for j in free)
+        ranks_in = ranks_out
     return table
 
 
@@ -417,7 +394,7 @@ def truncated_cohomology(
     at = f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
     ranks, relations = [], []
     for n in range(n_max + 1):
-        got, relations = rank(
+        got, relations, _ = rank(
             matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n], relations,
             _naming(bases[n], n, at),
         )
@@ -443,14 +420,13 @@ def locate_classes(
 ) -> dict[int, list[Chain]]:
     """Chains carrying the surviving classes in degrees 1..n_max (alpha = 0).
 
-    Per degree n, the pivot columns (leftmost nonzero coordinates, after
-    full reduction) of ker d_out that are not pivot columns of im d_in;
-    each marks the chain whose dual coordinate carries one cohomology
-    class.  They are read off the graded pass of ``cohomology_dims``,
-    which assembles each matrix once, ranks it with ``rank``, and searches
-    only the graded blocks of nonzero dimension.
+    Per degree n, the positions at which some vector of ker d_out has its
+    last nonzero and no vector of im d_in has; each marks the chain whose
+    dual coordinate carries one cohomology class.  They are the free
+    columns of ``rank``, read off the graded pass of ``cohomology_dims``,
+    which assembles and eliminates each matrix once.
     """
-    return cohomology_dims(delta, n_max, s_max, locate=True).classes
+    return cohomology_dims(delta, n_max, s_max).classes
 
 
 def contraction_defects(n_max: int, s_max: int) -> list[Chain]:

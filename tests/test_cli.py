@@ -534,8 +534,8 @@ def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):
     real = cli.cohom.rank
 
     def overcounted(m, cuts, *clearing):
-        ranks, relations = real(m, cuts, *clearing)
-        return [r + 1 for r in ranks], relations
+        ranks, *rest = real(m, cuts, *clearing)
+        return [r + 1 for r in ranks], *rest
 
     monkeypatch.setattr(cli.cohom, "rank", overcounted)
     code, _, err = run(capsys, "cohomology", "--delta", "1", "--nmax", "2", "--smax", "2")

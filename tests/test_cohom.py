@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,6 @@ from virhoch.cohom import (
     DiffMatrix,
     DimTable,
     InvariantError,
-    _cleared,
     cohomology_dims,
     contraction_defects,
     locate_classes,
@@ -61,6 +60,13 @@ def gauss_rank(rows) -> tuple[int, list[int]]:
     return r, pivots
 
 
+def _cleared(vec):
+    """A rational vector times the lcm of its denominators, with its zeros
+    dropped: the int vectors ``pivot_columns`` takes."""
+    mult = lcm(*[v.denominator for v in vec.values()])
+    return {j: v.numerator * (mult // v.denominator) for j, v in vec.items() if v}
+
+
 def random_rows(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 12), rng.randint(1, 12)
@@ -82,6 +88,11 @@ def random_rows(seed):
 def as_matrix(dense) -> DiffMatrix:
     """Dense rows as a DiffMatrix."""
     return DiffMatrix([{j: v for j, v in enumerate(r) if v} for r in dense])
+
+
+def dense(rows, width):
+    """Sparse rows as dense ones of the given width."""
+    return [[row.get(j, F(0)) for j in range(width)] for row in rows]
 
 
 def prefix_ranks(m, cuts):
@@ -424,10 +435,9 @@ def cleared_ranks(delta, alpha, n_max, grades):
     out, relations = [], []
     for n in range(n_max + 1):
         m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
-        dense = [[row.get(j, F(0)) for j in range(len(bases[n]))] for row in m.entries]
         handed = list(relations)
-        ranks, relations = rank(m, sizes[n], handed)
-        out.append((ranks, dense, sizes[n], len(handed)))
+        ranks, relations, _ = rank(m, sizes[n], handed)
+        out.append((ranks, dense(m.entries, len(bases[n])), sizes[n], len(handed)))
     return out
 
 
@@ -508,9 +518,9 @@ def _overcount(monkeypatch, last_only=False):
     real = cohom.rank
 
     def overcounted(m, cuts, *clearing):
-        ranks, relations = real(m, cuts, *clearing)
+        ranks, *rest = real(m, cuts, *clearing)
         ranks = ranks[:-1] + [ranks[-1] + 1] if last_only else [r + 1 for r in ranks]
-        return ranks, relations
+        return ranks, *rest
 
     monkeypatch.setattr(cohom, "rank", overcounted)
 
@@ -622,8 +632,8 @@ def test_negative_dimension_check_survives_optimization():
         "from virhoch import cohom\n"
         "real = cohom.rank\n"
         "def overcounted(m, cuts, *clearing):\n"
-        "    ranks, relations = real(m, cuts, *clearing)\n"
-        "    return [r + 1 for r in ranks], relations\n"
+        "    ranks, *rest = real(m, cuts, *clearing)\n"
+        "    return [r + 1 for r in ranks], *rest\n"
         "cohom.rank = overcounted\n"
         "try:\n"
         "    cohom.cohomology_dims(Fraction(1), n_max=2, s_max=2)\n"
@@ -639,17 +649,15 @@ def test_negative_dimension_check_survives_optimization():
     assert "negative dimension" in proc.stdout
 
 
-# The located pass ranks with ``rank`` and searches each block of nonzero
-# dimension with ``_block_classes``; a search that loses a class in every
-# block must fail the per-block count check.
-LOST_CLASS = "lambda *block: real(*block)[1:]"
+# Every graded table reads its classes off the free columns ``rank``
+# returns; a ``rank`` that loses the first free column of every degree must
+# fail the per-block count check.
+LOST_CLASS = "lambda *args: (*(got := real(*args))[:2], list(got[2])[1:])"
 LOST_MESSAGE = "0 classes located in degree 1, grade -1 for dimension 1, at delta=1, alpha=0"
 
 
 def test_negative_located_dimension_is_reported(monkeypatch):
-    monkeypatch.setattr(
-        cohom, "_block_classes", eval(LOST_CLASS, {"real": cohom._block_classes})
-    )
+    monkeypatch.setattr(cohom, "rank", eval(LOST_CLASS, {"real": cohom.rank}))
     with pytest.raises(InvariantError, match=f"^{re.escape(LOST_MESSAGE)}$"):
         locate_classes(F(1), 2, 2)
 
@@ -658,8 +666,8 @@ def test_negative_located_dimension_survives_optimization():
     script = (
         "from fractions import Fraction\n"
         "from virhoch import cohom\n"
-        "real = cohom._block_classes\n"
-        f"cohom._block_classes = {LOST_CLASS}\n"
+        "real = cohom.rank\n"
+        f"cohom.rank = {LOST_CLASS}\n"
         "try:\n"
         "    cohom.locate_classes(Fraction(1), 2, 2)\n"
         "except cohom.InvariantError as exc:\n"
@@ -686,17 +694,40 @@ def test_locate_classes():
 
 @pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
 def test_locate_counts_match_totals(delta):
-    # the located pass ranks with ``rank`` like the plain one, so both give
-    # the same table, and each block's classes number its dimension
-    plain = cohomology_dims(delta, s_max=7)
-    located = cohomology_dims(delta, s_max=7, locate=True)
-    assert plain.classes is None
-    assert located.by_grade == plain.by_grade
-    assert located.totals == plain.totals
-    assert tuple(located.totals[n] for n in (1, 2, 3, 4)) == GRADED_TOTALS[delta]
-    assert sorted(located.classes) == [1, 2, 3, 4]
-    for n in range(1, 5):
-        assert len(located.classes[n]) == located.totals[n]
+    # every graded table carries its classes, as many in each block as its
+    # dimension
+    table = cohomology_dims(delta, s_max=7)
+    assert tuple(table.totals[n] for n in (1, 2, 3, 4)) == GRADED_TOTALS[delta]
+    assert sorted(table.classes) == [1, 2, 3, 4]
+    for (n, s), dim in table.by_grade.items():
+        assert sum(1 for c in table.classes[n] if grade(c) == s) == dim
+
+
+def last_nonzero_pivots(vectors, width):
+    """The positions at which some vector of the span has its last nonzero:
+    the leftmost pivots of the vectors with their coordinates reversed."""
+    return {width - 1 - p for p in gauss_rank([v[::-1] for v in vectors])[1]}
+
+
+@pytest.mark.parametrize("delta", [F(1), F(0), F(2)])
+def test_located_classes_match_dense_oracle(delta):
+    # Column j of a block of d_n carries a class exactly when it lies in the
+    # span of the columns before it and no vector of im d_(n-1) has its last
+    # nonzero at j.  Oracle: each graded block assembled from ``reduced_row``
+    # and reduced densely, with no ``rank`` and no ``pivot_columns``.
+    n_max, s_max = 4, 7
+    want = {n: [] for n in range(1, n_max + 1)}
+    for s in range(-1, s_max + 1):
+        bases = [graded_basis(n, s) for n in range(n_max + 2)]
+        for n in range(1, n_max + 1):
+            width = len(bases[n])
+            d_out = dense(assemble(bases[n], bases[n + 1], delta, F(0)), width)
+            d_in = dense(assemble(bases[n - 1], bases[n], delta, F(0)), len(bases[n - 1]))
+            independent = set(gauss_rank(d_out)[1])
+            image = last_nonzero_pivots([list(col) for col in zip(*d_in)], width)
+            want[n] += [bases[n][j] for j in range(width) if j not in independent | image]
+    assert locate_classes(delta, n_max, s_max) == {n: sorted(c) for n, c in want.items()}
+    assert tuple(map(len, want.values())) == GRADED_TOTALS[delta]
 
 
 def test_locate_assembles_each_matrix_once(capsys, monkeypatch):
@@ -714,23 +745,20 @@ def test_locate_assembles_each_matrix_once(capsys, monkeypatch):
     assert len(seen) == 5 and len(set(seen)) == 5
 
 
-def test_locate_searches_only_nonzero_blocks(monkeypatch):
-    # at D = 0 the classes [2], [2|0], [2|1] and [2|1|0] fill four blocks
-    real = cohom._block_classes
-    spans = []
+def test_locate_eliminates_each_matrix_once(capsys, monkeypatch):
+    # the classes are read off the eliminations that rank the table: one
+    # ``pivot_columns`` call per degree 0..n_max
+    real = cohom.pivot_columns
+    calls = []
 
-    def recording(d_out, d_in, lo, hi):
-        spans.append((lo, hi))
-        return real(d_out, d_in, lo, hi)
+    def counting(vectors):
+        calls.append(None)
+        return real(vectors)
 
-    monkeypatch.setattr(cohom, "_block_classes", recording)
-    table = cohomology_dims(F(0), n_max=4, s_max=6, locate=True)
-    nonzero = sorted(k for k, dim in table.by_grade.items() if dim)
-    assert nonzero == [(1, 1), (2, 0), (2, 1), (3, 0)]
-    assert len(spans) == len(nonzero)
-    assert [hi - lo for lo, hi in spans] == [
-        sum(1 for c in window_basis(n, s) if grade(c) == s) for n, s in nonzero
-    ]
+    monkeypatch.setattr(cohom, "pivot_columns", counting)
+    assert cli.main(["cohomology", "--delta", "0", "--smax", "6", "--locate"]) == 0
+    assert "classes at n=2: [2|0], [2|1]" in capsys.readouterr().out
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

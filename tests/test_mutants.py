@@ -4,8 +4,11 @@
 ``src/virhoch`` and runs the fault's check against it: the bar-route row
 oracle on n <= 5, grade <= 8 for the faults of the closed row, each named by
 the first chain that tells it apart; the paper's totals for a dropped pivot
-and for the a = 0 grade skip turned around; and the d.d = 0 certificate of
-the clearing for a wrong relation, named by the chain it clears.
+and for the a = 0 grade skip turned around; the d.d = 0 certificate of the
+clearing for a wrong relation, named by the chain it clears; the per-block
+class count for a lost free column and for cleared columns counted free,
+named by the degree and the grade; and the contraction witness for the
+empty chain left out of its row, named by the chain [0].
 """
 
 import subprocess
@@ -35,3 +38,12 @@ def test_every_planted_fault_is_caught_by_its_check():
         "caught at exit 1: FAIL: d.d != 0 on the relation that clears ["
         in by_name["relation_entry_doubled"]
     )
+    assert (
+        "caught at exit 1: FAIL: 0 classes located in degree 1, grade -1 for dimension 1, "
+        in by_name["free_column_lost"]
+    )
+    assert (
+        "caught at exit 1: FAIL: 1 classes located in degree 2, grade 1 for dimension 0, "
+        in by_name["cleared_column_counted_free"]
+    )
+    assert " caught at [0] " in by_name["contraction_empty_chain_skipped"]
