@@ -81,6 +81,21 @@ FAULTS = {
         "    if False:\n",
         "bar_row",
     ),
+    # the intern key forgets the denominator: the first entry with the same
+    # numerators stands for every other; ``bar_row`` builds its own entries
+    "intern_key_drops_den": (
+        "cochain.py",
+        "key = (n0 // g, nd // g, na // g, den // g)",
+        "key = (n0 // g, nd // g, na // g)",
+        "bar_row",
+    ),
+    # every entry of a matrix takes the value of the first one specialized
+    "one_value_for_every_entry": (
+        "cohom.py",
+        "got = values.get(id(val))",
+        "got = next(iter(values.values()), None)",
+        "relation_certificate",
+    ),
     # at a = 0 the entries one grade up are kept and those at the target's grade dropped
     "grade_skip_inverted": (
         "cohom.py",

@@ -24,16 +24,22 @@ and all three agree on every chain:
   form and no bar reduction is computed.  An entry that breaks the grade
   split raises ``anick.InvariantError`` naming the chain; this is the one
   check of the split, once per row, and ``cohom.matrix_d`` relies on it.
-  Rows are memoized while the rule table stays the same.
+  Rows are memoized while the rule table stays the same, and so are their
+  entries: each distinct affine value is one ``ParamPoly``, interned by its
+  canonical ints, so equal entries of any two rows are one object and
+  ``matrix_d`` specializes each of them once per matrix.
 
 * ``bar_row`` is the first oracle: it reads c0 and psi straight off the int
   numerators of ``anick.delta_generic``, the bar reduction, with the same
-  grade-split check.
+  grade-split check.  It builds its own entries with ``ParamPoly.affine``
+  and never reads the intern table, so a wrong intern key shows as a
+  difference between the two.
 
 * ``action_row`` is the second oracle: it applies ``confmod.act_word`` to
   the generator for every term and takes the u and ∂u coefficients of the
-  results.  A term of ∂-degree above one raises ``anick.InvariantError``
-  naming the chain and the module value.
+  results, with ``ParamPoly`` arithmetic of its own.  A term of ∂-degree
+  above one raises ``anick.InvariantError`` naming the chain and the
+  module value.
 
 The closed row.  On the generator v(0) acts as a + ∂, v(1) as D and v(i),
 i >= 2, as 0, so c0 reads a leading v(0) as a, a leading v(1) as D and the
@@ -101,7 +107,8 @@ x >= 2, so enters every row through one constant per pair.
 
 from __future__ import annotations
 
-from math import lcm
+from collections.abc import Callable
+from math import gcd, lcm
 
 from .algebra import checked_rule, memo, word_to_text
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
@@ -123,6 +130,8 @@ CONST, D_PART, A_PART = 0, 1, 2
 
 _RED_ROWS: dict[Chain, Row] = memo()
 _PAIRS: dict[tuple[int, int], tuple[int, int, int, int]] = memo()
+# the one entry of the closed rows for each canonical (n0, nd, na, den)
+_ENTRIES: dict[tuple[int, int, int, int], ParamPoly] = memo()
 
 
 def pair_constants(x: int, y: int) -> tuple[int, int, int, int]:
@@ -199,15 +208,31 @@ def row_parts(c: Chain) -> RationalSum:
     return RationalSum(nums, den)
 
 
-def _row(c: Chain, parts: RationalSum) -> Row:
+def _interned(n0: int, nd: int, na: int, den: int) -> ParamPoly:
+    """``ParamPoly.affine(n0, nd, na, den)``, one shared object per value.
+
+    The key is the canonical form of the ints, with their gcd divided out,
+    so equal values get the same object in every row; ``clear_caches``
+    drops the table together with the rows.
+    """
+    g = gcd(den, n0, nd, na)
+    key = (n0 // g, nd // g, na // g, den // g)
+    val = _ENTRIES.get(key)
+    if val is None:
+        val = _ENTRIES[key] = ParamPoly.affine(n0, nd, na, den)
+    return val
+
+
+def _row(c: Chain, parts: RationalSum, entry: Callable[..., ParamPoly]) -> Row:
     """The row of c from its parts, after checking the grade split on them.
 
     The constant and D parts sit where source and target grades agree, the
     a part where the source grade exceeds the target's by one; that
     decomposition is what makes the a = 0 complex split by grade.  A
     violation raises ``InvariantError`` naming the chain and the entry.
-    Each entry is emitted once, as ``ParamPoly.affine`` over the parts'
-    denominator, in the order in which its source first occurs in the parts.
+    Each entry is emitted once, as ``entry(n0, nd, na, den)`` over the
+    parts' denominator (``ParamPoly.affine`` or ``_interned``), in the order
+    in which its source first occurs in the parts.
     """
     entries: dict[Chain, list[int]] = {}
     for (cp, part), n in parts.nums.items():
@@ -218,7 +243,7 @@ def _row(c: Chain, parts: RationalSum) -> Row:
     s, den = grade(c), parts.den
     row: Row = {}
     for cp, (n0, nd, na) in entries.items():
-        val = row[cp] = ParamPoly.affine(n0, nd, na, den)
+        val = row[cp] = entry(n0, nd, na, den)
         up = grade(cp) - s
         if (n0 or nd) and up != 0 or na and up != 1:
             raise InvariantError(
@@ -228,10 +253,13 @@ def _row(c: Chain, parts: RationalSum) -> Row:
 
 
 def reduced_row(c: Chain) -> Row:
-    """Row of the reduced differential at chain c over the source basis: the closed row, memoized."""
+    """Row of the reduced differential at chain c over the source basis: the closed row, memoized.
+
+    Its entries are interned: equal entries of any two rows are one object.
+    """
     row = _RED_ROWS.get(c)
     if row is None:
-        row = _RED_ROWS[c] = _row(c, row_parts(c))
+        row = _RED_ROWS[c] = _row(c, row_parts(c), _interned)
     return row
 
 
@@ -262,7 +290,8 @@ def bar_row(c: Chain) -> Row:
             for (cp, lam), n in delta.nums.items():
                 if lam == (0,):
                     acc.add((cp, CONST), -mult * n, den)
-    return _row(c, acc)
+    # the oracle's own entries: the intern table of ``reduced_row`` is not read
+    return _row(c, acc, ParamPoly.affine)
 
 
 def square_row(c: Chain) -> Row:

@@ -12,7 +12,9 @@ Both routes assemble each degree once, over the window of chains of grade
 come from ``cochain.reduced_row``, the closed row computed over ints from
 the letters of each chain; no normal form and no bar reduction is on this
 path, and ``cochain.bar_row`` and ``cochain.action_row`` are the row's two
-oracles in the tests and ``scripts/check_engine.py``.  ``matrix_d`` relies
+oracles in the tests and ``scripts/check_engine.py``.  The rows share
+their entries, one interned object per distinct value, and ``matrix_d``
+specializes each entry object once per call.  ``matrix_d`` relies
 on the check ``reduced_row`` makes once per row: every entry is a-free at
 its target's grade or a multiple of a one grade up.  With that
 shape the rows of grade > s vanish on the columns of grade <= s, so the
@@ -71,7 +73,7 @@ from math import gcd, lcm
 
 from .anick import Chain, InvariantError, chain_to_text, enumerate_chains, grade, lowest_grade
 from .cochain import reduced_row
-from .scalars import A, add_term, format_rational
+from .scalars import A, ParamPoly, add_term, format_rational
 
 Rational = Fraction
 
@@ -101,14 +103,19 @@ def matrix_d(
     source grade equals the target's and multiples of a where it is one
     higher.  ``matrix_d`` relies on that check, and ``rank`` reads grade
     windows and graded blocks off one elimination because of that shape.
-    Each entry inside the bases is specialized once, except that at a = 0
-    the a-linear ones, one grade up, are skipped: they vanish there.  The
-    grades are read once per column and once per row, so the skip compares
-    two ints.
+    ``reduced_row`` interns its entries, so the rows share few distinct
+    entry objects: each one inside the bases is specialized once per call,
+    and every entry that is that object gets the same ``Fraction``.  The
+    values are kept by ``id``, next to the entry itself, so no id is reused
+    while the call runs, even for rows whose entries are not interned.  At
+    a = 0 the a-linear entries, one grade up, are skipped: they vanish
+    there.  The grades are read once per column and once per row, so the
+    skip compares two ints.
     """
     shifted = bool(alpha)
     col_of = {c: j for j, c in enumerate(source)}
     grades = [grade(c) for c in source]
+    values: dict[int, tuple[ParamPoly, Rational]] = {}  # id(entry) -> (entry, its value)
     rows = []
     for tgt in target:
         s = grade(tgt)
@@ -116,7 +123,10 @@ def matrix_d(
         for src, val in reduced_row(tgt).items():
             j = col_of.get(src)
             if j is not None and (shifted or grades[j] == s):
-                x = val.specialize(delta, alpha)
+                got = values.get(id(val))
+                if got is None:
+                    got = values[id(val)] = (val, val.specialize(delta, alpha))
+                x = got[1]
                 if x:
                     row[j] = x
         rows.append(row)

@@ -197,6 +197,49 @@ def test_closed_row_rejects_a_rule_outside_its_shape(monkeypatch, pair, rhs, mes
 
 
 # ---------------------------------------------------------------------------
+# interned entries of the closed rows
+
+
+INTERN_CHAINS = [c for n in range(1, 5) for c in enumerate_chains(n, 6)]
+
+
+def test_equal_entries_of_different_rows_are_one_object():
+    by_value: dict = {}
+    entries = 0
+    for c in INTERN_CHAINS:
+        for val in reduced_row(c).values():
+            first = by_value.setdefault(tuple(val.terms()), val)
+            assert first is val, (c, val)
+            entries += 1
+    assert len(by_value) < entries / 3
+    assert reduced_row((2, 1, 0))[(2, 1)] is reduced_row((0,))[()] is reduced_row((5, 1, 0))[(5, 1)]
+
+
+def test_interned_rows_equal_both_oracles_with_their_own_entries():
+    # the oracles build their own values, so a wrong intern key cannot make
+    # both sides of a comparison wrong alike
+    for c in INTERN_CHAINS:
+        row, bar, action = reduced_row(c), bar_row(c), action_row(c)
+        assert row == bar == action, c
+        assert all(bar[cp] is not v and action[cp] is not v for cp, v in row.items()), c
+
+
+def test_defect_round_trip_leaves_only_true_rule_entries():
+    algebra.set_rule_defect(True)
+    try:
+        defective = [reduced_row(c) for c in INTERN_CHAINS]
+    finally:
+        algebra.set_rule_defect(False)
+    rows = [reduced_row(c) for c in INTERN_CHAINS]
+    assert rows != defective
+    # the defective rows are alive, so none of their ids can be reused
+    assert {id(v) for v in cochain._ENTRIES.values()} == {
+        id(v) for row in rows for v in row.values()
+    }
+    assert all(row == bar_row(c) for c, row in zip(INTERN_CHAINS, rows))
+
+
+# ---------------------------------------------------------------------------
 # square-zero at the scalar level (wider sweep in the acceptance suite)
 
 

@@ -209,6 +209,61 @@ def assemble(source, target, delta, alpha):
     ]
 
 
+def nonzero(rows):
+    return [{j: x for j, x in row.items() if x} for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# matrix_d specializes each distinct entry object once per call
+
+
+@pytest.mark.parametrize("delta,alpha", [(F(1), F(0)), (F(5, 2), F(-2, 3))])
+def test_matrix_d_matches_oracle_on_rows_that_are_not_interned(monkeypatch, delta, alpha):
+    # every call hands out fresh copies, which die with their row: the
+    # values are kept next to their entries, so no id is reused in a call
+    real = cohom.reduced_row
+    monkeypatch.setattr(cohom, "reduced_row", lambda c: {cp: v * 1 for cp, v in real(c).items()})
+    assert all(v is not w for v, w in zip(cohom.reduced_row((2, 2, 0)).values(),
+                                          real((2, 2, 0)).values()))
+    for n in range(5):
+        source, target = window_basis(n, 6), window_basis(n + 1, 6)
+        want = nonzero(assemble(source, target, delta, alpha))
+        assert matrix_d(n, source, target, delta, alpha).entries == want, n
+
+
+@pytest.mark.parametrize("delta,alpha", [(F(1), F(1)), (F(0), F(0))])
+def test_matrix_d_specializes_each_distinct_entry_once(monkeypatch, delta, alpha):
+    calls = []  # the entries specialized
+    real_specialize = ParamPoly.specialize
+
+    def specialize(val, weight, shift):
+        calls.append(val)
+        return real_specialize(val, weight, shift)
+
+    monkeypatch.setattr(ParamPoly, "specialize", specialize)
+    source, target = window_basis(3, 7), window_basis(4, 7)
+    col = {c: grade(c) for c in source}
+    entries = [
+        v for t in target for c, v in reduced_row(t).items()
+        if c in col and (alpha or col[c] == grade(t))
+    ]
+    distinct = {id(v) for v in entries}
+    assert len(distinct) < len(entries) / 3
+    for _ in range(2):  # once per call, not once per process
+        calls.clear()
+        matrix_d(3, source, target, delta, alpha)
+        assert len(calls) == len(distinct) and {id(v) for v in calls} == distinct
+
+
+def test_matrix_d_values_belong_to_their_point():
+    source, target = window_basis(3, 6), window_basis(4, 6)
+    points = [(F(1), F(1)), (F(-2), F(1, 2)), (F(1), F(0)), (F(5, 2), F(0))]
+    got = [matrix_d(3, source, target, *p).entries for p in points]
+    for p, entries in zip(points, got):
+        assert entries == nonzero(assemble(source, target, *p)), p
+    assert len({str(entries) for entries in got}) == len(points)
+
+
 # ---------------------------------------------------------------------------
 # dimension tables at the reference parameter points
 

@@ -3,12 +3,15 @@
 ``scripts/mutants.py`` applies each named source edit to a copy of
 ``src/virhoch`` and runs the fault's check against it: the bar-route row
 oracle on n <= 5, grade <= 8 for the faults of the closed row, each named by
-the first chain that tells it apart; the paper's totals for a dropped pivot
-and for the a = 0 grade skip turned around; the d.d = 0 certificate of the
-clearing for a wrong relation, named by the chain it clears; the per-block
-class count for a lost free column and for cleared columns counted free,
-named by the degree and the grade; and the contraction witness for the
-empty chain left out of its row, named by the chain [0].
+the first chain that tells it apart, and for an intern key that drops the
+denominator, which ``bar_row`` shows because it builds its own entries; the
+paper's totals for a dropped pivot and for the a = 0 grade skip turned
+around; the d.d = 0 certificate of the clearing for a wrong relation and for
+a ``matrix_d`` cache that gives every entry one value, each named by the
+chain it clears; the per-block class count for a lost free column and for
+cleared columns counted free, named by the degree and the grade; and the
+contraction witness for the empty chain left out of its row, named by the
+chain [0].
 """
 
 import subprocess
@@ -34,10 +37,9 @@ def test_every_planted_fault_is_caught_by_its_check():
             assert " caught at [" in line, line
     for name in ("dropped_pivot", "grade_skip_inverted"):
         assert "caught at exit 2: expectation (paper): totals" in by_name[name]
-    assert (
-        "caught at exit 1: FAIL: d.d != 0 on the relation that clears ["
-        in by_name["relation_entry_doubled"]
-    )
+    assert " caught at [" in by_name["intern_key_drops_den"]
+    for name in ("relation_entry_doubled", "one_value_for_every_entry"):
+        assert "caught at exit 1: FAIL: d.d != 0 on the relation that clears [" in by_name[name]
     assert (
         "caught at exit 1: FAIL: 0 classes located in degree 1, grade -1 for dimension 1, "
         in by_name["free_column_lost"]
