@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Planted faults: each one must be caught by the check it names.
 
-Each fault is a named source edit of one file under ``src/virhoch``: a text
-that must occur there exactly once, and its replacement, plus the check that
-must catch it.  The edit is applied to a copy of ``src`` in a temporary
-directory, and a fresh interpreter runs the check against the copy.  The
-faults run one subprocess at a time.  The checks:
+This ledger is the one home of the faults planted for an end-to-end check;
+a unit test that patches one function to reach one ``raise`` stays with the
+tests.  Each fault is a named source edit of one file under
+``src/virhoch``: a text that must occur there exactly once, and its
+replacement, plus the check that must catch it.  The edit is applied to a
+copy of ``src`` in a temporary directory, and a fresh interpreter runs the
+check against the copy under ``python -O``, so every fault is caught with
+asserts compiled out.  The faults run one subprocess at a time.  The checks:
 
 * ``bar_row``: ``reduced_row`` against ``bar_row`` chain by chain on the
   chains with 1 to 5 letters and grade <= 8, through
@@ -18,10 +21,20 @@ faults run one subprocess at a time.  The checks:
 * ``located_count``: ``cohomology --delta 1`` must exit 1 with the failure
   of the per-block class count, which names the degree and the grade;
 * ``contraction``: ``cohom.contraction_defects(5, 8)`` must name the chain
-  [0], whose row breaks the coboundary witness.
+  [0], whose row breaks the coboundary witness;
+* ``ddzero_symbolic``: ``ddzero --symbolic --degrees 2 --smax 3`` must exit
+  1 with a FAIL line: a nonzero entry of the symbolic d.d, named by its
+  chain and source, or a row that breaks the grade split, named by its
+  chain;
+* ``ddzero_letters``: ``ddzero --letters 3 --smax 1`` must exit 1 with a
+  FAIL line: a nonzero delta.delta, or a broken invariant of the bar
+  reduction or of the rule table, named by its chain, bracket or rule;
+* ``gsb``: ``gsb --bound 3`` must exit 1 with a FAIL line naming the
+  defining relation or the rule that breaks.
 
 One line per fault says how it was caught; a fault that no check shows
-survives, and then the exit is 1.  Stdlib only:
+survives, and so does one whose check raises instead of naming it; then
+the exit is 1.  Stdlib only:
 
     python3 scripts/mutants.py
 """
@@ -89,6 +102,34 @@ FAULTS = {
         "key = (n0 // g, nd // g, na // g)",
         "bar_row",
     ),
+    # the peel of [1|0] with its sign flipped: one entry of one row
+    "peel_sign_flipped": (
+        "cochain.py",
+        "nums[((0,), D_PART)] = den",
+        "nums[((0,), D_PART)] = -den",
+        "ddzero_symbolic",
+    ),
+    # each pair's a term at m- instead of m+, one grade too low
+    "a_part_at_m_minus": (
+        "cochain.py",
+        "add_term(nums, (m_plus, A_PART), scale * b)",
+        "add_term(nums, (m_minus, A_PART), scale * b)",
+        "ddzero_symbolic",
+    ),
+    # the peel of [1|0] at [1], one grade up
+    "peel_one_grade_up": (
+        "cochain.py",
+        "nums[((0,), D_PART)] = den",
+        "nums[((1,), D_PART)] = den",
+        "ddzero_symbolic",
+    ),
+    # a product of row entries loses its denominator
+    "product_denominator_dropped": (
+        "scalars.py",
+        "return ParamPoly._reduced(out, self._den * other._den)",
+        "return ParamPoly._reduced(out, 1)",
+        "ddzero_symbolic",
+    ),
     # every entry of a matrix takes the value of the first one specialized
     "one_value_for_every_entry": (
         "cohom.py",
@@ -140,6 +181,69 @@ FAULTS = {
         "if cp and cp[-1] >= 1",
         "contraction",
     ),
+    # the lowest grade of every degree from 2 on one too high: the graded
+    # tables skip it, and with it the class [1|0] of H^2 at D = 1
+    "lowest_grade_off_by_one": (
+        "anick.py",
+        "return max(n - 3, -1) if n else 0",
+        "return max(n - 2, -1) if n else 0",
+        "paper_totals",
+    ),
+    # every differential term gets one letter too many
+    "malformed_differential_term": (
+        "anick.py",
+        "add_term(nums, (cp, lam + mu), n * r)",
+        "add_term(nums, (cp + (0,), lam + mu), n * r)",
+        "ddzero_letters",
+    ),
+    # every bracket that needs rewriting maps back to itself
+    "bracket_rewrites_to_itself": (
+        "anick.py",
+        "    out = {(split[0], split[1:]): sign}\n",
+        "    return {((), slots): 1}\n",
+        "ddzero_letters",
+    ),
+    # every rule v(i)v(j) with i >= 2 rewrites to its own pair
+    "rule_returns_its_pair": (
+        "algebra.py",
+        "    return [(w, c) for w, c in out if c]\n",
+        "    return [((i, j), Fraction(1))]\n",
+        "gsb",
+    ),
+    # the rule table of --inject-defect made the true one: gamma + 1 for i >= 2
+    "gamma_plus_one": (
+        "algebra.py",
+        "((k,), Fraction(i * (i - 1), k)),",
+        "((k,), Fraction(i * (i - 1), k) + 1),",
+        "gsb",
+    ),
+    # one rule raises (weight, length); at bound 3 gsb meets it only inside
+    # a longer word, and the failure names the rule, not the word
+    "rule_4_0_raises_the_filtration": (
+        "algebra.py",
+        "    if (i, j) == (1, 0):\n",
+        "    if (i, j) == (4, 0):\n"
+        "        return [((0, 0, 4), Fraction(1))]\n"
+        "    if (i, j) == (1, 0):\n",
+        "gsb",
+    ),
+    # the same for the rule (3, 0), met by the bar reduction
+    "rule_3_0_raises_the_filtration": (
+        "algebra.py",
+        "    if (i, j) == (1, 0):\n",
+        "    if (i, j) == (3, 0):\n"
+        "        return [((0, 0, 3), Fraction(1))]\n"
+        "    if (i, j) == (1, 0):\n",
+        "ddzero_letters",
+    ),
+    # every rule's one-letter word at half its coefficient: the bar reduction
+    # meets a coefficient that is no integer
+    "one_letter_words_halved": (
+        "algebra.py",
+        "rhs = rule_rhs(i, j)",
+        "rhs = [(w, c / 2 if len(w) == 1 else c) for w, c in rule_rhs(i, j)]",
+        "ddzero_letters",
+    ),
 }
 
 ROW_CHECK = (
@@ -185,6 +289,15 @@ CHECKS = {
         "defects = cohom.contraction_defects(5, 8)\n"
         "print(', '.join(map(chain_to_text, defects)) if (0,) in defects else None)\n",
     ),
+    "ddzero_symbolic": (
+        "ddzero --symbolic --degrees 2 --smax 3 exits 1",
+        cli_check(["ddzero", "--symbolic", "--degrees", "2", "--smax", "3"], 1, "FAIL"),
+    ),
+    "ddzero_letters": (
+        "ddzero --letters 3 --smax 1 exits 1",
+        cli_check(["ddzero", "--letters", "3", "--smax", "1"], 1, "FAIL"),
+    ),
+    "gsb": ("gsb --bound 3 exits 1", cli_check(["gsb", "--bound", "3"], 1, "FAIL")),
 }
 
 
@@ -205,7 +318,7 @@ def caught(name: str, tmp: Path) -> str:
     (src / "virhoch" / FAULTS[name][0]).write_text(edited(name))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "scripts")])}
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", CHECKS[FAULTS[name][3]][1]],
+        [sys.executable, "-O", "-B", "-c", CHECKS[FAULTS[name][3]][1]],
         env=env, cwd=tmp, capture_output=True, text=True, timeout=300,
     )
     if proc.returncode:
@@ -219,9 +332,11 @@ def main() -> int:
         for name, (target, _, _, check) in FAULTS.items():
             start = time.perf_counter()
             found = caught(name, Path(tmp))
-            survived = found == "None"
+            survived = found == "None" or found.startswith("raised ")
             survivors += survived
-            verdict = "SURVIVED" if survived else f"caught at {found}"
+            verdict = f"caught at {found}"
+            if survived:
+                verdict = "SURVIVED" + ("" if found == "None" else f": the check {found}")
             print(
                 f"{name:<{width}} {verdict} ({time.perf_counter() - start:.1f}s): "
                 f"{target}, {CHECKS[check][0]}"

@@ -256,9 +256,13 @@ def reduced_row(c: Chain) -> Row:
     """Row of the reduced differential at chain c over the source basis: the closed row, memoized.
 
     Its entries are interned: equal entries of any two rows are one object.
+    A c that is no nonempty chain raises the ``ValueError`` of ``bar_row``,
+    checked once, when the row is built.
     """
     row = _RED_ROWS.get(c)
     if row is None:
+        if not c or not is_chain(c):
+            raise ValueError(f"{c} is not a nonempty chain")
         row = _RED_ROWS[c] = _row(c, row_parts(c), _interned)
     return row
 

@@ -173,6 +173,16 @@ def test_trailing_20_rows_match():
         assert reduced_row(c) == bar_row(c) == action_row(c), c
 
 
+def test_closed_row_rejects_a_non_chain_as_its_oracle_does():
+    # the production row fails as the bar route does, naming the tuple
+    for c in ((), (0, 0), (3, 1, 0, 0)):
+        message = f"{c} is not a nonempty chain"
+        for row in (reduced_row, bar_row):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                row(c)
+        assert c not in cochain._RED_ROWS
+
+
 @pytest.mark.parametrize(
     "pair, rhs, message",
     [
