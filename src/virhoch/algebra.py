@@ -234,19 +234,10 @@ class RelationReport:
         "bound", "locality_checked", "commutator_checked", "overlaps_checked", "violations"
     )
 
-    def __init__(
-        self,
-        bound: int,
-        locality_checked: int = 0,
-        commutator_checked: int = 0,
-        overlaps_checked: int = 0,
-        violations: list[str] | None = None,
-    ):
+    def __init__(self, bound: int):
         self.bound = bound
-        self.locality_checked = locality_checked
-        self.commutator_checked = commutator_checked
-        self.overlaps_checked = overlaps_checked
-        self.violations = [] if violations is None else violations
+        self.locality_checked = self.commutator_checked = self.overlaps_checked = 0
+        self.violations: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -270,7 +261,7 @@ def verify_defining_relations(bound: int) -> RelationReport:
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
-    report = RelationReport(bound=bound)
+    report = RelationReport(bound)
     for n in range(3, bound + 1):
         for m in range(0, bound + 1):
             relation = [
@@ -299,7 +290,9 @@ def verify_defining_relations(bound: int) -> RelationReport:
 
 # ---------------------------------------------------------------------------
 # negative-control hook: deliberately corrupt the second rule family so the
-# downstream consistency suites must fail.  Only the CLI test mode uses this.
+# downstream consistency suites must fail.  ``ddzero --inject-defect``
+# (which ``scripts/check_engine.py`` runs), the tests and
+# ``scripts/digest.py`` switch it.
 
 _true_rule_rhs = rule_rhs
 

@@ -7,8 +7,9 @@ Four subcommands cover the computational claims end to end:
   cohomology  dimension table at one parameter point
   report      reproduction bundle over the standard parameter points
 
-Exit codes: 0 success, 1 internal check failure, 2 expectation mismatch,
-64 usage error.  All output is deterministic for a fixed configuration.
+Exit codes: 0 success, 1 a mathematical check failed, 2 results disagree
+with the bundled expectations, 64 usage error.  All output is deterministic
+for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import __version__, algebra, anick, cochain, cohom
 from .scalars import format_rational, parse_rational
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
+EXIT_INVARIANT = 1  # an InvariantError: a failed check
 EXIT_EXPECT_MISMATCH = 2
 EXIT_USAGE = 64
 
@@ -173,10 +174,7 @@ def cmd_gsb(args) -> int:
         raise UsageError("--bound must be >= 3")  # below 3 no locality relation is checked
     report = algebra.verify_defining_relations(args.bound)
     if not report.ok:
-        print(f"FAIL: {report.violations[0]}", file=sys.stderr)
-        for v in report.violations[1:]:
-            print(f"      {v}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise algebra.InvariantError("\n      ".join(report.violations))
     relations = report.locality_checked + report.commutator_checked
     print(f"overlaps: {report.overlaps_checked} ok; relations: {relations} ok")
     return EXIT_OK
@@ -190,12 +188,10 @@ def _ddzero_resolution(letters: int, s_max: int) -> int:
             if residual:
                 (cp, lam), q = next(iter(residual.items()))
                 head = algebra.word_to_text(lam) if lam else "1"
-                print(
-                    f"FAIL delta.delta at {anick.chain_to_text(c)}: "
-                    f"{q} * {head} {anick.chain_to_text(cp)}",
-                    file=sys.stderr,
+                raise algebra.InvariantError(
+                    f"delta.delta at {anick.chain_to_text(c)}: "
+                    f"{q} * {head} {anick.chain_to_text(cp)}"
                 )
-                return EXIT_CHECK_FAILED
             checked += 1
     print(f"delta.delta = 0 on {checked} chains (letters <= {letters}, grade <= {s_max})")
     return EXIT_OK
@@ -208,12 +204,10 @@ def _ddzero_symbolic(degrees: int, s_max: int) -> int:
             square = cochain.square_row(c)
             if square:
                 src = min(square)
-                print(
-                    f"FAIL d.d at {anick.chain_to_text(c)} -> "
-                    f"{anick.chain_to_text(src)}: {square[src]}",
-                    file=sys.stderr,
+                raise algebra.InvariantError(
+                    f"d.d at {anick.chain_to_text(c)} -> "
+                    f"{anick.chain_to_text(src)}: {square[src]}"
                 )
-                return EXIT_CHECK_FAILED
             checked += 1
     print(
         f"d.d = 0 symbolically on {checked} chains "
@@ -235,10 +229,6 @@ def cmd_ddzero(args) -> int:
         if args.symbolic:
             return _ddzero_symbolic(args.degrees, args.smax)
         return _ddzero_resolution(args.letters, args.smax)
-    except anick.InvariantError as exc:
-        # a corrupted rule table breaks structural invariants downstream
-        print(f"FAIL: internal invariant violated: {exc!r}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     finally:
         algebra.set_rule_defect(False)
 
@@ -375,9 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except cohom.InvariantError as exc:
+    except algebra.InvariantError as exc:
+        # every failed check, whichever layer found it
         print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_INVARIANT
     except ValueError as exc:
         # bad rationals, malformed chain literals and similar input problems
         print(f"usage error: {exc}", file=sys.stderr)

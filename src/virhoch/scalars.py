@@ -8,8 +8,10 @@ the polynomial ring in the two module parameters:
 * ``a`` -- the shift of the module (the constant part of the degree-zero
   generator's action).
 
-Rationals are ``fractions.Fraction`` throughout: exact, arbitrary precision,
-always in lowest terms with positive denominator.  ``ParamPoly`` is a thin
+Rationals are exact, of arbitrary precision.  The arithmetic keeps int
+numerators over one common denominator (below); a ``fractions.Fraction`` is
+built only at the edges: by ``specialize``, by parsing and by the
+validating constructor, and for the oracles.  ``ParamPoly`` is a thin
 commutative-polynomial layer with rational coefficients in the two
 parameters; it exists so that differentials can be assembled once,
 symbolically, and then specialized at many parameter points.

@@ -169,5 +169,5 @@ def test_accept_7_class_locations():
 
 
 def test_accept_8_contraction_witness():
-    with Budget("coboundary witness identity in degrees 1-4", 60):
-        assert contraction_defects(4, S_MAX) == []
+    with Budget("coboundary witness identity in degrees 1-5", 60):
+        assert contraction_defects(5, S_MAX) == []

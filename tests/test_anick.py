@@ -3,7 +3,8 @@
 delta_generic is the authority (iterated splitting against the rewriting
 system); delta_closed evaluates the explicit two-case formula.  They must
 agree exactly, and the composite must vanish with coefficient products
-pushed through the rewriting engine.  A plain recursion over the bar
+pushed through the rewriting engine; the acceptance suite checks both on
+every chain with 1-5 letters and grade <= 8.  A plain recursion over the bar
 operators, with no merge skipped, checks the rewrite and the dead-bracket
 test in delta_dprime.
 """
@@ -25,7 +26,6 @@ from virhoch.anick import (
     IterationOverflow,
     chain_to_text,
     compose_delta,
-    delta_closed,
     delta_generic,
     delta_prime,
     delta_dprime,
@@ -349,19 +349,6 @@ def test_single_letter_start():
     assert delta_generic((5,)).fractions() == {((), (5,)): Fraction(1)}
 
 
-def test_generic_equals_closed_small():
-    for n in range(1, 5):
-        for c in enumerate_chains(n, CHECK_SMAX):
-            assert delta_generic(c).fractions() == delta_closed(c), c
-
-
-def test_compose_zero_small():
-    for n in range(2, 5):
-        for c in enumerate_chains(n, CHECK_SMAX):
-            residual = compose_delta(c)
-            assert not any(residual.values()), c
-
-
 def triple_loop_compose(c):
     """compose_delta as one loop over both differentials and nf_word."""
     out = {}
@@ -633,4 +620,4 @@ def test_finite_descent_beyond_the_old_pass_cap_returns_its_value(
 def test_ddzero_fails_on_overflow(self_looping, capsys):
     assert main(["ddzero", "--letters", "2", "--smax", "1"]) == 1
     err = capsys.readouterr().err
-    assert "FAIL" in err and "IterationOverflow" in err
+    assert err.startswith("FAIL: bracket rewriting returns to ")

@@ -102,6 +102,21 @@ def test_gsb_small(capsys):
     assert "overlaps:" in out and "relations:" in out and "ok" in out
 
 
+def test_gsb_prints_one_violation_per_line(capsys):
+    # under the planted defect every violation is listed: the first after
+    # "FAIL: ", each later one on its own line under it
+    algebra.set_rule_defect(True)
+    try:
+        code, out, err = run(capsys, "gsb", "--bound", "3")
+    finally:
+        algebra.set_rule_defect(False)
+    assert (code, out) == (1, "")
+    first, *rest = err.splitlines()
+    assert first == "FAIL: locality(3,0)" and len(rest) == 24
+    assert rest[0] == "      locality(3,1)" and rest[-1] == "      overlap(3,3,3)"
+    assert all(line.startswith("      ") and "(" in line for line in rest)
+
+
 def test_gsb_bad_bound(capsys):
     # below bound 3 no locality relation is checked (and below 2 no overlap
     # ambiguity exists), so "relations: 3 ok" would be partly vacuous
@@ -147,7 +162,7 @@ def test_ddzero_symbolic_injected_defect(capsys):
     code, _, err = run(capsys, "ddzero", "--symbolic", "--degrees", "1",
                        "--smax", "3", "--inject-defect")
     assert code == 1
-    assert err == "FAIL d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
+    assert err == "FAIL: d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
 
 
 def fresh_run(argv):

@@ -274,12 +274,6 @@ GRADED_TOTALS = {
 }
 
 
-@pytest.mark.parametrize("delta", sorted(GRADED_TOTALS))
-def test_graded_dimensions(delta):
-    table = cohomology_dims(delta)
-    assert tuple(table.totals[n] for n in (1, 2, 3, 4)) == GRADED_TOTALS[delta]
-
-
 def test_totals_cover_degrees_one_up():
     table = cohomology_dims(F(1), n_max=3, s_max=4)
     assert sorted(table.totals) == [1, 2, 3]
@@ -713,10 +707,6 @@ def test_locate_eliminates_each_matrix_once(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # contraction witness for the shifted modules
-
-
-def test_contraction_identity_is_exact():
-    assert contraction_defects(5, 8) == []
 
 
 @pytest.mark.parametrize(

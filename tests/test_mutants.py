@@ -5,6 +5,8 @@
 started with ``-O``; its docstring lists the checks.  Each fault of the
 closed row must be named by the first chain where ``reduced_row`` and
 ``bar_row`` differ, and the failure of every other fault is pinned below.
+Every check that exits 1 prints ``FAIL: <message>``, the one failure line
+of ``cli.main``.
 """
 
 import subprocess
@@ -21,6 +23,7 @@ PINNED = {
     "lowest_grade_off_by_one": "exit 2: expectation (paper): totals {'1': 2, '2': 0, '3': 0, "
     "'4': 0} differ from expected {'1': 2, '2': 1, '3': 0, '4': 0}",
     "intern_key_drops_den": "[",
+    "pair_gamma_plus_one": "[1|0] ",
     "relation_entry_doubled": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "one_value_for_every_entry": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "free_column_lost": "exit 1: FAIL: 0 classes located in degree 1, grade -1 for "
@@ -28,24 +31,21 @@ PINNED = {
     "cleared_column_counted_free": "exit 1: FAIL: 1 classes located in degree 2, grade 1 for "
     "dimension 0, ",
     "contraction_empty_chain_skipped": "[0] ",
-    "peel_sign_flipped": "exit 1: FAIL d.d at [1|0] -> []: ",
-    "a_part_at_m_minus": "exit 1: FAIL: internal invariant violated: "
-    "InvariantError('row of [1|0] breaks the grade split at [0]: ",
-    "peel_one_grade_up": "exit 1: FAIL: internal invariant violated: "
-    "InvariantError('row of [1|0] breaks the grade split at [1]: ",
-    "product_denominator_dropped": "exit 1: FAIL d.d at [2|2|2] -> [4]: ",
-    "malformed_differential_term": "exit 1: FAIL: internal invariant violated: "
-    "InvariantError('differential of [1|0] has the malformed term ",
-    "bracket_rewrites_to_itself": "exit 1: FAIL: internal invariant violated: "
-    "IterationOverflow('bracket rewriting returns to [v0.v1] while reducing it')",
+    "peel_sign_flipped": "exit 1: FAIL: d.d at [1|0] -> []: ",
+    "a_part_at_m_minus": "exit 1: FAIL: row of [1|0] breaks the grade split at [0]: ",
+    "peel_one_grade_up": "exit 1: FAIL: row of [1|0] breaks the grade split at [1]: ",
+    "product_denominator_dropped": "exit 1: FAIL: d.d at [2|2|2] -> [4]: ",
+    "malformed_differential_term": "exit 1: FAIL: differential of [1|0] has the malformed term ",
+    "bracket_rewrites_to_itself": "exit 1: FAIL: bracket rewriting returns to [v0.v1] while "
+    "reducing it (",
     "rule_returns_its_pair": "exit 1: FAIL: rewrite v3.v0 -> v3.v0 does not decrease deg-lex",
     "gamma_plus_one": "exit 1: FAIL: locality(3,0) ",
     "rule_4_0_raises_the_filtration": "exit 1: FAIL: rewrite v4.v0 -> v0.v0.v4 raises the "
     "(weight, length) filtration",
-    "rule_3_0_raises_the_filtration": "exit 1: FAIL: internal invariant violated: "
-    "InvariantError('rewrite v3.v0 -> v0.v0.v3 raises the (weight, length) filtration')",
-    "one_letter_words_halved": "exit 1: FAIL: internal invariant violated: "
-    "InvariantError('bar reduction of [v3|v0.v1] meets the non-integral coefficient 3/2')",
+    "rule_3_0_raises_the_filtration": "exit 1: FAIL: rewrite v3.v0 -> v0.v0.v3 raises the "
+    "(weight, length) filtration (",
+    "one_letter_words_halved": "exit 1: FAIL: bar reduction of [v3|v0.v1] meets the "
+    "non-integral coefficient 3/2 (",
 }
 
 
@@ -58,8 +58,12 @@ def test_every_planted_fault_is_caught_by_its_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
-    assert len(faults) == 27 and summary == "27 faults, 0 survived"
+    assert len(faults) == 28 and summary == "28 faults, 0 survived"
     by_name = {line.split()[0]: line for line in faults}
+    for line in faults:
+        assert "internal invariant violated" not in line and "Error('" not in line, line
+        if " caught at exit 1" in line:
+            assert " caught at exit 1: FAIL: " in line, line
     for name, line in by_name.items():
         if line.endswith(", reduced_row == bar_row, n <= 5, grade <= 8"):
             assert " caught at [" in line, line
