@@ -22,6 +22,9 @@ asserts compiled out.  The faults run one subprocess at a time.  The checks:
   of the per-block class count, which names the degree and the grade;
 * ``contraction``: ``cohom.contraction_defects(5, 8)`` must name the chain
   [0], whose row breaks the coboundary witness;
+* ``truncated``: ``cohom.truncated_cohomology(0, 2, n_max=2, S=-1)`` must
+  give other totals or flags than {1: 0, 2: 0} and {1: True, 2: False}: a
+  point whose cutoffs S and S + 1 differ, unlike every bundled one;
 * ``ddzero_symbolic``: ``ddzero --symbolic --degrees 2 --smax 3`` must exit
   1 with a FAIL line: a nonzero entry of the symbolic d.d, named by its
   chain and source, or a row that breaks the grade split, named by its
@@ -182,6 +185,20 @@ FAULTS = {
         "taken = set(claimed)",
         "located_count",
     ),
+    # each graded piece differenced against the window two grades down
+    "piece_against_the_wrong_cut": (
+        "cohom.py",
+        "dims[i] - (dims[i - 1] if i else 0)",
+        "dims[i] - (dims[i - 2] if i > 1 else 0)",
+        "located_count",
+    ),
+    # both stability flags read from the cutoff S
+    "stability_from_one_cut": (
+        "cohom.py",
+        'dims(1, f"S+1={S + 1}")',
+        'dims(0, f"S+1={S + 1}")',
+        "truncated",
+    ),
     # the empty chain, the target of [0]'s witness, is left out of its row
     "contraction_empty_chain_skipped": (
         "cohom.py",
@@ -296,6 +313,13 @@ CHECKS = {
         "from virhoch.anick import chain_to_text\n"
         "defects = cohom.contraction_defects(5, 8)\n"
         "print(', '.join(map(chain_to_text, defects)) if (0,) in defects else None)\n",
+    ),
+    "truncated": (
+        "truncated_cohomology(0, 2, n_max=2, S=-1)",
+        "from virhoch import cohom\n"
+        "t = cohom.truncated_cohomology(0, 2, n_max=2, S=-1)\n"
+        "got = f'totals {t.totals}, stable {t.stable}'\n"
+        "print(None if got == 'totals {1: 0, 2: 0}, stable {1: True, 2: False}' else got)\n",
     ),
     "ddzero_symbolic": (
         "ddzero --symbolic --degrees 2 --smax 3 exits 1",

@@ -49,8 +49,9 @@ def validate(n_max: int, s_max: int, alpha: Fraction, truncated: int | None,
     """
     if n_max < 1:
         raise UsageError("--nmax must be >= 1")
-    if truncated is None and s_max < 0:
-        raise UsageError("--smax must be >= 0")
+    lowest = anick.lowest_grade(1)  # of any chain; cohom checks S against degree n_max's
+    if truncated is None and s_max < lowest:
+        raise UsageError(f"--smax must be >= {lowest}")
     if truncated is None and alpha:
         raise UsageError(
             "a nonzero shift mixes grades; use --truncated S for the bounded subcomplex"
@@ -67,11 +68,10 @@ def validate(n_max: int, s_max: int, alpha: Fraction, truncated: int | None,
 # table computation
 
 
-def compute_table(delta: Fraction, alpha: Fraction, n_max: int, s_max: int,
-                  truncated: int | None) -> cohom.DimTable:
-    """The table for validated options."""
-    if truncated is not None:
-        return cohom.truncated_cohomology(delta, alpha, n_max=n_max, S=truncated)
+def compute_table(delta: Fraction, alpha: Fraction, n_max: int, s_max: int) -> cohom.DimTable:
+    """The table for validated options; at a nonzero shift ``s_max`` is the cutoff S."""
+    if alpha:
+        return cohom.truncated_cohomology(delta, alpha, n_max=n_max, S=s_max)
     return cohom.cohomology_dims(delta, n_max=n_max, s_max=s_max)
 
 
@@ -83,7 +83,7 @@ def render_table(table: cohom.DimTable, locate: bool) -> list[str]:
     """The text form; ``locate`` adds the classes of a graded table."""
     d, a = format_rational(table.delta), format_rational(table.alpha)
     lines = []
-    if table.stable is None:
+    if table.graded:
         lines.append(f"cohomology at delta={d}, alpha={a} (n <= {table.n_max}, s <= {table.s_max})")
         for n in sorted(table.totals):
             nonzero = [
@@ -112,7 +112,7 @@ def render_csv(table: cohom.DimTable) -> list[str]:
     """Header and one row per degree and grade; truncated tables leave s empty."""
     d, a = format_rational(table.delta), format_rational(table.alpha)
     out = ["delta,alpha,n,s,dim"]
-    if table.by_grade:
+    if table.graded:
         for (n, s), dim in sorted(table.by_grade.items()):
             out.append(f"{d},{a},{n},{s},{dim}")
     else:
@@ -130,9 +130,9 @@ def json_doc(table: cohom.DimTable) -> dict:
         "s_max": table.s_max,
         "totals": {str(n): table.totals[n] for n in sorted(table.totals)},
     }
-    if table.by_grade:
+    if table.graded:
         doc["by_grade"] = {f"{n},{s}": dim for (n, s), dim in sorted(table.by_grade.items())}
-    if table.stable is not None:
+    else:
         doc["stable"] = {str(n): table.stable[n] for n in sorted(table.stable)}
     return doc
 
@@ -143,9 +143,9 @@ def load_expected() -> dict:
         return json.load(fh)
 
 
-def find_expectation(delta: Fraction, alpha: Fraction, truncated: int | None) -> dict:
+def find_expectation(delta: Fraction, alpha: Fraction) -> dict:
     """The bundled claim for this parameter point, or a usage error."""
-    family = "graded" if truncated is None else "truncated"
+    family = "truncated" if alpha else "graded"
     d, a = format_rational(delta), format_rational(alpha)
     for entry in load_expected()[family]:
         if entry["delta"] == d and entry["alpha"] == a:
@@ -160,7 +160,7 @@ def check_expectation(table: cohom.DimTable, entry: dict) -> tuple[bool, str]:
     want = {n: entry["totals"][n] for n in shared}
     if got != want:
         return False, f"totals {got} differ from expected {want}"
-    if table.stable is not None and not all(table.stable.values()):
+    if not all(table.stable.values()):
         return False, f"cutoff-unstable degrees: {json_doc(table)['stable']}"
     return True, "match"
 
@@ -236,8 +236,9 @@ def cmd_ddzero(args) -> int:
 def cmd_cohomology(args) -> int:
     delta, alpha = parse_rational(args.delta), parse_rational(args.alpha)
     validate(args.nmax, args.smax, alpha, args.truncated, args.locate, args.format)
-    expected = find_expectation(delta, alpha, args.truncated) if args.expect else None
-    table = compute_table(delta, alpha, args.nmax, args.smax, args.truncated)
+    expected = find_expectation(delta, alpha) if args.expect else None
+    bound = args.smax if args.truncated is None else args.truncated
+    table = compute_table(delta, alpha, args.nmax, bound)
     if args.format == "json":
         print(json.dumps(json_doc(table), sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -273,7 +274,7 @@ def cmd_report(args) -> int:
         except OSError as exc:
             raise UsageError(f"--out {args.out} is not a usable directory: {exc.strerror}")
     # one process, fixed emission order: the points share the memoized rows
-    tables = [compute_table(d, Fraction(0), args.nmax, args.smax, None) for d in weights]
+    tables = [compute_table(d, Fraction(0), args.nmax, args.smax) for d in weights]
 
     if args.format == "json":
         bundle = {format_rational(t.delta): json_doc(t) for t in tables}

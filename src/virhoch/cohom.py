@@ -7,8 +7,10 @@ With a != 0 the a-part lowers s by one, so the subcomplex of cochains
 supported on grades <= S is finite and closed under d.  Its cohomology is
 compared at S and S + 1 (stabilization).
 
-Both routes assemble each degree once, over the window of chains of grade
-<= T, sorted by grade.  ``matrix_d`` is the one row assembler.  Its rows
+Both routes run one pass, ``_window_dims``.  It assembles each degree
+once, over the window of chains of grade <= T, sorted by grade, and gives
+the dimension of the cohomology of each smaller window of grades <= s that
+a route asks for.  ``matrix_d`` is the one row assembler.  Its rows
 come from ``cochain.reduced_row``, the closed row computed over ints from
 the letters of each chain; no normal form and no bar reduction is on this
 path, and ``cochain.bar_row`` and ``cochain.action_row`` are the row's two
@@ -20,10 +22,10 @@ its target's grade or a multiple of a one grade up.  With that
 shape the rows of grade > s vanish on the columns of grade <= s, so the
 rank of the window of grades <= s is the rank of a column prefix, and
 ``rank`` reads every prefix off one elimination.  The truncated route
-reads the S + 1 window at the prefixes ending at grades S and S + 1.  At
-a = 0 the a-linear entries vanish, so d is block-diagonal by grade and the
-rank of the block at grade s is the prefix rank at s minus the prefix rank
-at s - 1.
+reads the windows of grades <= S and <= S + 1, computed at a = 1: the
+shift is a scale.  At a = 0 the a-linear entries vanish, so d is
+block-diagonal by grade, and the graded piece at grade s is the window at
+s less the window at s - 1.
 
 One exact sparse elimination, ``pivot_columns``, does all the linear
 algebra, over int vectors that it keeps primitive over Z; the tests check
@@ -31,8 +33,8 @@ it against a naive rational Gaussian oracle.  ``rank`` clears each row of a
 ``matrix_d`` to integers once, as it turns the rows into int columns, so no
 Fraction enters the elimination.  ``rank`` reduces the columns of each d_n,
 in basis order, with each pivot at a column's last nonzero row, so the rank
-of a column prefix is the number of its columns that claimed a pivot.  Both
-routes walk the degrees upward and hand the reduced columns of d_(n-1) to
+of a column prefix is the number of its columns that claimed a pivot.  The
+pass walks the degrees upward and hands the reduced columns of d_(n-1) to
 the rank of d_n: the clearing, or twist, of persistent homology codes
 (Chen and Kerber, EuroCG 2011; Bauer, Ripser, J. Appl. Comput. Topol.
 2021).  Each such vector v lies in the image of d_(n-1), so d_n v = 0, and
@@ -67,6 +69,7 @@ and names each chain where it fails.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -262,123 +265,108 @@ def rank(
 class DimTable:
     """Cohomology dimensions at one parameter point.
 
-    For alpha = 0, ``by_grade[(n, s)]`` holds the graded dimensions and
-    ``totals[n]`` their sums.  For alpha != 0 the complex is not graded;
-    only ``totals`` is filled (from the truncated complex) together with
-    ``stable[n]`` comparing the cutoffs S and S + 1.  For alpha = 0,
-    ``classes[n]`` lists the chains carrying the classes of degree n, in
-    the last-nonzero convention of ``rank``'s free columns.  The text, CSV
-    and JSON forms are ``cli``'s.
+    ``graded``, true exactly at alpha = 0, marks the route that filled the
+    table.  The graded route fills ``by_grade[(n, s)]`` with the graded
+    dimensions, ``totals[n]`` with their sums, and ``classes[n]`` with the
+    chains carrying the classes of degree n, in the last-nonzero convention
+    of ``rank``'s free columns.  For alpha != 0 the complex is not graded:
+    the truncated route fills ``totals`` at the cutoff S and ``stable[n]``,
+    which compares the cutoffs S and S + 1.  The text, CSV and JSON forms
+    are ``cli``'s.
     """
 
     __slots__ = ("delta", "alpha", "n_max", "s_max", "by_grade", "totals", "stable", "classes")
 
-    def __init__(
-        self,
-        delta: Rational,
-        alpha: Rational,
-        n_max: int,
-        s_max: int,
-        by_grade: dict[tuple[int, int], int] | None = None,
-        totals: dict[int, int] | None = None,
-        stable: dict[int, bool] | None = None,
-        classes: dict[int, list[Chain]] | None = None,
-    ):
+    def __init__(self, delta: Rational, alpha: Rational, n_max: int, s_max: int):
         self.delta = delta
         self.alpha = alpha
         self.n_max = n_max
         self.s_max = s_max
-        # each table owns its maps: cohomology_dims fills them in place
-        self.by_grade = {} if by_grade is None else by_grade
-        self.totals = {} if totals is None else totals
-        self.stable = stable
-        self.classes = classes
+        self.by_grade: dict[tuple[int, int], int] = {}
+        self.totals: dict[int, int] = {}
+        self.stable: dict[int, bool] = {}
+        self.classes: dict[int, list[Chain]] = {}
+
+    @property
+    def graded(self) -> bool:
+        return not self.alpha
 
 
-def _dimension(size: int, rank_out: int, rank_in: int, where: str) -> int:
-    """size - rank_out - rank_in: the dimension of one piece of cohomology.
-
-    Exact ranks never make it negative; with clearing, only counts that
-    ``rank`` got wrong could.  A negative one is an ``InvariantError`` whose
-    message names the piece (``where``).
+def _dimension(dim: int, where: str) -> int:
+    """One dimension of cohomology, checked: a negative one is an
+    ``InvariantError`` naming the piece (``where``).  Exact ranks never make
+    it negative; with clearing, only counts that ``rank`` got wrong could.
     """
-    dim = size - rank_out - rank_in
     if dim < 0:
         raise InvariantError(f"negative dimension {dim} in {where}")
     return dim
 
 
-def _windows(n_max: int, grades: list[int]) -> tuple[list[list[Chain]], list[list[int]]]:
-    """bases[n]: degree-n chains of grade <= grades[-1]; sizes[n][i]: those of grade <= grades[i].
+def _window_dims(
+    delta: Rational, alpha: Rational, n_max: int, grades: list[int], at: str
+) -> Iterator[tuple[list[int], Iterator[Chain]]]:
+    """Per degree n = 1..n_max: size - rank_out - rank_in of each window, and the free chains.
 
-    Both routes assemble d once per degree, as ``matrix_d(n, bases[n],
-    bases[n + 1], ...)``, and read its windows with ``rank(m, sizes[n],
-    relations)``, where the relations are those the degree before returned.
-    The last cut, sizes[n][-1], is all of bases[n], so the free columns
-    ``rank`` returns cover every chain of the degree.
+    Window i holds the chains of grade <= grades[i], in increasing grades.
+    Each d_n is assembled once over the last window, and ``rank`` reads
+    every window off its column prefixes, cleared by the relations of
+    d_(n-1).  The free columns, as chains, cover all of the last window and
+    are made as they are read.  ``rank``'s errors name the cleared chain,
+    its degree and ``at``; each route checks the dimensions it reads.
     """
     bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
-    sizes = [[bisect_right(g, s) for s in grades] for g in ([grade(c) for c in b] for b in bases)]
-    return bases, sizes
-
-
-def _naming(basis: list[Chain], n: int, at: str) -> Callable[[int], str]:
-    """Names column p of the degree-n matrix over ``basis`` in an error."""
-    return lambda p: f"{chain_to_text(basis[p])} in degree {n}, {at}"
+    ranks_in, relations = [0] * len(grades), ()
+    for n in range(n_max + 1):
+        basis = bases[n]
+        basis_grades = [grade(c) for c in basis]
+        sizes = [bisect_right(basis_grades, s) for s in grades]
+        ranks_out, relations, free = rank(
+            matrix_d(n, basis, bases[n + 1], delta, alpha), sizes, relations,
+            lambda p: f"{chain_to_text(basis[p])} in degree {n}, {at}",
+        )
+        if n:
+            yield (
+                [k - r_out - r_in for k, r_out, r_in in zip(sizes, ranks_out, ranks_in)],
+                map(basis.__getitem__, free),
+            )
+        ranks_in = ranks_out
 
 
 def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable:
     """Graded cohomology dimensions and classes for the shift-free module (alpha = 0).
 
-    The window sizes and ranks are cumulative over grades; d is
-    block-diagonal by grade at alpha = 0, so each graded piece is the
-    difference of two consecutive ones.  The same pass fills ``classes``
-    from the free columns ``rank`` returns for each d_n, and the number of
-    them in each graded block must equal its dimension.
+    The windows are those of grades <= s for each s up to s_max, so their
+    dimensions are cumulative over grades; d is block-diagonal by grade at
+    alpha = 0, so each graded piece is the difference of two consecutive
+    ones.  The same pass fills ``classes`` from the free columns ``rank``
+    returns for each d_n, and the number of them in each graded block must
+    equal its dimension.
     """
     lowest = lowest_grade(1)  # grade -1 is the lowest of any chain
     if s_max < lowest:
         raise ValueError(
             f"grade bound s_max={s_max} is below the minimal grade {lowest} of any chain"
         )
-    delta, alpha = Fraction(delta), Fraction(0)
-    table = DimTable(delta, alpha, n_max, s_max, classes={})
-    bases, sizes = _windows(n_max, list(range(lowest, s_max + 1)))
-    at = f"at delta={format_rational(delta)}, alpha=0"
-
-    def degree(
-        n: int, relations: Iterable[dict[int, int]]
-    ) -> tuple[list[int], Iterator[dict[int, int]], Iterator[int]]:
-        m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
-        return rank(m, sizes[n], relations, _naming(bases[n], n, at))
-
-    def below(cumulative: list[int], i: int) -> int:
-        # the part of cumulative[i] below grade lowest + i
-        return cumulative[i - 1] if i else 0
-
-    ranks_in, relations, _ = degree(0, [])
-    for n in range(1, n_max + 1):
-        ranks_out, relations, free = degree(n, relations)
+    table = DimTable(Fraction(delta), Fraction(0), n_max, s_max)
+    at = f"at delta={format_rational(table.delta)}, alpha=0"
+    grades = list(range(lowest, s_max + 1))
+    degrees = _window_dims(table.delta, table.alpha, n_max, grades, at)
+    for n, (dims, free) in enumerate(degrees, 1):
         free = list(free)
+        found = Counter(map(grade, free))
         total = 0
         for s in range(lowest_grade(n), s_max + 1):
             i = s - lowest
-            lo, hi = below(sizes[n], i), sizes[n][i]
-            dim = _dimension(
-                hi - lo, ranks_out[i] - below(ranks_out, i), ranks_in[i] - below(ranks_in, i),
-                f"degree {n}, grade {s}, {at}",
-            )
-            found = bisect_left(free, hi) - bisect_left(free, lo)
-            if found != dim:
+            dim = _dimension(dims[i] - (dims[i - 1] if i else 0), f"degree {n}, grade {s}, {at}")
+            if found[s] != dim:
                 raise InvariantError(
-                    f"{found} classes located in degree {n}, grade {s} "
+                    f"{found[s]} classes located in degree {n}, grade {s} "
                     f"for dimension {dim}, {at}"
                 )
             table.by_grade[(n, s)] = dim
             total += dim
         table.totals[n] = total
-        table.classes[n] = sorted(bases[n][j] for j in free)
-        ranks_in = ranks_out
+        table.classes[n] = sorted(free)
     return table
 
 
@@ -391,6 +379,14 @@ def truncated_cohomology(
     window empty, so its "stable" zero would check nothing; it is rejected.
     Both cutoffs come from one elimination per degree of the S + 1 window,
     cleared by the relations of the degree before.
+
+    Every nonzero shift is computed at alpha = 1.  By the grade split, the
+    entry of d at (D, a) for a target t and a source c is the entry at
+    (D, 1) times a^(grade(c) - grade(t)), so d_a = P^-1 d_1 P with P the
+    diagonal map a^grade(c) on each degree.  For a != 0, P is invertible
+    and keeps every window, so each window of d_a has the ranks of the same
+    window of d_1, and so do the dimensions at S and S + 1.  The table and
+    every ``InvariantError`` name the point that was asked for.
     """
     delta, alpha = Fraction(delta), Fraction(alpha)
     lowest = lowest_grade(n_max)
@@ -400,29 +396,20 @@ def truncated_cohomology(
         )
     if not alpha:
         raise ValueError("the truncated route is for a nonzero shift")
-    bases, sizes = _windows(n_max, [S, S + 1])
+    table = DimTable(delta, alpha, n_max, S)
     at = f"at delta={format_rational(delta)}, alpha={format_rational(alpha)}"
-    ranks, relations = [], []
-    for n in range(n_max + 1):
-        got, relations, _ = rank(
-            matrix_d(n, bases[n], bases[n + 1], delta, alpha), sizes[n], relations,
-            _naming(bases[n], n, at),
-        )
-        ranks.append(got)
+    windows = [w for w, _ in _window_dims(delta, Fraction(1), n_max, [S, S + 1], at)]
 
     def dims(i: int, cutoff: str) -> dict[int, int]:
         return {
-            n: _dimension(
-                sizes[n][i], ranks[n][i], ranks[n - 1][i], f"degree {n}, cutoff {cutoff}, {at}"
-            )
-            for n in range(1, n_max + 1)
+            n: _dimension(w[i], f"degree {n}, cutoff {cutoff}, {at}")
+            for n, w in enumerate(windows, 1)
         }
 
     at_S, at_S1 = dims(0, f"S={S}"), dims(1, f"S+1={S + 1}")
-    return DimTable(
-        delta=delta, alpha=alpha, n_max=n_max, s_max=S,
-        totals=at_S, stable={n: at_S[n] == at_S1[n] for n in at_S},
-    )
+    table.totals.update(at_S)
+    table.stable.update((n, at_S[n] == at_S1[n]) for n in at_S)
+    return table
 
 
 def locate_classes(

@@ -354,11 +354,11 @@ def test_locate_outside_the_table_format_is_rejected_before_work(capsys, monkeyp
     "argv,message",
     [
         (["cohomology", "--delta", "1", "--nmax", "0"], "--nmax must be >= 1"),
-        (["cohomology", "--delta", "1", "--smax", "-1"], "--smax must be >= 0"),
+        (["cohomology", "--delta", "1", "--smax", "-2"], "--smax must be >= -1"),
         (["cohomology", "--delta", "1", "--alpha", "1", "--truncated", "8", "--nmax", "0"],
          "--nmax must be >= 1"),
         (["report", "--format", "json", "--nmax", "0"], "--nmax must be >= 1"),
-        (["report", "--format", "json", "--smax", "-1"], "--smax must be >= 0"),
+        (["report", "--format", "json", "--smax", "-2"], "--smax must be >= -1"),
         (["ddzero", "--smax", "-1"], "--smax must be >= 0"),
         (["ddzero", "--letters", "1"], "--letters must be >= 2"),
         (["ddzero", "--symbolic", "--smax", "-1"], "--smax must be >= 0"),
@@ -390,6 +390,20 @@ def test_bounds_a_route_does_not_read_are_not_checked(capsys, argv, head):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith(head)
+
+
+def test_graded_bound_is_the_lowest_grade_of_any_chain(capsys):
+    # grade -1 holds [0] and [1|0], the classes of H^1 and H^2 at D = 1
+    code, out, err = run(capsys, "cohomology", "--delta", "1", "--smax", "-1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "cohomology at delta=1, alpha=0 (n <= 4, s <= -1)\n"
+        "H^1 = 1   [s=-1: 1]\n"
+        "H^2 = 1   [s=-1: 1]\n"
+        "H^3 = 0\n"
+        "H^4 = 0\n"
+        "totals: 1,1,0,0\n"
+    )
 
 
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):

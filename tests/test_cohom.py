@@ -450,6 +450,20 @@ def test_shift_is_a_scale(seed):
     assert (at_a.totals, at_a.stable) == (at_1.totals, at_1.stable)
 
 
+def test_truncated_route_assembles_at_shift_one(monkeypatch):
+    # every nonzero shift is computed at a = 1; the table names the point asked for
+    real, shifts = cohom.matrix_d, []
+
+    def recording(n, source, target, delta, alpha):
+        shifts.append(alpha)
+        return real(n, source, target, delta, alpha)
+
+    monkeypatch.setattr(cohom, "matrix_d", recording)
+    table = truncated_cohomology(F(5, 2), F(2, 3), n_max=3, S=4)
+    assert len(shifts) == 4 and set(shifts) == {1}
+    assert (table.delta, table.alpha) == (F(5, 2), F(2, 3))
+
+
 def test_shift_scale_catches_one_unscaled_entry(monkeypatch):
     # mutant: the first a-free entry of every matrix is multiplied by a
     real = cohom.matrix_d
@@ -472,28 +486,32 @@ def test_shift_scale_catches_one_unscaled_entry(monkeypatch):
 # certified by d_n v = 0
 
 
-def cleared_ranks(delta, alpha, n_max, grades):
-    """Per degree: the prefix ranks ``rank`` gives with the relations of the
-    degree before, as the routes thread them, the dense window matrix, and
-    the number of relations handed in."""
-    bases, sizes = cohom._windows(n_max, grades)
-    out, relations = [], []
-    for n in range(n_max + 1):
-        m = matrix_d(n, bases[n], bases[n + 1], delta, alpha)
+def cleared_ranks(monkeypatch, route, *args):
+    """Per degree of one run of ``route``: the prefix ranks ``rank`` gives
+    with the relations the pass threads from the degree before, the dense
+    window matrix, the cuts, and the number of relations handed in."""
+    real, out = cohom.rank, []
+
+    def recording(m, cuts, relations, name):
         handed = list(relations)
-        ranks, relations, _ = rank(m, sizes[n], handed)
-        out.append((ranks, dense(m.entries, len(bases[n])), sizes[n], len(handed)))
+        ranks, *rest = real(m, cuts, handed, name)
+        out.append((ranks, dense(m.entries, cuts[-1]), cuts, len(handed)))
+        return ranks, *rest
+
+    monkeypatch.setattr(cohom, "rank", recording)
+    route(*args)
     return out
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("route", ["graded", "truncated"])
-def test_rank_with_clearing_matches_gaussian_oracle(seed, route):
+def test_rank_with_clearing_matches_gaussian_oracle(monkeypatch, seed, route):
     delta, alpha = shifted_point(seed)
     if route == "graded":
-        per_degree = cleared_ranks(delta, F(0), 4, list(range(-1, 5)))
+        per_degree = cleared_ranks(monkeypatch, cohomology_dims, delta, 4, 4)  # grades -1..4
     else:
-        per_degree = cleared_ranks(delta, alpha, 4, [4, 5])  # the cuts S and S + 1
+        # the cuts S = 4 and S + 1 = 5
+        per_degree = cleared_ranks(monkeypatch, truncated_cohomology, delta, alpha, 4, 4)
     for ranks, dense, cuts, _ in per_degree:
         assert ranks == [gauss_rank([r[:k] for r in dense])[0] if k else 0 for k in cuts]
     assert sum(cleared for *_, cleared in per_degree) > 0
@@ -772,19 +790,19 @@ def test_contraction_defect_is_reported_by_chain(monkeypatch, case):
 
 
 def test_csv_rows_format():
-    table = DimTable(
-        delta=F(5, 2), alpha=F(0), n_max=1, s_max=2,
-        by_grade={(1, -1): 0, (1, 0): 2}, totals={1: 2},
-    )
+    table = DimTable(delta=F(5, 2), alpha=F(0), n_max=1, s_max=2)
+    table.by_grade.update({(1, -1): 0, (1, 0): 2})
+    table.totals[1] = 2
+    assert table.graded
     assert cli.render_csv(table) == ["delta,alpha,n,s,dim", "5/2,0,1,-1,0", "5/2,0,1,0,2"]
 
-    trunc = DimTable(
-        delta=F(1), alpha=F(1), n_max=1, s_max=2,
-        totals={0: 0, 1: 3}, stable={0: True, 1: False},
-    )
+    trunc = DimTable(delta=F(1), alpha=F(1), n_max=1, s_max=2)
+    trunc.totals.update({0: 0, 1: 3})
+    trunc.stable.update({0: True, 1: False})
+    assert not trunc.graded
     assert cli.render_csv(trunc) == ["delta,alpha,n,s,dim", "1,1,0,,0", "1,1,1,,3"]
 
-    # tables built without by_grade or totals own fresh maps, never shared ones
+    # every table owns fresh maps, never shared ones: the routes fill them in place
     blank, other = (DimTable(delta=F(0), alpha=F(0), n_max=1, s_max=2) for _ in range(2))
     assert blank.by_grade == {} and blank.totals == {}
     assert blank.by_grade is not other.by_grade and blank.totals is not other.totals
