@@ -101,11 +101,8 @@ def located_tables(points):
 
 def relation_verdicts(bound: int):
     for defect in (True, False):
-        algebra.set_rule_defect(defect)
-        try:
+        with algebra.rule_defect(defect):
             report = algebra.verify_defining_relations(bound)
-        finally:
-            algebra.set_rule_defect(False)
         checked = (report.locality_checked, report.commutator_checked, report.overlaps_checked)
         yield defect, {"checked": checked, "violations": report.violations}
 
@@ -125,8 +122,7 @@ def main() -> None:
         ((c, anick.delta_generic(c).fractions()) for c in chains(6, 10)),
     ))
     print(line("reduce_bracket one-pair slots<=5", reduced_brackets(5)))
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         print(line(
             "compose_delta (defect) n<=5 grade<=6",
             ((c, anick.compose_delta(c)) for c in chains(5, 6, n_min=2)),
@@ -135,8 +131,6 @@ def main() -> None:
             "square_row (defect) degrees<=4 grade<=6",
             ((c, cochain.square_row(c)) for c in chains(6, 6, n_min=2)),
         ))
-    finally:
-        algebra.set_rule_defect(False)
     print(line(
         "reduced_row n<=5 grade<=8",
         ((c, cochain.reduced_row(c)) for c in chains(5, 8)),

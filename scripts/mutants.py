@@ -33,7 +33,10 @@ asserts compiled out.  The faults run one subprocess at a time.  The checks:
   FAIL line: a nonzero delta.delta, or a broken invariant of the bar
   reduction or of the rule table, named by its chain, bracket or rule;
 * ``gsb``: ``gsb --bound 3`` must exit 1 with a FAIL line naming the
-  defining relation or the rule that breaks.
+  defining relation or the rule that breaks;
+* ``clean_after_defect``: ``gsb --bound 3`` must exit 1 with a FAIL line
+  right after ``ddzero --letters 3 --smax 3 --inject-defect`` exits 1 in the
+  same interpreter: the planted defect outlives its scope.
 
 One line per fault says how it was caught; a fault that no check shows
 survives, and so does one whose check raises instead of naming it; then
@@ -165,8 +168,8 @@ FAULTS = {
     # one coefficient of each relation handed to the next degree is doubled
     "relation_entry_doubled": (
         "cohom.py",
-        "        return {last - key: x * (unit // scales[key]) for key, x in vec.items()}\n",
-        "        v = {last - key: x * (unit // scales[key]) for key, x in vec.items()}\n"
+        "        return {i: x * (unit // scales[i]) for i, x in vec.items()}\n",
+        "        v = {i: x * (unit // scales[i]) for i, x in vec.items()}\n"
         "        v[next(iter(v))] *= 2\n"
         "        return v\n",
         "relation_certificate",
@@ -174,8 +177,8 @@ FAULTS = {
     # the free columns of every elimination lose their first entry
     "free_column_lost": (
         "cohom.py",
-        "yield from (j for j in range(max(cuts, default=0)) if j not in taken)",
-        "yield from [j for j in range(max(cuts, default=0)) if j not in taken][1:]",
+        "[j for j in range(max(cuts, default=0)) if j not in taken],",
+        "[j for j in range(max(cuts, default=0)) if j not in taken][1:],",
         "located_count",
     ),
     # the cleared columns are counted among the free ones
@@ -269,6 +272,14 @@ FAULTS = {
         "rhs = [(w, c / 2 if len(w) == 1 else c) for w, c in rule_rhs(i, j)]",
         "ddzero_letters",
     ),
+    # the scope of --inject-defect no longer restores the true rule table
+    # on exit: the defect outlives the run that asked for it
+    "defect_outlives_its_scope": (
+        "algebra.py",
+        "        _use_rule(_true_rule_rhs)\n",
+        "        pass\n",
+        "clean_after_defect",
+    ),
 }
 
 ROW_CHECK = (
@@ -330,6 +341,13 @@ CHECKS = {
         cli_check(["ddzero", "--letters", "3", "--smax", "1"], 1, "FAIL"),
     ),
     "gsb": ("gsb --bound 3 exits 1", cli_check(["gsb", "--bound", "3"], 1, "FAIL")),
+    "clean_after_defect": (
+        "gsb --bound 3 exits 1 after ddzero --letters 3 --smax 3 --inject-defect",
+        "from virhoch.cli import main\n"
+        "if main(['ddzero', '--letters', '3', '--smax', '3', '--inject-defect']) != 1:\n"
+        "    raise SystemExit('the defect run passed')\n"
+        + cli_check(["gsb", "--bound", "3"], 1, "FAIL"),
+    ),
 }
 
 

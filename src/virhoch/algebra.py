@@ -47,7 +47,8 @@ out as Fractions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .scalars import RationalSum
@@ -126,7 +127,7 @@ def memo() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo made by ``memo()`` (the rule-defect hook)."""
+    """Empty every memo made by ``memo()`` (see ``rule_defect``)."""
     for table in _MEMOS:
         table.clear()
 
@@ -289,16 +290,25 @@ def verify_defining_relations(bound: int) -> RelationReport:
 
 
 # ---------------------------------------------------------------------------
-# negative-control hook: deliberately corrupt the second rule family so the
-# downstream consistency suites must fail.  ``ddzero --inject-defect``
-# (which ``scripts/check_engine.py`` runs), the tests and
-# ``scripts/digest.py`` switch it.
+# negative control: a scope in which a deliberately corrupted second rule
+# family is active, so the downstream consistency suites must fail.
+# ``ddzero --inject-defect`` (which ``scripts/check_engine.py`` runs), the
+# tests and ``scripts/digest.py`` enter it.
 
 _true_rule_rhs = rule_rhs
 
 
-def set_rule_defect(enabled: bool) -> None:
-    """Make the defective rule table active, or the true one.
+def _use_rule(rule: Callable[[int, int], list[tuple[Word, Fraction]]]) -> None:
+    global rule_rhs
+    if rule is not rule_rhs:
+        rule_rhs = rule
+        clear_caches()
+
+
+@contextmanager
+def rule_defect(enabled: bool = True) -> Iterator[None]:
+    """Make the defective rule table active, or the true one if not enabled,
+    for the block; the true one is active again after it, also on an exception.
 
     The rule table, normal forms, bar reduction, differentials, the closed
     row's pair constants and the reduced rows are memos made by ``memo()``,
@@ -308,12 +318,11 @@ def set_rule_defect(enabled: bool) -> None:
     every rule with i >= 2: the bar reduction meets it in every normal
     form, the closed rows in each pair's gamma.
     """
-    global rule_rhs
-    rule = _defective_rule_rhs if enabled else _true_rule_rhs
-    if rule is rule_rhs:
-        return
-    rule_rhs = rule
-    clear_caches()
+    _use_rule(_defective_rule_rhs if enabled else _true_rule_rhs)
+    try:
+        yield
+    finally:
+        _use_rule(_true_rule_rhs)
 
 
 def _defective_rule_rhs(i: int, j: int) -> list[tuple[Word, Fraction]]:

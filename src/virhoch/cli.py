@@ -217,20 +217,18 @@ def _ddzero_symbolic(degrees: int, s_max: int) -> int:
 
 
 def cmd_ddzero(args) -> int:
-    # each suite checks only the bounds it reads
-    if args.smax < 0:
-        raise UsageError("--smax must be >= 0")
+    # each suite checks only the bounds it reads; both start at 2-letter chains
+    lowest = anick.lowest_grade(2)
+    if args.smax < lowest:
+        raise UsageError(f"--smax must be >= {lowest}")
     if args.symbolic and args.degrees < 0:
         raise UsageError("--degrees must be >= 0")
     if not args.symbolic and args.letters < 2:
         raise UsageError("--letters must be >= 2")
-    algebra.set_rule_defect(args.inject_defect)
-    try:
+    with algebra.rule_defect(args.inject_defect):
         if args.symbolic:
             return _ddzero_symbolic(args.degrees, args.smax)
         return _ddzero_resolution(args.letters, args.smax)
-    finally:
-        algebra.set_rule_defect(False)
 
 
 def cmd_cohomology(args) -> int:

@@ -144,7 +144,7 @@ def pivot_columns(
     The vectors hold nonzero ints only: ``rank`` clears each row to
     integers once, as it turns the rows into int columns.  They are taken
     in the order given, and each is consumed: it may be changed in place and
-    kept in the result.  Each is reduced: while its leading (smallest) index
+    kept in the result.  Each is reduced: while its leading (largest) index
     is the pivot of an earlier vector, it becomes ``a * vec - b *
     pivot_vec``, with ``a, b`` the two leading entries over their gcd, and
     is divided by its content, so it stays primitive.  A vector that
@@ -160,7 +160,7 @@ def pivot_columns(
             g = gcd(*vec.values())
             if g > 1:
                 vec = {j: v // g for j, v in vec.items()}
-            lead = min(vec)
+            lead = max(vec)
             claimed = echelon.get(lead)
             if claimed is None:
                 echelon[lead] = (pos, vec)
@@ -180,15 +180,15 @@ def rank(
     cuts: Sequence[int],
     relations: Iterable[dict[int, int]] = (),
     name: Callable[[int], str] = "column {}".format,
-) -> tuple[list[int], Iterator[dict[int, int]], Iterator[int]]:
+) -> tuple[list[int], Iterator[dict[int, int]], list[int]]:
     """Rank of the first k columns of m for each k in cuts, m's relations, its free columns.
 
     Column reduction: the columns of m go to ``pivot_columns`` in basis
-    order, with the rows mirrored, i -> height - 1 - i, so that each pivot
-    sits at a column's last nonzero row.  A column claims a pivot exactly
-    when it is independent of the columns before it, so the rank of the
-    first k columns is the number of columns below k that claimed one.  Each
-    row is cleared to integers once, as it is turned into int columns:
+    order; it leads at the largest index, so each pivot sits at a column's
+    last nonzero row.  A column claims a pivot exactly when it is
+    independent of the columns before it, so the rank of the first k
+    columns is the number of columns below k that claimed one.  Each row is
+    cleared to integers once, as it is turned into int columns:
     scaling a row changes neither which columns depend on which nor whether
     m v = 0.  These columns are the int vectors the elimination takes.
 
@@ -207,15 +207,12 @@ def rank(
     relations that clear columns of the next differential.  A column that
     claims no pivot is the last nonzero of a vector of ker m, and a cleared
     one the last nonzero of a relation, so the free columns are the last
-    nonzeros of ker m that no relation has.  Both iterators are made as they
-    are read: the last degree's relations are never read, and the free
-    columns only on the graded route.
+    nonzeros of ker m that no relation has.  The relations are made as they
+    are read: the last degree's are never read.
     """
-    rows = m.entries
-    height = len(rows)
-    scales = []  # the row mirrored to k is multiplied by scales[k]
-    columns: dict[int, dict[int, int]] = {}  # column -> {mirrored row: int entry}
-    for key, row in enumerate(reversed(rows)):
+    scales = []  # row i is multiplied by scales[i]
+    columns: dict[int, dict[int, int]] = {}  # column -> {row: int entry}
+    for i, row in enumerate(m.entries):
         # a list, not a generator: star-calling a generator leaves a resized
         # tuple in the interpreter's tuple free lists on every call
         mult = lcm(*[v.denominator for v in row.values()])
@@ -225,15 +222,15 @@ def rank(
             col = columns.get(j)
             if col is None:
                 col = columns[j] = {}
-            col[key] = num * (mult // den)
+            col[i] = num * (mult // den)
     cleared = set()
     empty: dict[int, int] = {}
     for v in relations:
         image: dict[int, int] = {}
         get = image.get
         for j, x in v.items():
-            for key, y in columns.get(j, empty).items():
-                image[key] = get(key, 0) + x * y
+            for i, y in columns.get(j, empty).items():
+                image[i] = get(i, 0) + x * y
         p = max(v)
         if any(image.values()):
             raise InvariantError(f"d.d != 0 on the relation that clears {name(p)}")
@@ -244,21 +241,16 @@ def rank(
     # each column is handed over as it is fed, so one int copy of it is alive
     echelon = pivot_columns(columns.pop(j) for j in order)
     claimed = [order[pos] for pos, _ in echelon.values()]
-
-    last = height - 1
+    taken = cleared.union(claimed)
 
     def unscaled(vec: dict[int, int]) -> dict[int, int]:
-        unit = lcm(*[scales[key] for key in vec])
-        return {last - key: x * (unit // scales[key]) for key, x in vec.items()}
-
-    def free() -> Iterator[int]:
-        taken = cleared.union(claimed)
-        yield from (j for j in range(max(cuts, default=0)) if j not in taken)
+        unit = lcm(*[scales[i] for i in vec])
+        return {i: x * (unit // scales[i]) for i, x in vec.items()}
 
     return (
         [bisect_left(claimed, k) for k in cuts],
         (unscaled(v) for _, v in echelon.values()),
-        free(),
+        [j for j in range(max(cuts, default=0)) if j not in taken],
     )
 
 
@@ -304,15 +296,15 @@ def _dimension(dim: int, where: str) -> int:
 
 def _window_dims(
     delta: Rational, alpha: Rational, n_max: int, grades: list[int], at: str
-) -> Iterator[tuple[list[int], Iterator[Chain]]]:
+) -> Iterator[tuple[list[int], list[Chain]]]:
     """Per degree n = 1..n_max: size - rank_out - rank_in of each window, and the free chains.
 
     Window i holds the chains of grade <= grades[i], in increasing grades.
     Each d_n is assembled once over the last window, and ``rank`` reads
     every window off its column prefixes, cleared by the relations of
-    d_(n-1).  The free columns, as chains, cover all of the last window and
-    are made as they are read.  ``rank``'s errors name the cleared chain,
-    its degree and ``at``; each route checks the dimensions it reads.
+    d_(n-1).  The free columns, as chains, cover all of the last window.
+    ``rank``'s errors name the cleared chain, its degree and ``at``; each
+    route checks the dimensions it reads.
     """
     bases = [window_basis(n, grades[-1]) for n in range(n_max + 2)]
     ranks_in, relations = [0] * len(grades), ()
@@ -327,7 +319,7 @@ def _window_dims(
         if n:
             yield (
                 [k - r_out - r_in for k, r_out, r_in in zip(sizes, ranks_out, ranks_in)],
-                map(basis.__getitem__, free),
+                [basis[j] for j in free],
             )
         ranks_in = ranks_out
 
@@ -352,7 +344,6 @@ def cohomology_dims(delta: Rational, n_max: int = 4, s_max: int = 8) -> DimTable
     grades = list(range(lowest, s_max + 1))
     degrees = _window_dims(table.delta, table.alpha, n_max, grades, at)
     for n, (dims, free) in enumerate(degrees, 1):
-        free = list(free)
         found = Counter(map(grade, free))
         total = 0
         for s in range(lowest_grade(n), s_max + 1):

@@ -187,13 +187,10 @@ mixed_elems = st.lists(
 def test_normal_form_matches_fraction_sum(x, defect):
     # the same values, types and order as a sum of Fractions, for int and
     # Fraction coefficients, under the true rule and the planted defect
-    algebra.set_rule_defect(defect)
-    try:
+    with algebra.rule_defect(defect):
         got = normal_form(x)
         want = _reference_normal_form(x)
         vanishes = algebra._vanishes(x)
-    finally:
-        algebra.set_rule_defect(False)
     assert list(got.items()) == list(want.items())
     assert all(type(q) is Fraction for q in got.values())
     # the vanishing checks of ``gsb`` read the same sum without its Fractions
@@ -240,11 +237,8 @@ def _family_counts(violations):
 def test_relations_fail_under_the_planted_defect():
     # the negative control for ``gsb``: the perturbed second rule family
     # breaks every family of checks, and the verdicts are pinned
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         report = verify_defining_relations(10)
-    finally:
-        algebra.set_rule_defect(False)
     checked = (report.locality_checked, report.commutator_checked, report.overlaps_checked)
     assert checked == (88, 55, 900)
     assert _family_counts(report.violations) == [22, 18, 892]

@@ -362,16 +362,13 @@ def triple_loop_compose(c):
 def test_compose_delta_equals_triple_loop():
     # under the true rule both sums vanish; under the planted defect they do
     # not, so there they are compared term by term, in the same order
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         nonzero = 0
         for n in range(2, 6):
             for c in enumerate_chains(n, 6):
                 got = compose_delta(c)
                 assert list(got.items()) == list(triple_loop_compose(c).items()), c
                 nonzero += bool(got)
-    finally:
-        algebra.set_rule_defect(False)
     assert nonzero > 0
 
 
@@ -429,11 +426,9 @@ def test_rule_defect_round_trip_restores_values():
     chains = [c for n in range(1, 5) for c in enumerate_chains(n, 4)]
     before = {c: delta_generic(c).fractions() for c in chains}
     rows = {c: dict(cochain.reduced_row(c)) for c in chains}
-    algebra.set_rule_defect(True)
-    try:
+    with pytest.raises(LookupError), algebra.rule_defect():  # left by an exception
         assert any(delta_generic(c).fractions() != before[c] for c in chains)
-    finally:
-        algebra.set_rule_defect(False)
+        raise LookupError
     assert {c: delta_generic(c).fractions() for c in chains} == before
     assert {c: cochain.reduced_row(c) for c in chains} == rows
 
@@ -470,8 +465,7 @@ def test_memos_are_canonical_and_match_fraction_arithmetic(fresh_caches, defect,
     # after gsb and the bar-route rows of every chain in the window, every
     # memoized normal form and differential is canonical and holds the values
     # that Fraction arithmetic gives, under the true rule and the planted defect
-    algebra.set_rule_defect(defect)
-    try:
+    with algebra.rule_defect(defect):
         assert algebra.verify_defining_relations(10).ok == (not defect)
         chains = [c for n in range(1, n_max + 1) for c in enumerate_chains(n, s_max)]
         for c in chains:
@@ -513,8 +507,6 @@ def test_memos_are_canonical_and_match_fraction_arithmetic(fresh_caches, defect,
                     assert list(got.items()) == list(triple_loop_compose(c).items()), c
                     nonzero += bool(got)
             assert nonzero > 0
-    finally:
-        algebra.set_rule_defect(False)
 
 
 def test_bar_reduction_is_integral(fresh_caches):
@@ -536,14 +528,11 @@ def test_bar_reduction_is_integral(fresh_caches):
     assert count == 33_399
     # compose_delta is zero under the true rule; under the planted defect its
     # values are Fractions too
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         values = [
             q for n in range(2, 6) for c in enumerate_chains(n, 6)
             for q in compose_delta(c).values()
         ]
-    finally:
-        algebra.set_rule_defect(False)
     assert values and all(type(q) is Fraction for q in values)
 
 

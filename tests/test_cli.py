@@ -105,11 +105,8 @@ def test_gsb_small(capsys):
 def test_gsb_prints_one_violation_per_line(capsys):
     # under the planted defect every violation is listed: the first after
     # "FAIL: ", each later one on its own line under it
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         code, out, err = run(capsys, "gsb", "--bound", "3")
-    finally:
-        algebra.set_rule_defect(False)
     assert (code, out) == (1, "")
     first, *rest = err.splitlines()
     assert first == "FAIL: locality(3,0)" and len(rest) == 24
@@ -359,9 +356,9 @@ def test_locate_outside_the_table_format_is_rejected_before_work(capsys, monkeyp
          "--nmax must be >= 1"),
         (["report", "--format", "json", "--nmax", "0"], "--nmax must be >= 1"),
         (["report", "--format", "json", "--smax", "-2"], "--smax must be >= -1"),
-        (["ddzero", "--smax", "-1"], "--smax must be >= 0"),
+        (["ddzero", "--smax", "-2"], "--smax must be >= -1"),
         (["ddzero", "--letters", "1"], "--letters must be >= 2"),
-        (["ddzero", "--symbolic", "--smax", "-1"], "--smax must be >= 0"),
+        (["ddzero", "--symbolic", "--smax", "-2"], "--smax must be >= -1"),
         (["ddzero", "--symbolic", "--degrees", "-1"], "--degrees must be >= 0"),
     ],
     ids=["cohomology_nmax", "cohomology_smax", "truncated_nmax", "report_nmax", "report_smax",
@@ -404,6 +401,13 @@ def test_graded_bound_is_the_lowest_grade_of_any_chain(capsys):
         "H^4 = 0\n"
         "totals: 1,1,0,0\n"
     )
+
+
+def test_square_zero_bound_is_the_lowest_grade_of_a_two_letter_chain(capsys):
+    # both suites start at 2-letter chains; grade -1 holds one, [1|0]
+    for argv, head in [([], "delta.delta = 0"), (["--symbolic"], "d.d = 0 symbolically")]:
+        code, out, err = run(capsys, "ddzero", *argv, "--smax", "-1")
+        assert (code, err) == (0, "") and out.startswith(f"{head} on 1 chains "), argv
 
 
 def test_negative_dimension_is_a_check_failure(capsys, monkeypatch):

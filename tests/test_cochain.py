@@ -222,11 +222,8 @@ def test_interned_rows_equal_both_oracles_with_their_own_entries():
 
 
 def test_defect_round_trip_leaves_only_true_rule_entries():
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         defective = [reduced_row(c) for c in INTERN_CHAINS]
-    finally:
-        algebra.set_rule_defect(False)
     rows = [reduced_row(c) for c in INTERN_CHAINS]
     assert rows != defective
     # the defective rows are alive, so none of their ids can be reused
@@ -249,8 +246,7 @@ def test_square_row_matches_one_product_at_a_time():
     # under the planted defect d.d is nonzero; square_row sums each source
     # chain once, the accumulator adds one product at a time: equal values,
     # in whatever key order
-    algebra.set_rule_defect(True)
-    try:
+    with algebra.rule_defect():
         nonzero = 0
         for c in SQUARE_CHAINS:
             acc: dict = {}
@@ -259,8 +255,6 @@ def test_square_row_matches_one_product_at_a_time():
                     add_term(acc, src, outer * inner)
             assert square_row(c) == acc, c
             nonzero += bool(acc)
-    finally:
-        algebra.set_rule_defect(False)
     assert len(SQUARE_CHAINS) == 337
     assert nonzero > 0
 

@@ -43,6 +43,7 @@ PINNED = {
     "reducing it (",
     "rule_returns_its_pair": "exit 1: FAIL: rewrite v3.v0 -> v3.v0 does not decrease deg-lex",
     "gamma_plus_one": "exit 1: FAIL: locality(3,0) ",
+    "defect_outlives_its_scope": "exit 1: FAIL: locality(3,0) ",
     "rule_4_0_raises_the_filtration": "exit 1: FAIL: rewrite v4.v0 -> v0.v0.v4 raises the "
     "(weight, length) filtration",
     "rule_3_0_raises_the_filtration": "exit 1: FAIL: rewrite v3.v0 -> v0.v0.v3 raises the "
@@ -61,7 +62,7 @@ def test_every_planted_fault_is_caught_by_its_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
-    assert len(faults) == 30 and summary == "30 faults, 0 survived"
+    assert len(faults) == 31 and summary == "31 faults, 0 survived"
     by_name = {line.split()[0]: line for line in faults}
     for line in faults:
         assert "internal invariant violated" not in line and "Error('" not in line, line
