@@ -38,9 +38,11 @@ asserts compiled out.  The faults run one subprocess at a time.  The checks:
   right after ``ddzero --letters 3 --smax 3 --inject-defect`` exits 1 in the
   same interpreter: the planted defect outlives its scope.
 
-One line per fault says how it was caught; a fault that no check shows
-survives, and so does one whose check raises instead of naming it; then
-the exit is 1.  Stdlib only:
+Before any fault is planted, every fault's text is looked up in its file;
+a text that does not occur exactly once is named on one line each, and
+the exit is 1.  Then one line per fault says how it was caught; a fault
+that no check shows survives, and so does one whose check raises instead
+of naming it; then the exit is 1.  Stdlib only:
 
     python3 scripts/mutants.py
 """
@@ -60,8 +62,15 @@ N_MAX, S_MAX = 5, 8
 FAULTS = {
     "a_term_sign_flipped": (
         "cochain.py",
-        "add_term(nums, (m_plus, A_PART), scale * b)",
-        "add_term(nums, (m_plus, A_PART), -scale * b)",
+        "parts.setdefault(m_plus, [0, 0, 0])[A_PART] += scale * b",
+        "parts.setdefault(m_plus, [0, 0, 0])[A_PART] -= scale * b",
+        "bar_row",
+    ),
+    # each pair's constant at m- replaces what earlier pairs put there
+    "const_part_overwritten": (
+        "cochain.py",
+        "minus[CONST] += scale * (gamma",
+        "minus[CONST] = scale * (gamma",
         "bar_row",
     ),
     "denominator_k_plus_one": (
@@ -119,23 +128,39 @@ FAULTS = {
     # the peel of [1|0] with its sign flipped: one entry of one row
     "peel_sign_flipped": (
         "cochain.py",
-        "nums[((0,), D_PART)] = den",
-        "nums[((0,), D_PART)] = -den",
+        "parts[(0,)] = [0, den, 0]",
+        "parts[(0,)] = [0, -den, 0]",
         "ddzero_symbolic",
     ),
     # each pair's a term at m- instead of m+, one grade too low
     "a_part_at_m_minus": (
         "cochain.py",
-        "add_term(nums, (m_plus, A_PART), scale * b)",
-        "add_term(nums, (m_minus, A_PART), scale * b)",
+        "parts.setdefault(m_plus, [0, 0, 0])[A_PART] += scale * b",
+        "parts.setdefault(m_minus, [0, 0, 0])[A_PART] += scale * b",
         "ddzero_symbolic",
     ),
     # the peel of [1|0] at [1], one grade up
     "peel_one_grade_up": (
         "cochain.py",
-        "nums[((0,), D_PART)] = den",
-        "nums[((1,), D_PART)] = den",
+        "parts[(0,)] = [0, den, 0]",
+        "parts[(1,)] = [0, den, 0]",
         "ddzero_symbolic",
+    ),
+    # the oracle's denominator ignores those of the decremented chains, so
+    # their psi terms are scaled wrong
+    "bar_row_den_without_decrements": (
+        "cochain.py",
+        "den = lcm(own.den, *[delta.den for _, delta in downs])",
+        "den = own.den",
+        "bar_row",
+    ),
+    # entries with only an a part are left out of every row: the a term of
+    # [0], the one entry of its row, among them
+    "a_only_entry_dropped": (
+        "cochain.py",
+        "        if n0 or nd or na:\n",
+        "        if n0 or nd:\n",
+        "contraction",
     ),
     # a product of row entries loses its denominator
     "product_denominator_dropped": (
@@ -351,14 +376,24 @@ CHECKS = {
 }
 
 
+def source(target: str) -> str:
+    return (ROOT / "src" / "virhoch" / target).read_text()
+
+
+def stale_anchors() -> list[str]:
+    """One line for each fault whose text does not occur exactly once in its file."""
+    lines = []
+    for name, (target, old, _, _) in FAULTS.items():
+        count = source(target).count(old)
+        if count != 1:
+            lines.append(f"fault {name}: its text occurs {count} times in {target}, not once")
+    return lines
+
+
 def edited(name: str) -> str:
     """The source of the fault's file with the fault ``name`` planted."""
     target, old, new, _ = FAULTS[name]
-    text = (ROOT / "src" / "virhoch" / target).read_text()
-    count = text.count(old)
-    if count != 1:
-        raise ValueError(f"fault {name}: its text occurs {count} times in {target}, not once")
-    return text.replace(old, new)
+    return source(target).replace(old, new)
 
 
 def caught(name: str, tmp: Path) -> str:
@@ -377,6 +412,10 @@ def caught(name: str, tmp: Path) -> str:
 
 
 def main() -> int:
+    stale = stale_anchors()
+    if stale:
+        print("\n".join(stale))
+        return 1
     survivors, width = 0, max(map(len, FAULTS))
     with tempfile.TemporaryDirectory() as tmp:
         for name, (target, _, _, check) in FAULTS.items():

@@ -18,22 +18,23 @@ and all three agree on every chain:
 
 * ``reduced_row`` is the production path, the one the rank computations
   and ``square_row`` consume.  ``row_parts`` evaluates the closed row below
-  over ints: the constant, D and a parts as int numerators over one
-  denominator, the lcm of K over the pairs, reading each pair's three rule
-  coefficients from the active rule table (``pair_constants``).  No normal
-  form and no bar reduction is computed.  An entry that breaks the grade
-  split raises ``anick.InvariantError`` naming the chain; this is the one
-  check of the split, once per row, and ``cohom.matrix_d`` relies on it.
+  over ints: for each source chain, the int numerators of its constant, D
+  and a parts, ``[n0, nd, na]``, over one denominator, the lcm of K over
+  the pairs, reading each pair's three rule coefficients from the active
+  rule table (``pair_constants``).  No normal form and no bar reduction is
+  computed.  An entry that breaks the grade split raises
+  ``anick.InvariantError`` naming the chain; this is the one check of the
+  split, once per row, and ``cohom.matrix_d`` relies on it.
   Rows are memoized while the rule table stays the same, and so are their
   entries: each distinct affine value is one ``ParamPoly``, interned by its
   canonical ints, so equal entries of any two rows are one object and
   ``matrix_d`` specializes each of them once per matrix.
 
 * ``bar_row`` is the first oracle: it reads c0 and psi straight off the int
-  numerators of ``anick.delta_generic``, the bar reduction, with the same
-  grade-split check.  It builds its own entries with ``ParamPoly.affine``
-  and never reads the intern table, so a wrong intern key shows as a
-  difference between the two.
+  numerators of ``anick.delta_generic``, the bar reduction, into the same
+  per-source triples, with the same grade-split check.  It builds its own
+  entries with ``ParamPoly.affine`` and never reads the intern table, so a
+  wrong intern key shows as a difference between the two.
 
 * ``action_row`` is the second oracle: it applies ``confmod.act_word`` to
   the generator for every term and takes the u and ∂u coefficients of the
@@ -113,7 +114,7 @@ from math import gcd, lcm
 from .algebra import checked_rule, memo, word_to_text
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
-from .scalars import ParamPoly, RationalSum, add_term
+from .scalars import ParamPoly, add_term
 
 
 def _decrements(c: Chain):
@@ -125,7 +126,9 @@ def _decrements(c: Chain):
 # (d phi)(c) = sum over source chains c' of row[c'] * phi(c')
 Row = dict[Chain, ParamPoly]
 
-# parts of a row entry, the keys' second item in ``row_parts`` and ``bar_row``
+# a row's int form: source chain -> numerators [n0, nd, na] of its entry
+# (n0 + nd*D + na*a) / den, one denominator for the row
+Parts = dict[Chain, list[int]]
 CONST, D_PART, A_PART = 0, 1, 2
 
 _RED_ROWS: dict[Chain, Row] = memo()
@@ -164,25 +167,25 @@ def pair_constants(x: int, y: int) -> tuple[int, int, int, int]:
     return got
 
 
-def row_parts(c: Chain) -> RationalSum:
-    """The closed row of c: int numerators keyed by (source chain, part) over one denominator.
+def row_parts(c: Chain) -> tuple[Parts, int]:
+    """The closed row of c over ints: ({source chain: [n0, nd, na]}, den).
 
     The formula and its derivation are in the module docstring; the
-    denominator is the lcm of K over the pairs, and the parts are
-    ``CONST``, ``D_PART`` and ``A_PART``.
+    denominator is the lcm of K over the pairs, and a triple's items are
+    indexed by ``CONST``, ``D_PART`` and ``A_PART``; a triple may be zeros.
     """
     n = len(c)
     if n == 1:
         if c[0] == 0:
-            return RationalSum({((), A_PART): 1})
+            return {(): [0, 0, 1]}, 1
         if c[0] == 1:
-            return RationalSum({((), D_PART): 1, ((), CONST): -1})
-        return RationalSum()
+            return {(): [-1, 1, 0]}, 1
+        return {}, 1
     pairs = [pair_constants(c[i], c[i + 1]) for i in range(n - 1)]
     den = lcm(*[p[3] for p in pairs])  # a list, as in ParamPoly.sum_of
-    nums: dict[tuple[Chain, int], int] = {}
+    parts: Parts = {}
     if c[0] == 1:  # c = (1, 0): the peel v(1) [0]
-        nums[((0,), D_PART)] = den
+        parts[(0,)] = [0, den, 0]
     tail = n - 3 if c[-2:] == (1, 0) else n  # the pairs from here on have no sigma term
     earlier = 0  # sum of (letter - 1) over the letters before the pair
     for i in range(n - 1):
@@ -192,20 +195,20 @@ def row_parts(c: Chain) -> RationalSum:
         head, rest = c[:i], c[i + 2 :]
         m_minus = head + (x + y - 1,) + rest
         sigma = 0 if i >= tail else x * y - x - y
-        add_term(nums, (m_minus, CONST), scale * (gamma + alpha * earlier + sigma * d))
-        if alpha:
-            add_term(nums, (m_minus, D_PART), scale * alpha)
+        minus = parts.setdefault(m_minus, [0, 0, 0])
+        minus[CONST] += scale * (gamma + alpha * earlier + sigma * d)
+        minus[D_PART] += scale * alpha
         if b:
             m_plus = head + (x + y,) + rest
-            add_term(nums, (m_plus, A_PART), scale * b)
+            parts.setdefault(m_plus, [0, 0, 0])[A_PART] += scale * b
             for t in range(i + 1, n - 1):
                 letter = m_plus[t]
                 if letter:
                     dec = m_plus[:t] + (letter - 1,) + m_plus[t + 1 :]
                     if is_chain(dec):
-                        add_term(nums, (dec, CONST), -scale * b * letter)
+                        parts.setdefault(dec, [0, 0, 0])[CONST] -= scale * b * letter
         earlier += x - 1
-    return RationalSum(nums, den)
+    return parts, den
 
 
 def _interned(n0: int, nd: int, na: int, den: int) -> ParamPoly:
@@ -223,32 +226,26 @@ def _interned(n0: int, nd: int, na: int, den: int) -> ParamPoly:
     return val
 
 
-def _row(c: Chain, parts: RationalSum, entry: Callable[..., ParamPoly]) -> Row:
-    """The row of c from its parts, after checking the grade split on them.
+def _row(c: Chain, parts: Parts, den: int, entry: Callable[..., ParamPoly]) -> Row:
+    """The row of c from its int triples over den, checking the grade split.
 
-    The constant and D parts sit where source and target grades agree, the
-    a part where the source grade exceeds the target's by one; that
-    decomposition is what makes the a = 0 complex split by grade.  A
-    violation raises ``InvariantError`` naming the chain and the entry.
-    Each entry is emitted once, as ``entry(n0, nd, na, den)`` over the
-    parts' denominator (``ParamPoly.affine`` or ``_interned``), in the order
-    in which its source first occurs in the parts.
+    Triples of zeros are skipped.  The constant and D parts sit where
+    source and target grades agree, the a part where the source grade
+    exceeds the target's by one; that decomposition is what makes the a = 0
+    complex split by grade.  A violation raises ``InvariantError`` naming
+    the chain and the entry.  Each entry is ``entry(n0, nd, na, den)``
+    (``ParamPoly.affine`` or ``_interned``), in the order of the triples.
     """
-    entries: dict[Chain, list[int]] = {}
-    for (cp, part), n in parts.nums.items():
-        got = entries.get(cp)
-        if got is None:
-            got = entries[cp] = [0, 0, 0]
-        got[part] = n
-    s, den = grade(c), parts.den
+    s = grade(c)
     row: Row = {}
-    for cp, (n0, nd, na) in entries.items():
-        val = row[cp] = entry(n0, nd, na, den)
-        up = grade(cp) - s
-        if (n0 or nd) and up != 0 or na and up != 1:
-            raise InvariantError(
-                f"row of {chain_to_text(c)} breaks the grade split at {chain_to_text(cp)}: {val}"
-            )
+    for cp, (n0, nd, na) in parts.items():
+        if n0 or nd or na:
+            val = row[cp] = entry(n0, nd, na, den)
+            up = grade(cp) - s
+            if (n0 or nd) and up != 0 or na and up != 1:
+                raise InvariantError(
+                    f"row of {chain_to_text(c)} breaks the grade split at {chain_to_text(cp)}: {val}"
+                )
     return row
 
 
@@ -263,39 +260,40 @@ def reduced_row(c: Chain) -> Row:
     if row is None:
         if not c or not is_chain(c):
             raise ValueError(f"{c} is not a nonempty chain")
-        row = _RED_ROWS[c] = _row(c, row_parts(c), _interned)
+        row = _RED_ROWS[c] = _row(c, *row_parts(c), _interned)
     return row
+
+
+# a term's part by its word; other words act on the generator as 0
+_WORD_PART = {(): CONST, (0,): A_PART, (1,): D_PART}
 
 
 def bar_row(c: Chain) -> Row:
     """The row of c read off the bar reduction: the first oracle of ``reduced_row``.
 
     One pass over the int numerators of ``delta_generic(c)`` and of the
-    chains ``down`` with one letter decremented sums the three parts in one
-    ``RationalSum``: the constant part (the raw c0 terms, whose word is
-    empty, and -letter times the psi terms of each ``down``, the v(0) terms
-    of ``delta_generic(down)``), the D part (the v(1) terms of c) and the a
-    part (the v(0) terms of c).  Letters >= 2 annihilate the generator.
+    chains ``down`` with one letter decremented fills the triples of
+    ``row_parts`` over the lcm of their denominators: the constant part
+    (the raw c0 terms, whose word is empty, and -letter times the psi terms
+    of each ``down``, the v(0) terms of ``delta_generic(down)``), the D part
+    (the v(1) terms of c) and the a part (the v(0) terms of c).
     """
-    acc = RationalSum()
-    delta = delta_generic(c)
-    den = delta.den
-    for (cp, lam), n in delta.nums.items():
-        if lam == ():
-            acc.add((cp, CONST), n, den)
-        elif lam == (0,):
-            acc.add((cp, A_PART), n, den)
-        elif lam == (1,):
-            acc.add((cp, D_PART), n, den)
-    for mult, down in _decrements(c):
-        if is_chain(down):
-            delta = delta_generic(down)
-            den = delta.den
-            for (cp, lam), n in delta.nums.items():
-                if lam == (0,):
-                    acc.add((cp, CONST), -mult * n, den)
+    own = delta_generic(c)
+    downs = [(mult, delta_generic(down)) for mult, down in _decrements(c) if is_chain(down)]
+    den = lcm(own.den, *[delta.den for _, delta in downs])
+    parts: Parts = {}
+    scale = den // own.den
+    for (cp, lam), n in own.nums.items():
+        part = _WORD_PART.get(lam)
+        if part is not None:
+            parts.setdefault(cp, [0, 0, 0])[part] += scale * n
+    for mult, delta in downs:
+        scale = den // delta.den
+        for (cp, lam), n in delta.nums.items():
+            if lam == (0,):
+                parts.setdefault(cp, [0, 0, 0])[CONST] -= scale * mult * n
     # the oracle's own entries: the intern table of ``reduced_row`` is not read
-    return _row(c, acc, ParamPoly.affine)
+    return _row(c, parts, den, ParamPoly.affine)
 
 
 def square_row(c: Chain) -> Row:

@@ -16,9 +16,9 @@ commutative-polynomial layer with rational coefficients in the two
 parameters; it exists so that differentials can be assembled once,
 symbolically, and then specialized at many parameter points.
 
-Sums of many rational products (normal forms, the resolution differential,
-its square and the reduced rows) are accumulated over ints: ``RationalSum``
-keeps int numerators over one common denominator.  It is also the value
+Sums of many rational products (normal forms, the resolution differential
+and its square) are accumulated over ints: ``RationalSum`` keeps int
+numerators over one common denominator.  It is also the value
 type of the memoized normal forms (``algebra.nf_word``) and differentials
 (``anick.delta_generic``), held in the canonical form ``ParamPoly`` uses, so
 their readers work in ``int`` throughout; ``fractions()`` makes one

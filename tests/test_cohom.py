@@ -23,7 +23,7 @@ from virhoch.cohom import (
     truncated_cohomology,
     window_basis,
 )
-from virhoch.scalars import A, ParamPoly, RationalSum
+from virhoch.scalars import A, ParamPoly
 
 F = Fraction
 
@@ -589,8 +589,8 @@ def test_negative_dimension_at_next_cutoff_is_reported(monkeypatch):
 
 
 # Terms (source chain, part) planted in the closed row of the target [3|0],
-# grade 1: part 0 is the constant part of its row, part 2 the a part.  [2]
-# has grade 1, [3] grade 2, [5] grade 4.
+# grade 1: the part indexes the source's int triple [n0, nd, na].  [2] has
+# grade 1, [3] grade 2, [5] grade 4.
 OFF_GRADE = {
     "two_grades_up": ((5,), cochain.CONST),
     "a_free_one_up": ((3,), cochain.CONST),
@@ -618,13 +618,16 @@ def fresh_rows():
 
 @pytest.mark.parametrize("case", list(OFF_GRADE))
 def test_window_rejects_entry_off_the_grade_split(monkeypatch, fresh_rows, case):
-    # ``cochain.row_parts`` with ``term`` planted, coefficient 1, in the parts of [3|0]
+    # ``cochain.row_parts`` with ``term`` planted, coefficient 1, in the triples of [3|0]
     term = OFF_GRADE[case]
     real = cochain.row_parts
 
     def planted(c):
-        v = real(c)
-        return RationalSum({**v.nums, term: v.den}, v.den) if c == (3, 0) else v
+        parts, den = real(c)
+        if c == (3, 0):
+            source, part = term
+            parts.setdefault(source, [0, 0, 0])[part] += den
+        return parts, den
 
     monkeypatch.setattr(cochain, "row_parts", planted)
     message = f"row of [3|0] breaks the grade split at {chain_to_text(term[0])}: "

@@ -6,14 +6,21 @@ started with ``-O``; its docstring lists the checks.  Each fault of the
 closed row must be named by the first chain where ``reduced_row`` and
 ``bar_row`` differ, and the failure of every other fault is pinned below.
 Every check that exits 1 prints ``FAIL: <message>``, the one failure line
-of ``cli.main``.
+of ``cli.main``.  A fault whose text no longer occurs exactly once in its
+file is named before any fault is planted.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+mutants = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mutants)
 
 # fault -> the text its line must hold after "caught at "
 PINNED = {
@@ -24,6 +31,9 @@ PINNED = {
     "'4': 0} differ from expected {'1': 2, '2': 1, '3': 0, '4': 0}",
     "intern_key_drops_den": "[",
     "pair_gamma_plus_one": "[1|0] ",
+    "const_part_overwritten": "[2|1|0] ",
+    "bar_row_den_without_decrements": "[2|3] ",
+    "a_only_entry_dropped": "[0], [1|0], ",
     "relation_entry_doubled": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "one_value_for_every_entry": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "free_column_lost": "exit 1: FAIL: 0 classes located in degree 1, grade -1 for "
@@ -62,7 +72,7 @@ def test_every_planted_fault_is_caught_by_its_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
-    assert len(faults) == 31 and summary == "31 faults, 0 survived"
+    assert len(faults) == 34 and summary == "34 faults, 0 survived"
     by_name = {line.split()[0]: line for line in faults}
     for line in faults:
         assert "internal invariant violated" not in line and "Error('" not in line, line
@@ -73,3 +83,14 @@ def test_every_planted_fault_is_caught_by_its_check():
             assert " caught at [" in line, line
     for name, text in PINNED.items():
         assert f" caught at {text}" in by_name[name], by_name[name]
+
+
+def test_stale_anchors_are_named_before_any_fault_is_planted(monkeypatch, capsys):
+    assert mutants.stale_anchors() == []
+    stale = ("cochain.py", "no such text", "", "bar_row")
+    monkeypatch.setitem(mutants.FAULTS, "text_gone", stale)
+    monkeypatch.setattr(mutants, "caught", lambda name, tmp: pytest.fail(f"{name} was planted"))
+    assert mutants.main() == 1
+    assert capsys.readouterr().out == (
+        "fault text_gone: its text occurs 0 times in cochain.py, not once\n"
+    )
