@@ -21,7 +21,8 @@ asserts compiled out.  The faults run one subprocess at a time.  The checks:
 * ``located_count``: ``cohomology --delta 1`` must exit 1 with the failure
   of the per-block class count, which names the degree and the grade;
 * ``contraction``: ``cohom.contraction_defects(5, 8)`` must name the chain
-  [0], whose row breaks the coboundary witness;
+  [0], whose row breaks the coboundary witness; the line gives [0], the
+  number of chains named and the first four of them;
 * ``truncated``: ``cohom.truncated_cohomology(0, 2, n_max=2, S=-1)`` must
   give other totals or flags than {1: 0, 2: 0} and {1: True, 2: False}: a
   point whose cutoffs S and S + 1 differ, unlike every bundled one;
@@ -29,6 +30,10 @@ asserts compiled out.  The faults run one subprocess at a time.  The checks:
   1 with a FAIL line: a nonzero entry of the symbolic d.d, named by its
   chain and source, or a row that breaks the grade split, named by its
   chain;
+* ``ddzero_symbolic_defect``: ``ddzero --symbolic --degrees 2 --smax 3
+  --inject-defect`` must exit 1 with a FAIL line, since the planted rule
+  defect breaks d.d = 0; the fault is caught when that run exits 0, as a
+  fault that zeroes the square does;
 * ``ddzero_letters``: ``ddzero --letters 3 --smax 1`` must exit 1 with a
   FAIL line: a nonzero delta.delta, or a broken invariant of the bar
   reduction or of the rule table, named by its chain, bracket or rule;
@@ -161,6 +166,22 @@ FAULTS = {
         "        if n0 or nd or na:\n",
         "        if n0 or nd:\n",
         "contraction",
+    ),
+    # the square's product table looks a product up by its left factor's id
+    # alone: the first product of an entry stands for all its others
+    "product_by_left_factor_only": (
+        "cochain.py",
+        "product = by_right.get(id(v2))",
+        "product = next(iter(by_right.values()), None)",
+        "ddzero_symbolic",
+    ),
+    # every product the square's table stores is zero: d.d reads 0 on every
+    # chain, and only the planted rule defect shows it
+    "stored_products_zeroed": (
+        "cochain.py",
+        "product = by_right[id(v2)] = v1 * v2",
+        "product = by_right[id(v2)] = v1 * v2 * 0",
+        "ddzero_symbolic_defect",
     ),
     # a product of row entries loses its denominator
     "product_denominator_dropped": (
@@ -348,7 +369,8 @@ CHECKS = {
         "from virhoch import cohom\n"
         "from virhoch.anick import chain_to_text\n"
         "defects = cohom.contraction_defects(5, 8)\n"
-        "print(', '.join(map(chain_to_text, defects)) if (0,) in defects else None)\n",
+        "shown = ', '.join(map(chain_to_text, defects[:4])) + (', ...' if len(defects) > 4 else '')\n"
+        "print(f'[0] among {len(defects)}: {shown}' if (0,) in defects else None)\n",
     ),
     "truncated": (
         "truncated_cohomology(0, 2, n_max=2, S=-1)",
@@ -360,6 +382,14 @@ CHECKS = {
     "ddzero_symbolic": (
         "ddzero --symbolic --degrees 2 --smax 3 exits 1",
         cli_check(["ddzero", "--symbolic", "--degrees", "2", "--smax", "3"], 1, "FAIL"),
+    ),
+    "ddzero_symbolic_defect": (
+        "ddzero --symbolic --degrees 2 --smax 3 --inject-defect exits 0",
+        cli_check(
+            ["ddzero", "--symbolic", "--degrees", "2", "--smax", "3", "--inject-defect"],
+            0,
+            "d.d = 0",
+        ),
     ),
     "ddzero_letters": (
         "ddzero --letters 3 --smax 1 exits 1",

@@ -198,17 +198,16 @@ def _ddzero_resolution(letters: int, s_max: int) -> int:
 
 
 def _ddzero_symbolic(degrees: int, s_max: int) -> int:
+    chains = (c for n in range(degrees + 1) for c in anick.enumerate_chains(n + 2, s_max))
     checked = 0
-    for n in range(0, degrees + 1):
-        for c in anick.enumerate_chains(n + 2, s_max):
-            square = cochain.square_row(c)
-            if square:
-                src = min(square)
-                raise algebra.InvariantError(
-                    f"d.d at {anick.chain_to_text(c)} -> "
-                    f"{anick.chain_to_text(src)}: {square[src]}"
-                )
-            checked += 1
+    for c, square in cochain.square_rows(chains):  # lazily: the first failing chain stops it
+        if square:
+            src = min(square)
+            raise algebra.InvariantError(
+                f"d.d at {anick.chain_to_text(c)} -> "
+                f"{anick.chain_to_text(src)}: {square[src]}"
+            )
+        checked += 1
     print(
         f"d.d = 0 symbolically on {checked} chains "
         f"(cochain degrees 0..{degrees}, grade <= {s_max})"

@@ -17,7 +17,7 @@ here returns that map as a ``Row``, sigma(c) = sum over c' of row[c'] phi(c'),
 and all three agree on every chain:
 
 * ``reduced_row`` is the production path, the one the rank computations
-  and ``square_row`` consume.  ``row_parts`` evaluates the closed row below
+  and ``square_rows`` consume.  ``row_parts`` evaluates the closed row below
   over ints: for each source chain, the int numerators of its constant, D
   and a parts, ``[n0, nd, na]``, over one denominator, the lcm of K over
   the pairs, reading each pair's three rule coefficients from the active
@@ -28,7 +28,11 @@ and all three agree on every chain:
   Rows are memoized while the rule table stays the same, and so are their
   entries: each distinct affine value is one ``ParamPoly``, interned by its
   canonical ints, so equal entries of any two rows are one object and
-  ``matrix_d`` specializes each of them once per matrix.
+  ``matrix_d`` specializes each of them once per matrix.  For the same
+  reason ``square_rows``, the square of the differential that ``ddzero
+  --symbolic`` checks, multiplies each distinct pair of entry objects once
+  per run: a product table keyed on the two ids, which lives only as long
+  as the run and holds every row it reads, so no id it keys on is reused.
 
 * ``bar_row`` is the first oracle: it reads c0 and psi straight off the int
   numerators of ``anick.delta_generic``, the bar reduction, into the same
@@ -108,7 +112,8 @@ x >= 2, so enters every row through one constant per pair.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator
 from math import gcd, lcm
 
 from .algebra import checked_rule, memo, word_to_text
@@ -296,19 +301,51 @@ def bar_row(c: Chain) -> Row:
     return _row(c, parts, den, ParamPoly.affine)
 
 
-def square_row(c: Chain) -> Row:
-    """Row of the square of the reduced differential at chain c; empty when d∘d = 0.
+def square_rows(chains: Iterable[Chain]) -> Iterator[tuple[Chain, Row]]:
+    """(c, row of the square of the reduced differential at c) for each chain, in order.
 
-    The entry at each source chain is the sum over middle chains of
-    reduced_row(c)[mid] * reduced_row(mid)[src], added once with
-    ``ParamPoly.sum_of``; zero sums are dropped.
+    A row is empty when d∘d = 0 at its chain.  The entry at each source
+    chain is the sum over middle chains of reduced_row(c)[mid] *
+    reduced_row(mid)[src], added once with ``ParamPoly.sum_of``; zero sums
+    are dropped.  The chains share one product table: equal entries of
+    different rows are one object, so the same pairs of entry objects recur
+    from chain to chain, and each distinct pair is multiplied once, with
+    ``ParamPoly.__mul__``.  The table and the rows read live as long as the
+    generator, one run, and no longer.  The table keys on the ids of the two
+    entries, so it holds every row it reads, and with it every entry whose
+    id it uses: no such id can be reused during the run, and rows whose
+    entries are not interned stay correct.  Each row is read once per run.
     """
-    products: dict[Chain, list[ParamPoly]] = {}
-    for mid, v1 in reduced_row(c).items():
-        for src, v2 in reduced_row(mid).items():
-            products.setdefault(src, []).append(v1 * v2)
-    sums = ((src, ParamPoly.sum_of(terms)) for src, terms in products.items())
-    return {src: total for src, total in sums if total}
+    rows: dict[Chain, Row] = {}  # every row read, alive for the run
+    products: dict[int, dict[int, ParamPoly]] = {}  # id(v1) -> {id(v2): v1 * v2}
+
+    def row_of(c: Chain) -> Row:
+        row = rows.get(c)
+        if row is None:
+            row = rows[c] = reduced_row(c)
+        return row
+
+    for c in chains:
+        terms: defaultdict[Chain, list[ParamPoly]] = defaultdict(list)
+        for mid, v1 in row_of(c).items():
+            by_right = products.setdefault(id(v1), {})
+            for src, v2 in row_of(mid).items():
+                product = by_right.get(id(v2))
+                if product is None:
+                    product = by_right[id(v2)] = v1 * v2
+                terms[src].append(product)
+        square: Row = {}
+        for src, polys in terms.items():
+            total = ParamPoly.sum_of(polys)
+            if total:
+                square[src] = total
+        yield c, square
+
+
+def square_row(c: Chain) -> Row:
+    """Row of the square of the reduced differential at chain c: ``square_rows`` of c alone."""
+    [(_, square)] = square_rows([c])
+    return square
 
 
 def action_row(c: Chain) -> Row:

@@ -184,10 +184,13 @@ class ParamPoly:
         """
         if 0 in nums.values():
             nums = {k: n for k, n in nums.items() if n}
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: n // g for k, n in nums.items()}
-            den //= g
+        if not nums:  # zero, over 1: most sums of the square of d cancel
+            den = 1
+        else:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: n // g for k, n in nums.items()}
+                den //= g
         poly = object.__new__(cls)
         poly._nums = nums
         poly._den = den

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from virhoch import algebra, cochain
 from virhoch.anick import InvariantError, enumerate_chains, grade, is_chain
-from virhoch.cochain import action_row, bar_row, reduced_row, square_row
+from virhoch.cochain import action_row, bar_row, reduced_row, square_row, square_rows
 from virhoch.confmod import ModElem
 from virhoch.scalars import A, D, ParamPoly, add_term
 
@@ -257,6 +257,58 @@ def test_square_row_matches_one_product_at_a_time():
             nonzero += bool(acc)
     assert len(SQUARE_CHAINS) == 337
     assert nonzero > 0
+
+
+def test_square_rows_multiply_each_distinct_pair_of_entries_once(monkeypatch):
+    calls = []  # the (left, right) factors of every product
+    real_mul = ParamPoly.__mul__
+
+    def mul(left, right):
+        calls.append((left, right))
+        return real_mul(left, right)
+
+    pairs = {
+        (id(outer), id(inner))
+        for c in SQUARE_CHAINS
+        for mid, outer in reduced_row(c).items()
+        for inner in reduced_row(mid).values()
+    }
+    terms = sum(len(reduced_row(mid)) for c in SQUARE_CHAINS for mid in reduced_row(c))
+    assert len(pairs) < terms / 3
+    monkeypatch.setattr(ParamPoly, "__mul__", mul)
+    for _ in range(2):  # once per run, not once per process
+        calls.clear()
+        assert all(square == {} for _, square in square_rows(SQUARE_CHAINS))
+        assert len(calls) == len(pairs)
+        assert {(id(left), id(right)) for left, right in calls} == pairs
+
+
+def test_square_rows_equal_square_row_chain_by_chain():
+    # under the planted defect the squares are nonzero: the shared table
+    # gives the values and the key order of one chain at a time
+    with algebra.rule_defect():
+        shared = list(square_rows(SQUARE_CHAINS))
+        assert [c for c, _ in shared] == SQUARE_CHAINS
+        for c, square in shared:
+            assert list(square.items()) == list(square_row(c).items()), c
+        assert any(square for _, square in shared)
+
+
+def test_square_rows_stay_correct_on_rows_that_are_not_interned(monkeypatch):
+    # bar_row builds fresh entries on every call, and a row nobody holds is
+    # freed at once: the ids the table keys on stay taken only while it
+    # holds the rows they came from
+    with algebra.rule_defect():
+        expected = {}
+        for c in SQUARE_CHAINS:
+            acc: dict = {}
+            for mid, outer in bar_row(c).items():
+                for src, inner in bar_row(mid).items():
+                    add_term(acc, src, outer * inner)
+            expected[c] = acc
+        monkeypatch.setattr(cochain, "reduced_row", bar_row)
+        assert dict(square_rows(SQUARE_CHAINS)) == expected
+        assert any(expected.values())
 
 
 def test_square_row_is_empty_under_the_true_rule():

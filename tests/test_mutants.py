@@ -33,7 +33,7 @@ PINNED = {
     "pair_gamma_plus_one": "[1|0] ",
     "const_part_overwritten": "[2|1|0] ",
     "bar_row_den_without_decrements": "[2|3] ",
-    "a_only_entry_dropped": "[0], [1|0], ",
+    "a_only_entry_dropped": "[0] among 386: [0], [1|0], [2|0], [3|0], ... ",
     "relation_entry_doubled": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "one_value_for_every_entry": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "free_column_lost": "exit 1: FAIL: 0 classes located in degree 1, grade -1 for "
@@ -43,10 +43,12 @@ PINNED = {
     "piece_against_the_wrong_cut": "exit 1: FAIL: 1 classes located in degree 1, grade 0 for "
     "dimension 2, ",
     "stability_from_one_cut": "totals {1: 0, 2: 0}, stable {1: True, 2: True} ",
-    "contraction_empty_chain_skipped": "[0] ",
+    "contraction_empty_chain_skipped": "[0] among 1: [0] ",
     "peel_sign_flipped": "exit 1: FAIL: d.d at [1|0] -> []: ",
     "a_part_at_m_minus": "exit 1: FAIL: row of [1|0] breaks the grade split at [0]: ",
     "peel_one_grade_up": "exit 1: FAIL: row of [1|0] breaks the grade split at [1]: ",
+    "product_by_left_factor_only": "exit 1: FAIL: d.d at [2|2|0] -> [3]: ",
+    "stored_products_zeroed": "exit 0: d.d = 0 symbolically on 36 chains ",
     "product_denominator_dropped": "exit 1: FAIL: d.d at [2|2|2] -> [4]: ",
     "malformed_differential_term": "exit 1: FAIL: differential of [1|0] has the malformed term ",
     "bracket_rewrites_to_itself": "exit 1: FAIL: bracket rewriting returns to [v0.v1] while "
@@ -72,7 +74,7 @@ def test_every_planted_fault_is_caught_by_its_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
-    assert len(faults) == 34 and summary == "34 faults, 0 survived"
+    assert len(faults) == 36 and summary == "36 faults, 0 survived"
     by_name = {line.split()[0]: line for line in faults}
     for line in faults:
         assert "internal invariant violated" not in line and "Error('" not in line, line
