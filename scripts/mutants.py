@@ -179,15 +179,23 @@ FAULTS = {
     # chain, and only the planted rule defect shows it
     "stored_products_zeroed": (
         "cochain.py",
-        "product = by_right[id(v2)] = v1 * v2",
-        "product = by_right[id(v2)] = v1 * v2 * 0",
+        "product = by_right[id(v2)] = (v1 * v2).ints()",
+        "product = by_right[id(v2)] = (v1 * v2 * 0).ints()",
         "ddzero_symbolic_defect",
+    ),
+    # each chain's sums are taken over its own row's lcm alone: a product
+    # whose denominator has a factor of a middle row's lcm is scaled wrong
+    "chain_den_without_middle_rows": (
+        "cochain.py",
+        "den = row_den * lcm(*[mid_den for _, (_, mid_den) in mids])",
+        "den = row_den",
+        "ddzero_symbolic",
     ),
     # a product of row entries loses its denominator
     "product_denominator_dropped": (
         "scalars.py",
-        "return ParamPoly._reduced(out, self._den * other._den)",
-        "return ParamPoly._reduced(out, 1)",
+        "return ParamPoly.from_ints(out, self._den * other._den)",
+        "return ParamPoly.from_ints(out, 1)",
         "ddzero_symbolic",
     ),
     # every entry of a matrix takes the value of the first one specialized

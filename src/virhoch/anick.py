@@ -148,25 +148,22 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
     if n == 1:
         return [(k,) for k in range(0, s_max + 2)]
     w_max = n + s_max
+    # the interior letters, one position at a time: each is >= 2 and leaves
+    # room for 2 per later interior letter and 1 for the tail
+    prefixes: list[Chain] = [()]
+    for i in range(n - 2):
+        reserve = 2 * (n - 3 - i) + 1
+        prefixes = [p + (m,) for p in prefixes for m in range(2, w_max - sum(p) - reserve + 1)]
+    # the tail: either (1, 0) or (x >= 2, y >= 0); prefixes and tails both
+    # come in lexicographic order, so the chains do
     out: list[Chain] = []
-
-    def extend(prefix: Chain) -> None:
+    for prefix in prefixes:
         used = sum(prefix)
-        if len(prefix) == n - 2:
-            # tail: either (x>=2, y>=0) or (1, 0)
-            if used + 1 <= w_max:
-                out.append(prefix + (1, 0))
-            for x in range(2, w_max - used + 1):
-                for y in range(0, w_max - used - x + 1):
-                    out.append(prefix + (x, y))
-            return
-        # later interior letters need >= 2 each and the tail needs >= 1
-        reserve = 2 * (n - 2 - len(prefix) - 1) + 1
-        for m in range(2, w_max - used - reserve + 1):
-            extend(prefix + (m,))
-
-    extend(())
-    out.sort()
+        if used + 1 <= w_max:
+            out.append(prefix + (1, 0))
+        for x in range(2, w_max - used + 1):
+            for y in range(0, w_max - used - x + 1):
+                out.append(prefix + (x, y))
     return out
 
 

@@ -15,6 +15,7 @@ for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -357,6 +358,17 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    # The cyclic collector pauses while one command runs.  The engine makes
+    # many acyclic tuples, dicts and slotted scalars that live in its memos,
+    # and every gen0 and gen1 pass would walk them again; reference counting
+    # frees everything else.  The package makes no reference cycles: no memo
+    # refers to itself and no helper is a closure that calls itself.  What a
+    # command leaves for the collector is the few dozen cyclic objects of
+    # the parser's one-time build (argparse's help formatters) and of json's
+    # encoder, freed by its first pass after the command.  A caller that had
+    # the collector off keeps it off.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _parser.parse_args(argv)
         return args.fn(args)
@@ -371,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
         # bad rationals, malformed chain literals and similar input problems
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

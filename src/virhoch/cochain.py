@@ -33,6 +33,8 @@ and all three agree on every chain:
   --symbolic`` checks, multiplies each distinct pair of entry objects once
   per run: a product table keyed on the two ids, which lives only as long
   as the run and holds every row it reads, so no id it keys on is reused.
+  It sums each chain's products over ints, over one denominator per chain,
+  and builds a ``ParamPoly`` only for a sum that is not zero.
 
 * ``bar_row`` is the first oracle: it reads c0 and psi straight off the int
   numerators of ``anick.delta_generic``, the bar reduction, into the same
@@ -112,14 +114,13 @@ x >= 2, so enters every row through one constant per pair.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, ItemsView, Iterable, Iterator
 from math import gcd, lcm
 
 from .algebra import checked_rule, memo, word_to_text
 from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
 from .confmod import ModElem, act_word
-from .scalars import ParamPoly, add_term
+from .scalars import Monomial, ParamPoly, add_term
 
 
 def _decrements(c: Chain):
@@ -306,39 +307,60 @@ def square_rows(chains: Iterable[Chain]) -> Iterator[tuple[Chain, Row]]:
 
     A row is empty when d∘d = 0 at its chain.  The entry at each source
     chain is the sum over middle chains of reduced_row(c)[mid] *
-    reduced_row(mid)[src], added once with ``ParamPoly.sum_of``; zero sums
-    are dropped.  The chains share one product table: equal entries of
-    different rows are one object, so the same pairs of entry objects recur
-    from chain to chain, and each distinct pair is multiplied once, with
-    ``ParamPoly.__mul__``.  The table and the rows read live as long as the
+    reduced_row(mid)[src].  The chains share one product table: equal
+    entries of different rows are one object, so the same pairs of entry
+    objects recur from chain to chain, and each distinct pair is multiplied
+    once, with ``ParamPoly.__mul__``, and kept as its int numerators over
+    its denominator.  Each chain sums its products over ints, in one dict
+    keyed on (source, monomial), over one denominator: the lcm of its row's
+    entry denominators times the lcm of those of its middle rows, which
+    every product's denominator divides.  Each row's lcm is computed once,
+    when the row is first read.  Only nonzero sums become entries, in the
+    order in which their sources first appear, each one ``ParamPoly`` in
+    canonical form.  The table and the rows read live as long as the
     generator, one run, and no longer.  The table keys on the ids of the two
     entries, so it holds every row it reads, and with it every entry whose
     id it uses: no such id can be reused during the run, and rows whose
     entries are not interned stay correct.  Each row is read once per run.
     """
-    rows: dict[Chain, Row] = {}  # every row read, alive for the run
-    products: dict[int, dict[int, ParamPoly]] = {}  # id(v1) -> {id(v2): v1 * v2}
+    rows: dict[Chain, tuple[Row, int]] = {}  # every row read and its lcm, alive for the run
+    # id(v1) -> {id(v2): the numerator items and the denominator of v1 * v2}
+    products: dict[int, dict[int, tuple[ItemsView[Monomial, int], int]]] = {}
 
-    def row_of(c: Chain) -> Row:
-        row = rows.get(c)
-        if row is None:
-            row = rows[c] = reduced_row(c)
-        return row
+    def row_of(c: Chain) -> tuple[Row, int]:
+        got = rows.get(c)
+        if got is None:
+            row = reduced_row(c)
+            # a list, as in ParamPoly.sum_of
+            got = rows[c] = row, lcm(*[v.ints()[1] for v in row.values()])
+        return got
 
     for c in chains:
-        terms: defaultdict[Chain, list[ParamPoly]] = defaultdict(list)
-        for mid, v1 in row_of(c).items():
+        row, row_den = row_of(c)
+        mids = [(v1, row_of(mid)) for mid, v1 in row.items()]
+        den = row_den * lcm(*[mid_den for _, (_, mid_den) in mids])
+        sums: dict[tuple[Chain, Monomial], int] = {}
+        get = sums.get
+        for v1, (mid_row, _) in mids:
             by_right = products.setdefault(id(v1), {})
-            for src, v2 in row_of(mid).items():
+            for src, v2 in mid_row.items():
                 product = by_right.get(id(v2))
                 if product is None:
-                    product = by_right[id(v2)] = v1 * v2
-                terms[src].append(product)
+                    product = by_right[id(v2)] = (v1 * v2).ints()
+                nums, product_den = product
+                scale = den // product_den
+                for mono, n in nums:
+                    key = src, mono
+                    sums[key] = get(key, 0) + n * scale
         square: Row = {}
-        for src, polys in terms.items():
-            total = ParamPoly.sum_of(polys)
-            if total:
-                square[src] = total
+        if any(sums.values()):  # d∘d = 0 leaves every sum zero
+            by_source: dict[Chain, dict[Monomial, int]] = {}
+            for (src, mono), n in sums.items():
+                by_source.setdefault(src, {})[mono] = n
+            for src, nums in by_source.items():
+                total = ParamPoly.from_ints(nums, den)
+                if total:
+                    square[src] = total
         yield c, square
 
 

@@ -36,11 +36,14 @@ validates what it is given: it coerces every coefficient to ``Fraction``,
 drops zeros and rejects negative exponents.  ``terms()`` hands the
 coefficients back as ``Fraction``s.  ``ParamPoly.affine(n0, nd, na, den)``
 builds the row-entry shape ``(n0 + nd*D + na*a) / den`` straight from ints.
+For sums kept over ints outside this module, ``ints()`` reads the stored
+form and ``ParamPoly.from_ints(nums, den)`` puts raw int numerators in
+canonical form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -176,11 +179,12 @@ class ParamPoly:
         self._den = den
 
     @classmethod
-    def _reduced(cls, nums: dict[Monomial, int], den: int) -> "ParamPoly":
+    def from_ints(cls, nums: dict[Monomial, int], den: int) -> "ParamPoly":
         """Wrap int numerators over den >= 1 in canonical form.
 
         Zero numerators are dropped and the common gcd is divided out, so
-        the arithmetic may hand in its raw sums.
+        the arithmetic may hand in its raw sums.  The dict may become the
+        value's storage: the caller hands it over.
         """
         if 0 in nums.values():
             nums = {k: n for k, n in nums.items() if n}
@@ -201,7 +205,7 @@ class ParamPoly:
     @staticmethod
     def const(x) -> "ParamPoly":
         x = Fraction(x)
-        return ParamPoly._reduced({(0, 0): x.numerator}, x.denominator)
+        return ParamPoly.from_ints({(0, 0): x.numerator}, x.denominator)
 
     @staticmethod
     def affine(n0: int, nd: int, na: int, den: int) -> "ParamPoly":
@@ -244,7 +248,7 @@ class ParamPoly:
             scale = den // p._den
             for key, n in p._nums.items():
                 out[key] = get(key, 0) + n * scale
-        return ParamPoly._reduced(out, den)
+        return ParamPoly.from_ints(out, den)
 
     def __add__(self, other) -> "ParamPoly":
         return ParamPoly.sum_of((self, ParamPoly.coerce(other)))
@@ -252,7 +256,7 @@ class ParamPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly._reduced({k: -n for k, n in self._nums.items()}, self._den)
+        return ParamPoly.from_ints({k: -n for k, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-ParamPoly.coerce(other))
@@ -261,7 +265,7 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             if isinstance(other, (int, Fraction)):
                 p = other.numerator
-                return ParamPoly._reduced(
+                return ParamPoly.from_ints(
                     {k: n * p for k, n in self._nums.items()}, self._den * other.denominator
                 )
             other = ParamPoly.const(other)
@@ -271,7 +275,7 @@ class ParamPoly:
             for (d2, a2), n2 in other._nums.items():
                 key = (d1 + d2, a1 + a2)
                 out[key] = get(key, 0) + n1 * n2
-        return ParamPoly._reduced(out, self._den * other._den)
+        return ParamPoly.from_ints(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -286,6 +290,10 @@ class ParamPoly:
         return self._den == other._den and self._nums == other._nums
 
     # -- queries -----------------------------------------------------------
+
+    def ints(self) -> tuple[ItemsView[Monomial, int], int]:
+        """(monomial -> int numerator items, denominator): the canonical stored form, read-only."""
+        return self._nums.items(), self._den
 
     def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
         """(monomial, Fraction) pairs in descending (D-degree, a-degree) order."""

@@ -9,6 +9,7 @@ operators, with no merge skipped, checks the rewrite and the dead-bracket
 test in delta_dprime.
 """
 
+import gc
 import re
 import sys
 from fractions import Fraction
@@ -73,6 +74,18 @@ def test_enumerate_matches_brute_force(n):
     lowest = lowest_grade(n)
     assert min(grade(c) for c in chains) == lowest
     assert brute_force_chains(n, lowest - 1) == enumerate_chains(n, lowest - 1) == []
+
+
+def test_enumerate_chains_leaves_no_reference_cycle():
+    # cli.main pauses the cyclic collector, so a cycle made here would hold
+    # its garbage until the command returns
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_chains(5, 8)) == 336
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def docstring_chain(c):

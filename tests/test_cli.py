@@ -1,6 +1,7 @@
 """Exit codes, output formats, import footprint, and defect injection for the CLI."""
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -160,6 +161,63 @@ def test_ddzero_symbolic_injected_defect(capsys):
                        "--smax", "3", "--inject-defect")
     assert code == 1
     assert err == "FAIL: d.d at [2|0] -> []: -1*D^1*a^0 + 1\n"
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector, paused while one command runs
+
+
+def test_a_command_runs_with_the_cyclic_collector_paused(capsys, monkeypatch):
+    seen = []
+
+    def cmd_gsb(args):
+        seen.append(gc.isenabled())
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_gsb", cmd_gsb)
+    monkeypatch.setattr(cli, "_parser", None)  # rebuilt, bound to the patched command
+    assert gc.isenabled()
+    assert run(capsys, "gsb") == (0, "", "")
+    assert seen == [False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gsb", "--bound", "3"], 0),
+    (["gsb", "--bound", "2"], 64),
+    (["cohomology", "--delta=x"], 64),
+    (["ddzero", "--no-such-flag"], 64),
+    (["ddzero", "--symbolic", "--degrees", "1", "--smax", "3", "--inject-defect"], 1),
+])
+def test_the_collector_is_left_as_the_caller_had_it(capsys, argv, code):
+    # on after a clean exit, a usage error and a FAIL; off if it was off
+    assert gc.isenabled()
+    assert run(capsys, *argv)[0] == code
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == code
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_commands_leave_no_cyclic_garbage(capsys):
+    # a cycle made while the collector is paused lives until the command
+    # returns; only the parser's one-time build and json's encoder make any
+    run(capsys, "gsb", "--bound", "3")
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in (
+            ["ddzero", "--symbolic", "--degrees", "3", "--smax", "5"],
+            ["ddzero", "--letters", "4", "--smax", "4"],
+            ["cohomology", "--delta", "1", "--locate"],
+            ["cohomology", "--delta=1", "--alpha=1", "--truncated", "4", "--nmax", "2"],
+        ):
+            assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 def fresh_run(argv):

@@ -8,6 +8,7 @@ module action) over a window; the acceptance suite widens it.
 
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,28 @@ def test_square_rows_equal_square_row_chain_by_chain():
         for c, square in shared:
             assert list(square.items()) == list(square_row(c).items()), c
         assert any(square for _, square in shared)
+
+
+def test_square_rows_equal_a_plain_sum_per_source():
+    # the reference adds ParamPoly products with + one term at a time, with
+    # no product table and no int sums; under the planted defect the squares
+    # are nonzero, and on the chains counted in ``mixed`` the middle rows
+    # have different denominators, so each product is scaled to the chain's
+    # one denominator by another factor
+    mixed = 0
+    with algebra.rule_defect():
+        for c, square in square_rows(SQUARE_CHAINS):
+            sums: dict = {}
+            for mid, outer in reduced_row(c).items():
+                for src, inner in reduced_row(mid).items():
+                    sums[src] = sums.get(src, ZERO) + outer * inner
+            assert list(square.items()) == [(src, v) for src, v in sums.items() if v], c
+            mid_dens = {
+                lcm(*[q.denominator for v in reduced_row(mid).values() for _, q in v.terms()])
+                for mid in reduced_row(c)
+            }
+            mixed += len(mid_dens) > 1 and bool(square)
+    assert mixed > 10
 
 
 def test_square_rows_stay_correct_on_rows_that_are_not_interned(monkeypatch):

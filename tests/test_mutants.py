@@ -49,6 +49,7 @@ PINNED = {
     "peel_one_grade_up": "exit 1: FAIL: row of [1|0] breaks the grade split at [1]: ",
     "product_by_left_factor_only": "exit 1: FAIL: d.d at [2|2|0] -> [3]: ",
     "stored_products_zeroed": "exit 0: d.d = 0 symbolically on 36 chains ",
+    "chain_den_without_middle_rows": "exit 1: FAIL: d.d at [2|2|2] -> [5]: ",
     "product_denominator_dropped": "exit 1: FAIL: d.d at [2|2|2] -> [4]: ",
     "malformed_differential_term": "exit 1: FAIL: differential of [1|0] has the malformed term ",
     "bracket_rewrites_to_itself": "exit 1: FAIL: bracket rewriting returns to [v0.v1] while "
@@ -74,7 +75,7 @@ def test_every_planted_fault_is_caught_by_its_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
-    assert len(faults) == 36 and summary == "36 faults, 0 survived"
+    assert len(faults) == 37 and summary == "37 faults, 0 survived"
     by_name = {line.split()[0]: line for line in faults}
     for line in faults:
         assert "internal invariant violated" not in line and "Error('" not in line, line

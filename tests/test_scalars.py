@@ -80,16 +80,21 @@ def test_stored_cleanly_rejects_unreduced_forms():
 
 @given(polys, polys, scalars, affine_parts)
 def test_arithmetic_stores_clean_maps(x, y, q, parts):
+    n0, nd, na, den = parts
+    # raw ints, as a sum over ints hands them in: a zero and a common factor
+    raw = ParamPoly.from_ints({(0, 0): 3 * n0, (1, 0): 0, (0, 1): 3 * na}, 3 * den)
     results = [
         x + y, x - y, x * y, x * q, q * x, x * q.numerator, q.numerator * x, -x,
-        ParamPoly.const(q), ParamPoly.affine(*parts),
+        ParamPoly.const(q), ParamPoly.affine(*parts), raw,
     ]
     for p in results:
         assert stored_cleanly(p), p
+        nums, d = p.ints()
+        assert (dict(nums), d) == (p._nums, p._den)
+    assert raw == ParamPoly.affine(n0, 0, na, den)
     # stored-form equality is polynomial equality only while zero is {} over 1
     for zero in (x + (-x), x * 0, x * Fraction(0), ParamPoly.affine(0, 0, 0, parts[3])):
         assert (zero._nums, zero._den) == ({}, 1)
-    n0, nd, na, den = parts
     assert ParamPoly.affine(*parts) == (ParamPoly.const(n0) + nd * D + na * A) * Fraction(1, den)
 
 
