@@ -10,10 +10,12 @@ copy of ``src`` in a temporary directory, and a fresh interpreter runs the
 check against the copy under ``python -O``, so every fault is caught with
 asserts compiled out.  The faults run one subprocess at a time.  The checks:
 
-* ``bar_row``: ``reduced_row`` against ``bar_row`` chain by chain on the
-  chains with 1 to 5 letters and grade <= 8, through
+* ``bar_row``: ``reduced_row`` against ``oracles.bar_row`` chain by chain
+  on the chains with 1 to 5 letters and grade <= 8, through
   ``check_engine.first_row_mismatch``; the fault is named by the first
   chain that differs;
+* ``action_row``: the same against ``oracles.action_row``, the module
+  action, on the chains with 1 to 4 letters and grade <= 6;
 * ``paper_totals``: ``cohomology --delta 1 --expect paper`` must exit 2
   with totals that differ from the paper's;
 * ``relation_certificate``: ``cohomology --delta 1`` must exit 1 with the
@@ -61,7 +63,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-N_MAX, S_MAX = 5, 8
 
 # name -> (file under src/virhoch, its text that occurs once, the replacement, check)
 FAULTS = {
@@ -154,10 +155,18 @@ FAULTS = {
     # the oracle's denominator ignores those of the decremented chains, so
     # their psi terms are scaled wrong
     "bar_row_den_without_decrements": (
-        "cochain.py",
+        "oracles.py",
         "den = lcm(own.den, *[delta.den for _, delta in downs])",
         "den = own.den",
         "bar_row",
+    ),
+    # each later letter's decrement in the closed row weighted one letter
+    # too small; the module-action oracle must see it
+    "later_letter_weight_off_by_one": (
+        "cochain.py",
+        "scale * b * letter",
+        "scale * b * (letter - 1)",
+        "action_row",
     ),
     # entries with only an a part are left out of every row: the a term of
     # [0], the one entry of its row, among them
@@ -336,11 +345,18 @@ FAULTS = {
     ),
 }
 
-ROW_CHECK = (
-    "import check_engine\n"
-    f"c = check_engine.first_row_mismatch(check_engine.row_chains({N_MAX}, {S_MAX}))\n"
-    "print(c and check_engine.chain_to_text(c))\n"
-)
+
+def row_check(oracle: str, n_max: int, s_max: int) -> str:
+    """A check that prints the first chain, with 1 to ``n_max`` letters and
+    grade <= ``s_max``, where ``reduced_row`` differs from ``oracles.oracle``,
+    else None."""
+    return (
+        "import check_engine\n"
+        "from virhoch import oracles\n"
+        f"chains = check_engine.row_chains({n_max}, {s_max})\n"
+        f"c = check_engine.first_row_mismatch(chains, oracles.{oracle})\n"
+        "print(c and check_engine.chain_to_text(c))\n"
+    )
 
 
 def cli_check(argv: list[str], code: int, text: str) -> str:
@@ -359,7 +375,11 @@ def cli_check(argv: list[str], code: int, text: str) -> str:
 
 # check -> (what it runs, a script printing how the fault was caught, or None)
 CHECKS = {
-    "bar_row": (f"reduced_row == bar_row, n <= {N_MAX}, grade <= {S_MAX}", ROW_CHECK),
+    "bar_row": ("reduced_row == bar_row, n <= 5, grade <= 8", row_check("bar_row", 5, 8)),
+    "action_row": (
+        "reduced_row == action_row, n <= 4, grade <= 6",
+        row_check("action_row", 4, 6),
+    ),
     "paper_totals": (
         "cohomology --delta 1 --expect paper exits 2",
         cli_check(["cohomology", "--delta", "1", "--expect", "paper"], 2, "differ from expected"),

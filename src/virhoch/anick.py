@@ -39,15 +39,16 @@ The differential is computed two ways:
   ``nf_word``.  ``delta_prime`` of the letters is int numerators over one
   denominator, and so is every memoized differential: a
   ``scalars.RationalSum`` in canonical form, whose readers
-  (``cochain.bar_row`` and ``compose_delta``) sum ints.  ``compose_delta``
+  (``oracles.bar_row`` and ``compose_delta``) sum ints.  ``compose_delta``
   makes one ``Fraction`` per surviving term of its value, and
   ``fractions()`` makes them for a differential.  ``delta_dprime``'s
   docstring has the proofs.  Production rows no longer read this route:
   it serves ``gsb``, ``ddzero --letters`` and the row oracles.
 
-* ``delta_closed`` evaluates the closed form derived below.  It must agree
-  with the generic computation term by term; the test suite enforces that
-  on every chain in range.
+* ``oracles.delta_closed`` evaluates the closed form derived below.  It
+  must agree with the generic computation term by term; the test suite
+  enforces that on every chain in range.  The derivation stays here, since
+  ``cochain`` derives the production row from it.
 
 The closed form.  Write c = (c_1, ..., c_L), and for the pair j, 1 <= j < L,
 x = c_j, y = c_{j+1}, s_j = (-1)^j, K = x + y - 1, m- for c with (x, y)
@@ -99,10 +100,10 @@ is.  Derivation:
   gamma = 2, and m- ends in the letter 1.
 
 Output elements are keyed by (target chain, leading word), with the
-leading word of length at most one: a ``RationalSum`` for ``delta_generic``
-and a ``ResElem`` {key: Fraction} for ``delta_closed``.  A term that breaks
-this shape raises ``InvariantError`` naming the chain; the check is not an
-``assert``, so it also runs under ``python -O``.
+leading word of length at most one: a ``RationalSum`` for ``delta_generic``,
+whose ``fractions()`` are the {key: Fraction} of ``delta_closed``.  A
+term that breaks this shape raises ``InvariantError`` naming the chain; the
+check is not an ``assert``, so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -172,7 +173,6 @@ def enumerate_chains(n: int, s_max: int) -> list[Chain]:
 
 # a bar element of the reduction: int coefficients
 BarElem = dict[tuple[Word, Slots], int]
-ResElem = dict[tuple[Chain, Word], Fraction]
 
 
 def _bracket_text(slots: Slots) -> str:
@@ -450,57 +450,6 @@ def delta_generic(c: Chain) -> RationalSum:
             )
     _DELTA_CACHE[c] = out
     return out
-
-
-# ---------------------------------------------------------------------------
-# closed-form differential
-
-def delta_closed(c: Chain) -> ResElem:
-    """The closed form of the differential (module docstring); cross-check for the iteration.
-
-    Each pair (x, y) with x >= 2 merges either to the single letter
-    x + y - 1 (leading factor v(1) or a scalar) or to x + y (leading factor
-    v(0)), and the scalar parts collect one contribution for every earlier
-    letter.  A final (1, 0) gives the tail correction.  Brackets that are
-    not chains never survive the iteration, so they are dropped here as
-    well.
-    """
-    if not is_chain(c) or not c:
-        raise ValueError(f"{c} is not a nonempty chain")
-    L = len(c)
-    if L == 1:
-        return {((), (c[0],)): Fraction(1)}
-    special = c[-2:] == (1, 0)
-    out: ResElem = {}
-    add_term(out, (c[1:], (c[0],)), Fraction(1))  # leading letter peels off
-    jmax = L - 2 if special else L - 1
-    for j in range(1, jmax + 1):
-        x, y = c[j - 1], c[j]
-        K = x + y - 1
-        m_minus = c[: j - 1] + (K,) + c[j + 1 :]
-        m_plus = c[: j - 1] + (x + y,) + c[j + 1 :]
-        sj = Fraction(-1 if j % 2 else 1)
-        frac = Fraction(x * y, K)
-        if frac:
-            add_term(out, (m_minus, (1,)), sj * frac)
-            for t in range(1, j):
-                add_term(out, (m_minus, ()), sj * frac * (c[t - 1] - 1))
-        add_term(out, (m_minus, ()), sj * Fraction(x * (x - 1), K))
-        frac = Fraction((x - 1) * (y - 1), K)
-        if frac:
-            add_term(out, (m_plus, (0,)), -sj * frac)
-            for t in range(1, j):
-                dec = m_plus[: t - 1] + (m_plus[t - 1] - 1,) + m_plus[t:]
-                add_term(out, (dec, ()), -sj * frac * c[t - 1])
-    if special:
-        body = c[:-2]
-        sn = Fraction(1 if L % 2 else -1)  # (-1)^(L-1)
-        add_term(out, (body + (0,), ()), sn)
-        add_term(out, (body + (1,), (0,)), sn)
-        for j, letter in enumerate(body):
-            dec = body[:j] + (letter - 1,) + body[j + 1 :]
-            add_term(out, (dec + (1,), ()), sn * letter)
-    return {key: q for key, q in out.items() if is_chain(key[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rows of the reduced cochain differential: the closed row and its two oracles.
+"""Rows of the reduced cochain differential: the closed row and its square.
 
 A degree-n cochain assigns a scalar to every n-letter chain (degree 0: one
 scalar, attached to the empty chain).  Pulling back along the resolution
@@ -12,9 +12,8 @@ the derivation-induced subcomplex is represented by the scalar cochain
     sigma(c) = c0(c) - sum_j i_j * psi(c with letter j decremented),
     psi      = c1,
 
-psi being extended by zero on tuples that are not chains.  Every function
-here returns that map as a ``Row``, sigma(c) = sum over c' of row[c'] phi(c'),
-and all three agree on every chain:
+psi being extended by zero on tuples that are not chains.  ``reduced_row``
+returns that map as a ``Row``, sigma(c) = sum over c' of row[c'] phi(c'):
 
 * ``reduced_row`` is the production path, the one the rank computations
   and ``square_rows`` consume.  ``row_parts`` evaluates the closed row below
@@ -36,17 +35,12 @@ and all three agree on every chain:
   It sums each chain's products over ints, over one denominator per chain,
   and builds a ``ParamPoly`` only for a sum that is not zero.
 
-* ``bar_row`` is the first oracle: it reads c0 and psi straight off the int
-  numerators of ``anick.delta_generic``, the bar reduction, into the same
-  per-source triples, with the same grade-split check.  It builds its own
-  entries with ``ParamPoly.affine`` and never reads the intern table, so a
-  wrong intern key shows as a difference between the two.
-
-* ``action_row`` is the second oracle: it applies ``confmod.act_word`` to
-  the generator for every term and takes the u and ∂u coefficients of the
-  results, with ``ParamPoly`` arithmetic of its own.  A term of ∂-degree
-  above one raises ``anick.InvariantError`` naming the chain and the
-  module value.
+* ``oracles.bar_row`` and ``oracles.action_row`` return the same map read
+  off the bar reduction, ``anick.delta_generic``, one through a table of
+  how each leading word acts on u and one through ``confmod``'s module
+  action.  They build their own entries and never read the intern table,
+  so a wrong intern key shows as a difference; ``bar_row`` passes its
+  triples through the grade-split check of ``reduced_row``, ``_row``.
 
 The closed row.  On the generator v(0) acts as a + ∂, v(1) as D and v(i),
 i >= 2, as 0, so c0 reads a leading v(0) as a, a leading v(1) as D and the
@@ -118,15 +112,8 @@ from collections.abc import Callable, ItemsView, Iterable, Iterator
 from math import gcd, lcm
 
 from .algebra import checked_rule, memo, word_to_text
-from .anick import Chain, InvariantError, chain_to_text, delta_generic, grade, is_chain
-from .confmod import ModElem, act_word
-from .scalars import Monomial, ParamPoly, add_term
-
-
-def _decrements(c: Chain):
-    for j, letter in enumerate(c):
-        if letter:
-            yield letter, c[:j] + (letter - 1,) + c[j + 1 :]
+from .anick import Chain, InvariantError, chain_to_text, grade, is_chain
+from .scalars import Monomial, ParamPoly
 
 
 # (d phi)(c) = sum over source chains c' of row[c'] * phi(c')
@@ -259,8 +246,8 @@ def reduced_row(c: Chain) -> Row:
     """Row of the reduced differential at chain c over the source basis: the closed row, memoized.
 
     Its entries are interned: equal entries of any two rows are one object.
-    A c that is no nonempty chain raises the ``ValueError`` of ``bar_row``,
-    checked once, when the row is built.
+    A c that is no nonempty chain raises ``ValueError``, as
+    ``anick.delta_generic`` does, checked once, when the row is built.
     """
     row = _RED_ROWS.get(c)
     if row is None:
@@ -268,38 +255,6 @@ def reduced_row(c: Chain) -> Row:
             raise ValueError(f"{c} is not a nonempty chain")
         row = _RED_ROWS[c] = _row(c, *row_parts(c), _interned)
     return row
-
-
-# a term's part by its word; other words act on the generator as 0
-_WORD_PART = {(): CONST, (0,): A_PART, (1,): D_PART}
-
-
-def bar_row(c: Chain) -> Row:
-    """The row of c read off the bar reduction: the first oracle of ``reduced_row``.
-
-    One pass over the int numerators of ``delta_generic(c)`` and of the
-    chains ``down`` with one letter decremented fills the triples of
-    ``row_parts`` over the lcm of their denominators: the constant part
-    (the raw c0 terms, whose word is empty, and -letter times the psi terms
-    of each ``down``, the v(0) terms of ``delta_generic(down)``), the D part
-    (the v(1) terms of c) and the a part (the v(0) terms of c).
-    """
-    own = delta_generic(c)
-    downs = [(mult, delta_generic(down)) for mult, down in _decrements(c) if is_chain(down)]
-    den = lcm(own.den, *[delta.den for _, delta in downs])
-    parts: Parts = {}
-    scale = den // own.den
-    for (cp, lam), n in own.nums.items():
-        part = _WORD_PART.get(lam)
-        if part is not None:
-            parts.setdefault(cp, [0, 0, 0])[part] += scale * n
-    for mult, delta in downs:
-        scale = den // delta.den
-        for (cp, lam), n in delta.nums.items():
-            if lam == (0,):
-                parts.setdefault(cp, [0, 0, 0])[CONST] -= scale * mult * n
-    # the oracle's own entries: the intern table of ``reduced_row`` is not read
-    return _row(c, parts, den, ParamPoly.affine)
 
 
 def square_rows(chains: Iterable[Chain]) -> Iterator[tuple[Chain, Row]]:
@@ -369,28 +324,3 @@ def square_row(c: Chain) -> Row:
     [(_, square)] = square_rows([c])
     return square
 
-
-def action_row(c: Chain) -> Row:
-    """Row of the reduced differential at chain c through the module action.
-
-    The c0 row is the u-coefficient of ``act_word(w, u)`` over the terms of
-    ``delta_generic(c)``; each chain ``down`` with one letter decremented
-    subtracts letter times its ∂u-coefficients.
-    """
-    row: Row = {}
-
-    def add_coeff(chain: Chain, k: int, scale: int) -> None:
-        for (cp, lam), q in delta_generic(chain).fractions().items():
-            val = act_word(lam, ModElem.unit(q))
-            if val.d_degree() > 1:
-                raise InvariantError(
-                    f"action row of {chain_to_text(c)}: a term of the differential "
-                    f"of {chain_to_text(chain)} acts with ∂-degree {val.d_degree()}: {val}"
-                )
-            add_term(row, cp, val.coeff(k) * scale)
-
-    add_coeff(c, 0, 1)
-    for mult, down in _decrements(c):
-        if is_chain(down):
-            add_coeff(down, 1, -mult)
-    return row

@@ -13,7 +13,7 @@ the dimension of the cohomology of each smaller window of grades <= s that
 a route asks for.  ``matrix_d`` is the one row assembler.  Its rows
 come from ``cochain.reduced_row``, the closed row computed over ints from
 the letters of each chain; no normal form and no bar reduction is on this
-path, and ``cochain.bar_row`` and ``cochain.action_row`` are the row's two
+path, and ``oracles.bar_row`` and ``oracles.action_row`` are the row's two
 oracles in the tests and ``scripts/check_engine.py``.  The rows share
 their entries, one interned object per distinct value, and ``matrix_d``
 specializes each entry object once per call.  ``matrix_d`` relies

@@ -13,17 +13,17 @@ from virhoch.algebra import verify_defining_relations
 from virhoch.anick import (
     chain_to_text,
     compose_delta,
-    delta_closed,
     delta_generic,
     enumerate_chains,
 )
-from virhoch.cochain import action_row, bar_row, reduced_row
+from virhoch.cochain import reduced_row
 from virhoch.cohom import (
     cohomology_dims,
     contraction_defects,
     locate_classes,
     truncated_cohomology,
 )
+from virhoch.oracles import action_row, bar_row, delta_closed
 from virhoch.scalars import A, D, ParamPoly
 
 F = Fraction

@@ -1,8 +1,8 @@
 """Chain combinatorics and the two differential constructions.
 
 delta_generic is the authority (iterated splitting against the rewriting
-system); delta_closed evaluates the explicit two-case formula.  They must
-agree exactly, and the composite must vanish with coefficient products
+system); oracles.delta_closed evaluates the explicit two-case formula.  They
+must agree exactly, and the composite must vanish with coefficient products
 pushed through the rewriting engine; the acceptance suite checks both on
 every chain with 1-5 letters and grade <= 8.  A plain recursion over the bar
 operators, with no merge skipped, checks the rewrite and the dead-bracket
@@ -19,7 +19,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from virhoch import algebra, anick, cochain
+from virhoch import algebra, anick, cochain, oracles
 from virhoch.algebra import nf_word
 from virhoch.cli import main
 from virhoch.anick import (
@@ -482,7 +482,7 @@ def test_memos_are_canonical_and_match_fraction_arithmetic(fresh_caches, defect,
         assert algebra.verify_defining_relations(10).ok == (not defect)
         chains = [c for n in range(1, n_max + 1) for c in enumerate_chains(n, s_max)]
         for c in chains:
-            cochain.bar_row(c)
+            oracles.bar_row(c)
         # every normal form is its leftmost rewrite summed in Fractions over
         # the normal forms of the children, which nf_word memoized first; with
         # the normal words as the base case this fixes every value by induction

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virhoch import algebra, cochain
+from virhoch import algebra, cochain, confmod
 from virhoch.anick import InvariantError, enumerate_chains, grade, is_chain
-from virhoch.cochain import action_row, bar_row, reduced_row, square_row, square_rows
+from virhoch.cochain import reduced_row, square_row, square_rows
 from virhoch.confmod import ModElem
+from virhoch.oracles import action_row, bar_row
 from virhoch.scalars import A, D, ParamPoly, add_term
 
 ZERO = ParamPoly.const(0)
@@ -81,7 +82,7 @@ def test_sigma_correction_cancels_on_20():
 
 def test_action_row_rejects_high_d_degree(monkeypatch):
     d2u = ModElem((ZERO, ZERO, ONE))
-    monkeypatch.setattr(cochain, "act_word", lambda w, m: d2u)
+    monkeypatch.setattr(confmod, "act_word", lambda w, m: d2u)
     with pytest.raises(InvariantError, match=r"action row of \[1\|0\].*∂-degree 2: \(1\)·∂\^2 \| u"):
         action_row((1, 0))
 

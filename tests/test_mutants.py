@@ -3,8 +3,9 @@
 ``scripts/mutants.py`` applies each named source edit to a copy of
 ``src/virhoch`` and runs the fault's check against it in an interpreter
 started with ``-O``; its docstring lists the checks.  Each fault of the
-closed row must be named by the first chain where ``reduced_row`` and
-``bar_row`` differ, and the failure of every other fault is pinned below.
+closed row must be named by the first chain where ``reduced_row`` and a
+row oracle, ``bar_row`` or ``action_row``, differ, and the failure of every
+other fault is pinned below.
 Every check that exits 1 prints ``FAIL: <message>``, the one failure line
 of ``cli.main``.  A fault whose text no longer occurs exactly once in its
 file is named before any fault is planted.
@@ -33,6 +34,7 @@ PINNED = {
     "pair_gamma_plus_one": "[1|0] ",
     "const_part_overwritten": "[2|1|0] ",
     "bar_row_den_without_decrements": "[2|3] ",
+    "later_letter_weight_off_by_one": "[2|2|1] ",
     "a_only_entry_dropped": "[0] among 386: [0], [1|0], [2|0], [3|0], ... ",
     "relation_entry_doubled": "exit 1: FAIL: d.d != 0 on the relation that clears [",
     "one_value_for_every_entry": "exit 1: FAIL: d.d != 0 on the relation that clears [",
@@ -75,14 +77,17 @@ def test_every_planted_fault_is_caught_by_its_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *faults, summary = proc.stdout.splitlines()
-    assert len(faults) == 37 and summary == "37 faults, 0 survived"
+    assert len(faults) == 38 and summary == "38 faults, 0 survived"
     by_name = {line.split()[0]: line for line in faults}
     for line in faults:
         assert "internal invariant violated" not in line and "Error('" not in line, line
         if " caught at exit 1" in line:
             assert " caught at exit 1: FAIL: " in line, line
     for name, line in by_name.items():
-        if line.endswith(", reduced_row == bar_row, n <= 5, grade <= 8"):
+        if line.endswith(
+            (", reduced_row == bar_row, n <= 5, grade <= 8",
+             ", reduced_row == action_row, n <= 4, grade <= 6")
+        ):
             assert " caught at [" in line, line
     for name, text in PINNED.items():
         assert f" caught at {text}" in by_name[name], by_name[name]
